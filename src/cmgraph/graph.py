@@ -126,10 +126,14 @@ class MixedGraph:
         return _canonical_edge(x, y, kind) in self.edges
 
     def adjacent(self, x: str, y: str) -> bool:
-        if x == y:
+        if x == y or x not in self.node_set:
             return False
-        pair = frozenset((x, y))
-        return any(frozenset((a, b)) == pair for _, a, b in self.edges)
+        return (
+            y in self.neighbours[x]
+            or y in self.parents[x]
+            or y in self.children[x]
+            or y in self.spouses[x]
+        )
 
     @cached_property
     def is_simple(self) -> bool:
@@ -144,6 +148,26 @@ class MixedGraph:
     def edges_as_triples(self) -> list[tuple[str, str, str]]:
         """Edges as (x, y, kind) triples accepted by :func:`build_graph`."""
         return [(x, y, kind) for kind, x, y in self.edge_list()]
+
+    @cached_property
+    def incidences(self) -> Mapping[str, tuple[tuple[str, bool, bool, Edge], ...]]:
+        """Per node, one walk step per incident edge, in canonical edge order.
+
+        A step is ``(other, head_here, head_there, edge)``: the far
+        endpoint and whether ``edge`` carries an arrowhead at this node
+        and at the far one.
+        """
+        out: dict[str, list] = {v: [] for v in self.nodes}
+        for edge in self.edge_list():
+            kind, x, y = edge
+            out[x].append((y, kind == ARC, kind != LINE, edge))
+            out[y].append((x, kind != LINE, kind == ARC, edge))
+        return {v: tuple(steps) for v, steps in out.items()}
+
+    @cached_property
+    def is_cmg(self) -> bool:
+        """True iff no semi-directed cycle contains an arrow."""
+        return not has_semidirected_cycle_with_arrow(self)
 
     # -- reachability ------------------------------------------------------
 
@@ -203,33 +227,44 @@ def build_graph(
 # -- walks over lines and arrows ------------------------------------------
 
 
-def _semidirected_successors(g: MixedGraph, v: str) -> frozenset[str]:
-    return g.neighbours[v] | g.children[v]
-
-
-def _semidirected_reach(g: MixedGraph, start: Iterable[str]) -> set[str]:
-    reach = set(start)
-    stack = list(reach)
-    while stack:
-        u = stack.pop()
-        for w in _semidirected_successors(g, u):
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return reach
-
-
 def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
     """True iff some cycle of lines/arrows, arrows all forward, has an arrow.
 
-    Equivalent test: an arrow ``u -> v`` whose head semi-directed-reaches
-    its tail closes such a cycle, and conversely every such cycle contains
-    an arrow of this kind.
+    One linear pass: contract each line component to one node.  An arrow
+    inside a component closes such a cycle with a line path back to its
+    tail; otherwise every such cycle is a directed cycle among the
+    components, which Kahn's algorithm finds.
     """
+    component: dict[str, str] = {}
+    for root in g.nodes:
+        if root in component:
+            continue
+        component[root] = root
+        stack = [root]
+        while stack:
+            for w in g.neighbours[stack.pop()]:
+                if w not in component:
+                    component[w] = root
+                    stack.append(w)
+    successors: dict[str, list[str]] = {c: [] for c in component.values()}
+    indegree = dict.fromkeys(successors, 0)
     for kind, u, v in g.edges:
-        if kind == ARROW and u in _semidirected_reach(g, [v]):
-            return True
-    return False
+        if kind == ARROW:
+            tail, head = component[u], component[v]
+            if tail == head:
+                return True
+            successors[tail].append(head)
+            indegree[head] += 1
+    ready = [c for c, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        c = ready.pop()
+        removed += 1
+        for d in successors[c]:
+            indegree[d] -= 1
+            if indegree[d] == 0:
+                ready.append(d)
+    return removed < len(successors)
 
 
 def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
@@ -273,8 +308,7 @@ def classify(g: MixedGraph) -> frozenset[str]:
     flags = set()
     if not has_arrow and not has_arc:
         flags.add(UG)
-    cmg = not has_semidirected_cycle_with_arrow(g)
-    if cmg:
+    if g.is_cmg:
         flags.add(CMG)
         if not has_arc:
             flags.add(CG)

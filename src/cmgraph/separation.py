@@ -34,10 +34,9 @@ from .graph import (
     MixedGraph,
     anteriors,
     classify,
-    has_semidirected_cycle_with_arrow,
     moral_graph,
 )
-from .walks import Walk, head_at
+from .walks import Walk
 
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -67,7 +66,7 @@ class SeparationQuery:
 
 
 def _require_cmg(g: MixedGraph) -> None:
-    if has_semidirected_cycle_with_arrow(g):
+    if not g.is_cmg:
         raise NotACMGError("graph has a semi-directed cycle with an arrow")
 
 
@@ -134,16 +133,6 @@ def c_separated(
 # -- edge-stepping simulation (oracle and witness construction) -----------
 
 
-def _steps(g: MixedGraph):
-    """Per-node traversal steps: (other, head_here, head_there, edge)."""
-    out: dict[str, list[tuple[str, bool, bool, tuple]]] = {v: [] for v in g.nodes}
-    for edge in g.edge_list():
-        kind, x, y = edge
-        out[x].append((y, head_at(edge, x), head_at(edge, y), edge))
-        out[y].append((x, head_at(edge, y), head_at(edge, x), edge))
-    return out
-
-
 def bounded_walk_oracle(
     g: MixedGraph,
     a: Iterable[str],
@@ -187,7 +176,7 @@ def bounded_walk_oracle(
     else:
         raise ValueError(f"unknown oracle mode {mode!r}")
 
-    steps = _steps(g)
+    steps = g.incidences
     # state: (node, entered-with-head, section-all-in-good, section-clean-of-bad)
     start = [(v, False, v in in_good, v not in in_bad) for v in sorted(q.a)]
     seen = set(start)
@@ -233,7 +222,7 @@ def c_connecting_witness(
     _check_query(g, q)
     if not q.a or not q.b:
         return None
-    steps = _steps(g)
+    steps = g.incidences
     c = q.given
     start = [(v, False, v in c) for v in sorted(q.a)]
     parent: dict[tuple, tuple | None] = {s: None for s in start}

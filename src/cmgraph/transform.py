@@ -62,7 +62,6 @@ from .graph import (
     anteriors,
     build_graph,
     classify,
-    has_semidirected_cycle_with_arrow,
 )
 
 
@@ -82,7 +81,7 @@ class TransformSpec:
 
 
 def _require_cmg(g: MixedGraph) -> None:
-    if has_semidirected_cycle_with_arrow(g):
+    if not g.is_cmg:
         raise NotACMGError("transform input has a semi-directed cycle with an arrow")
 
 

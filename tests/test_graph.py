@@ -3,13 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmgraph as cm
+from cmgraph import graph
 from cmgraph.errors import (
     BlockedStartError,
     LoopEdgeError,
+    NotACMGError,
     NotAChainGraphError,
     UnknownNodeError,
 )
-from cmgraph.propcheck import GeneratorConfig, random_graph
+from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 
 from conftest import G
 
@@ -55,6 +57,31 @@ class TestBuild:
         doubled = g.edges_as_triples() + g.edges_as_triples()
         assert cm.build_graph(g.nodes, doubled) == g
 
+    def test_adjacent_over_every_edge_type(self):
+        g = G("a -- b; c -> b; c <-> d; nodes: e")
+        for x, y in (("a", "b"), ("b", "c"), ("c", "b"), ("c", "d"), ("d", "c")):
+            assert g.adjacent(x, y)
+        for x, y in (("a", "c"), ("b", "d"), ("a", "e"), ("a", "a"), ("a", "z"), ("z", "a")):
+            assert not g.adjacent(x, y)
+
+    @given(graphs())
+    @HYP
+    def test_adjacent_matches_edge_set(self, g):
+        pairs = {frozenset((x, y)) for _, x, y in g.edges}
+        for x in g.nodes:
+            for y in g.nodes:
+                assert g.adjacent(x, y) == (frozenset((x, y)) in pairs)
+
+    def test_incidences_in_canonical_edge_order(self):
+        g = G("a <-> b; b -> a; a -- b; c -> a")
+        assert g.incidences["a"] == (
+            ("b", False, False, (cm.LINE, "a", "b")),
+            ("b", True, False, (cm.ARROW, "b", "a")),
+            ("c", True, False, (cm.ARROW, "c", "a")),
+            ("b", True, True, (cm.ARC, "a", "b")),
+        )
+        assert g.incidences["c"] == (("a", False, True, (cm.ARROW, "c", "a")),)
+
 
 class TestCycles:
     def test_semidirected_cycle_with_arrow(self):
@@ -68,6 +95,113 @@ class TestCycles:
 
     def test_arcs_never_form_cycles(self):
         assert not cm.has_semidirected_cycle_with_arrow(G("a <-> b; b <-> c; c <-> a"))
+
+    def test_agrees_with_per_arrow_definition_on_three_nodes(self):
+        for g in enumerate_mixed_graphs(("a", "b", "c")):
+            assert cm.has_semidirected_cycle_with_arrow(g) == per_arrow_cycle(g)
+
+    @pytest.mark.parametrize(
+        "closing, cyclic",
+        [(None, False), (("v199", "v000"), True), (("v000", "v199"), False)],
+    )
+    def test_agrees_with_per_arrow_definition_on_a_long_ring(self, closing, cyclic):
+        labels = [f"v{i:03d}" for i in range(200)]
+        edges = [
+            (labels[i], labels[i + 1], cm.LINE if i % 2 == 0 else cm.ARROW)
+            for i in range(199)
+        ]
+        if closing is not None:
+            edges.append((*closing, cm.ARROW))
+        g = cm.build_graph(labels, edges)
+        assert cm.has_semidirected_cycle_with_arrow(g) == per_arrow_cycle(g) == cyclic
+
+
+def per_arrow_cycle(g):
+    """Reference: some arrow's head reaches its tail along lines and forward arrows."""
+    for kind, u, v in g.edges:
+        if kind != cm.ARROW:
+            continue
+        reach, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            for w in g.neighbours[x] | g.children[x]:
+                if w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        if u in reach:
+            return True
+    return False
+
+
+@pytest.fixture
+def cycle_checks(monkeypatch):
+    """Graphs passed to the cycle check, in call order."""
+    seen = []
+    original = graph.has_semidirected_cycle_with_arrow
+
+    def counting(g):
+        seen.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graph, "has_semidirected_cycle_with_arrow", counting)
+    return seen
+
+
+class TestCmgVerdictCache:
+    TEXT = "a -> b; b -- c; c <-> d; d -> e"
+
+    def run_queries(self, g):
+        cm.c_separated(g, ["a"], ["e"], ["c"])
+        cm.c_connecting_witness(g, ["a"], ["e"], ["c"])
+        cm.pairwise_model(g)
+
+    def test_checked_once_per_object(self, cycle_checks):
+        g = G(self.TEXT)
+        self.run_queries(g)
+        self.run_queries(g)
+        assert len(cycle_checks) == 1 and cycle_checks[0] is g
+
+    def test_equal_graph_is_checked_again(self, cycle_checks):
+        g, h = G(self.TEXT), G(self.TEXT)
+        assert g == h
+        self.run_queries(g)
+        self.run_queries(h)
+        assert len(cycle_checks) == 2
+        assert cycle_checks[0] is g and cycle_checks[1] is h
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: cm.c_separated(g, ["a"], ["c"]),
+            lambda g: cm.c_connecting_witness(g, ["a"], ["c"]),
+            lambda g: cm.bounded_walk_oracle(g, ["a"], ["c"]),
+            cm.pairwise_model,
+            cm.is_maximal,
+            cm.non_maximality_witness,
+            lambda g: cm.marginalize(g, ["b"]),
+            lambda g: cm.condition(g, ["b"]),
+            cm.anterialize,
+            cm.in_cg_projection_class,
+        ],
+        ids=[
+            "c_separated",
+            "c_connecting_witness",
+            "bounded_walk_oracle",
+            "pairwise_model",
+            "is_maximal",
+            "non_maximality_witness",
+            "marginalize",
+            "condition",
+            "anterialize",
+            "in_cg_projection_class",
+        ],
+    )
+    def test_non_cmg_rejected_on_every_call(self, call, cycle_checks):
+        g = G("a -> b; b -- c; c -> a")
+        for _ in range(2):
+            with pytest.raises(NotACMGError):
+                call(g)
+        assert len(cycle_checks) == 1
 
 
 class TestClassify:

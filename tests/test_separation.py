@@ -131,6 +131,24 @@ class TestWitness:
         }
         assert "l" in collider_nodes
 
+    def test_worked_example_witness_text(self, g_ex):
+        walk = cm.c_connecting_witness(g_ex, ["j"], ["h"], ["l"])
+        assert walk.render() == "j -> k -> l -- r <- q -> h"
+
+    @pytest.mark.parametrize(
+        "text, a, b, given, expected",
+        [
+            ("a -- b; a <-> b", "a", "b", "", "a -- b"),
+            ("x -> a; a -- b; a <-> b; b -- y", "x", "b", "", "x -> a -- b"),
+            ("x -> a; a -- b; a <-> b; b -- y", "x", "b", "a", "x -> a <-> b"),
+            ("x -> a; a -- b; a <-> b; b -- y", "x", "y", "", "x -> a -- b -- y"),
+            ("x -> a; a -- b; a <-> b; b -- y", "x", "y", "a", "x -> a <-> b -- y"),
+        ],
+    )
+    def test_parallel_edges_witness_text(self, text, a, b, given, expected):
+        walk = cm.c_connecting_witness(G(text), [a], [b], list(given))
+        assert walk.render() == expected
+
     def test_none_iff_separated(self):
         g = G("a -> c; b -> c")
         assert cm.c_connecting_witness(g, ["a"], ["b"]) is None
