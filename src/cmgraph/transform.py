@@ -39,6 +39,13 @@ The collider stage never uses lines it generated itself to build new
 sections.  Afterwards every arrowhead pointing at S is removed (arrows
 into S become lines, arcs at S lose that head) and the conditioned nodes
 are deleted.
+
+Every stage that searches sections finds them with ``_Work.sections``.
+Lines are fixed inside each such stage: the flank, arc-flank and
+anterial generate stages add only arrows and arcs, and the collider
+stage reads a snapshot of the lines taken when it starts.  Section reach
+is therefore memoized per (node, blocked set), and the memo is dropped
+whenever a line is added or nodes are deleted.
 """
 
 from __future__ import annotations
@@ -51,7 +58,6 @@ from .errors import (
     NotACMGError,
     NotAnAnGError,
     TransformSpecError,
-    UnknownNodeError,
 )
 from .graph import (
     ANG,
@@ -85,6 +91,36 @@ def _require_cmg(g: MixedGraph) -> None:
         raise NotACMGError("transform input has a semi-directed cycle with an arrow")
 
 
+class _LineReach:
+    """Line reachability over one line adjacency, memoized by (node, blocked set).
+
+    The owner clears ``memo`` whenever the adjacency changes.
+    """
+
+    def __init__(self, ne: dict[str, set[str]]):
+        self.ne = ne
+        self.memo: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
+
+    def reach(self, v: str, blocked: frozenset[str]) -> frozenset[str]:
+        key = (v, blocked)
+        out = self.memo.get(key)
+        if out is None:
+            if v in blocked:
+                out = frozenset()
+            else:
+                adj = self.ne
+                seen = {v}
+                stack = [v]
+                while stack:
+                    for w in adj[stack.pop()]:
+                        if w not in seen and w not in blocked:
+                            seen.add(w)
+                            stack.append(w)
+                out = frozenset(seen)
+            self.memo[key] = out
+        return out
+
+
 class _Work:
     """Mutable edge store used by the rule engines."""
 
@@ -97,6 +133,7 @@ class _Work:
         self.pa: dict[str, set[str]] = defaultdict(set)
         self.ch: dict[str, set[str]] = defaultdict(set)
         self.sp: dict[str, set[str]] = defaultdict(set)
+        self._reach = _LineReach(self.ne)
         for kind, x, y in g.edges:
             if kind == LINE:
                 self.add_line(x, y)
@@ -112,6 +149,7 @@ class _Work:
         self.lines.add(pair)
         self.ne[x].add(y)
         self.ne[y].add(x)
+        self._reach.memo.clear()
         return True
 
     def add_arrow(self, tail: str, head: str) -> bool:
@@ -152,31 +190,48 @@ class _Work:
                 adj.pop(v, None)
             for v, others in adj.items():
                 others -= drop
+        self._reach.memo.clear()
 
     def line_reach(
         self,
         v: str,
         blocked: frozenset[str] = frozenset(),
-        usable_lines: set[tuple[str, str]] | None = None,
-    ) -> set[str]:
-        if v in blocked:
-            return set()
-        if usable_lines is None:
-            adj = self.ne
-        else:
-            adj = defaultdict(set)
-            for x, y in usable_lines:
-                adj[x].add(y)
-                adj[y].add(x)
-        reach = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in reach and w not in blocked:
-                    reach.add(w)
-                    stack.append(w)
-        return reach
+        usable: _LineReach | None = None,
+    ) -> frozenset[str]:
+        """Nodes joined to ``v`` by a line walk avoiding ``blocked``.
+
+        Reads the current lines, or the snapshot ``usable`` taken by
+        :meth:`line_snapshot`.  Empty when ``v`` itself is blocked.
+        """
+        return (self._reach if usable is None else usable).reach(v, blocked)
+
+    def line_snapshot(self) -> _LineReach:
+        """Line reach over the current lines only, blind to lines added later."""
+        ne: dict[str, set[str]] = defaultdict(set)
+        for x, y in self.lines:
+            ne[x].add(y)
+            ne[y].add(x)
+        return _LineReach(ne)
+
+    def sections(self, start: str, stop: str, usable: _LineReach | None = None):
+        """Sections from ``start`` that end at an arrowhead: (far, j, kind).
+
+        ``far`` is joined to ``start`` by a line walk avoiding ``stop``
+        and ``j``, and ``j`` puts an arrowhead at ``far`` by an edge of
+        ``kind``; ``j`` is neither ``start`` nor ``stop``.  Flanks are read
+        as the search reaches ``far``, so edges added between yields are
+        seen exactly as by a nested loop.
+        """
+        blocked = frozenset((stop,))
+        reach = self.line_reach(start, blocked, usable)
+        for far in sorted(reach):
+            for j, kind in self.head_flanks(far):
+                if j == stop or j == start:
+                    continue
+                # blocking j changes nothing unless the walk can reach j
+                if j in reach and far not in self.line_reach(start, blocked | {j}, usable):
+                    continue
+                yield far, j, kind
 
     def head_flanks(self, v: str) -> list[tuple[str, str]]:
         """(other, kind) for edges with an arrowhead at ``v``."""
@@ -213,16 +268,11 @@ def _marginalize_flank_stage(w: _Work, m_set: frozenset[str]) -> None:
         changed = False
         for mm in sorted(m_set & w.nodes):
             for u in sorted(w.ch[mm]):
-                for far in sorted(w.line_reach(u, frozenset((mm,)))):
-                    for j, kind in w.head_flanks(far):
-                        if j == mm or j == u:
-                            continue
-                        if far not in w.line_reach(u, frozenset((mm, j))):
-                            continue
-                        if kind == ARROW:
-                            changed |= w.add_arrow(j, u)
-                        else:
-                            changed |= w.add_arc(u, j)
+                for _, j, kind in w.sections(u, mm):
+                    if kind == ARROW:
+                        changed |= w.add_arrow(j, u)
+                    else:
+                        changed |= w.add_arc(u, j)
 
 
 _TRIPATH_RULES = {
@@ -301,42 +351,32 @@ def _condition_arc_flank_stage(w: _Work, s_set: frozenset[str]) -> None:
             for s, u in ((x, y), (y, x)):
                 if s not in s_set:
                     continue
-                for far in sorted(w.line_reach(u, frozenset((s,)))):
-                    for j, kind in w.head_flanks(far):
-                        if j == s or j == u:
-                            continue
-                        if far not in w.line_reach(u, frozenset((s, j))):
-                            continue
-                        if kind == ARROW:
-                            changed |= w.add_arrow(j, u)
-                        else:
-                            changed |= w.add_arc(u, j)
+                for _, j, kind in w.sections(u, s):
+                    if kind == ARROW:
+                        changed |= w.add_arrow(j, u)
+                    else:
+                        changed |= w.add_arc(u, j)
 
 
 def _condition_collider_stage(w: _Work, s_set: frozenset[str]) -> None:
     # i -> s --..-- s <- j   =>  i -- j        (both flanks arrows)
     # i <-> s --..-- s <- j  =>  j -> i        (arc flank wins the head)
     # i <-> s --..-- s <-> j =>  i <-> j
-    usable = set(w.lines)  # lines generated below must not build sections
+    usable = w.line_snapshot()  # lines generated below must not build sections
     changed = True
     while changed:
         changed = False
         for s1 in sorted(s_set & w.nodes):
             for i, kind_i in w.head_flanks(s1):
-                for s2 in sorted(w.line_reach(s1, frozenset((i,)), usable)):
-                    for j, kind_j in w.head_flanks(s2):
-                        if j == i or i == s2 or j == s1:
-                            continue
-                        if s2 not in w.line_reach(s1, frozenset((i, j)), usable):
-                            continue
-                        if kind_i == ARROW and kind_j == ARROW:
-                            changed |= w.add_line(i, j)
-                        elif kind_i == ARC and kind_j == ARROW:
-                            changed |= w.add_arrow(j, i)
-                        elif kind_i == ARROW and kind_j == ARC:
-                            changed |= w.add_arrow(i, j)
-                        else:
-                            changed |= w.add_arc(i, j)
+                for _, j, kind_j in w.sections(s1, i, usable):
+                    if kind_i == ARROW and kind_j == ARROW:
+                        changed |= w.add_line(i, j)
+                    elif kind_i == ARC and kind_j == ARROW:
+                        changed |= w.add_arrow(j, i)
+                    elif kind_i == ARROW and kind_j == ARC:
+                        changed |= w.add_arrow(i, j)
+                    else:
+                        changed |= w.add_arc(i, j)
 
 
 def _condition_strip_heads(w: _Work, s_set: frozenset[str]) -> None:
@@ -445,34 +485,27 @@ def _ang_generate(w: _Work, ant: dict[str, set[str]], tracker: _RoleTracker) -> 
         for x, y in sorted(w.arcs):
             for u, i in ((x, y), (y, x)):
                 # u is the arc end inside/at the section, i the target
-                arc_ok_at = tracker.usable(_arc_key(u, i), u)  # arc i <-> k, k=i role
-                arc_ok_beyond = tracker.usable(_arc_key(u, i), i)
-                for far in sorted(w.line_reach(u, frozenset((i,)))):
-                    for j, kind in w.head_flanks(far):
-                        if j == i or j == u:
-                            continue
-                        if far not in w.line_reach(u, frozenset((i, j))):
-                            continue
-                        # at-section form: section ends at u, arc runs to i
-                        if arc_ok_at and i in ant[u] and tracker.usable(
-                            _flank_key(far, j, kind), u
-                        ):
-                            if kind == ARROW:
-                                added = w.add_arrow(j, u)
-                                changed |= tracker.note(_arrow_key(j, u), u, added)
-                            else:
-                                added = w.add_arc(u, j)
-                                changed |= tracker.note(_arc_key(u, j), u, added)
-                        # beyond-section form: section anterior of i beyond the arc
-                        if arc_ok_beyond and u in ant[i] and tracker.usable(
-                            _flank_key(far, j, kind), i
-                        ):
-                            if kind == ARROW:
-                                added = w.add_arrow(j, i)
-                                changed |= tracker.note(_arrow_key(j, i), i, added)
-                            else:
-                                added = w.add_arc(j, i)
-                                changed |= tracker.note(_arc_key(j, i), i, added)
+                # at-section form: section ends at u, arc runs to i
+                at = tracker.usable(_arc_key(u, i), u) and i in ant[u]
+                # beyond-section form: section anterior of i beyond the arc
+                beyond = tracker.usable(_arc_key(u, i), i) and u in ant[i]
+                if not (at or beyond):
+                    continue
+                for far, j, kind in w.sections(u, i):
+                    if at and tracker.usable(_flank_key(far, j, kind), u):
+                        if kind == ARROW:
+                            added = w.add_arrow(j, u)
+                            changed |= tracker.note(_arrow_key(j, u), u, added)
+                        else:
+                            added = w.add_arc(u, j)
+                            changed |= tracker.note(_arc_key(u, j), u, added)
+                    if beyond and tracker.usable(_flank_key(far, j, kind), i):
+                        if kind == ARROW:
+                            added = w.add_arrow(j, i)
+                            changed |= tracker.note(_arrow_key(j, i), i, added)
+                        else:
+                            added = w.add_arc(j, i)
+                            changed |= tracker.note(_arc_key(j, i), i, added)
 
 
 def _ang_resolve_arcs(w: _Work, ant: dict[str, set[str]]) -> None:
@@ -517,15 +550,32 @@ def _collider_trislides(w: _Work):
     """Collider trislides with a multi-node section: (k, i, kind_i, j, l, kind_j)."""
     for i in sorted(w.nodes):
         for k, kind_i in w.head_flanks(i):
-            for j in sorted(w.line_reach(i, frozenset((k,)))):
-                if j == i:
-                    continue
-                for l, kind_j in w.head_flanks(j):
-                    if l in (k, i, j) or k == j:
-                        continue
-                    if j not in w.line_reach(i, frozenset((k, l))):
-                        continue
+            for j, l, kind_j in w.sections(i, k):
+                if j != i:
                     yield k, i, kind_i, j, l, kind_j
+
+
+def _in_projection_class(g: MixedGraph, ij_kind: str) -> bool:
+    """No arc-flanked collider trislide lacks its required edges.
+
+    ``ij_kind`` is the edge (``ARC`` or ``LINE``) that the double-arc
+    trislide needs between ``i`` and ``j``.
+    """
+    w = _Work(g)
+    ij_edges = w.arcs if ij_kind == ARC else w.lines
+    for k, i, kind_i, j, l, kind_j in _collider_trislides(w):
+        if kind_i != ARC:
+            continue
+        if kind_j == ARROW:
+            if (l, i) not in w.arrows:
+                return False
+        elif (
+            (min(k, j), max(k, j)) not in w.arcs
+            or (min(i, l), max(i, l)) not in w.arcs
+            or (min(i, j), max(i, j)) not in ij_edges
+        ):
+            return False
+    return True
 
 
 def in_cg_projection_class(g: MixedGraph) -> bool:
@@ -536,18 +586,7 @@ def in_cg_projection_class(g: MixedGraph) -> bool:
     the arcs ``k <-> j``, ``i <-> l``, ``i <-> j``.
     """
     _require_cmg(g)
-    w = _Work(g)
-    for k, i, kind_i, j, l, kind_j in _collider_trislides(w):
-        if kind_i != ARC:
-            continue
-        if kind_j == ARROW:
-            if (l, i) not in w.arrows:
-                return False
-        else:
-            need = [(min(k, j), max(k, j)), (min(i, l), max(i, l)), (min(i, j), max(i, j))]
-            if any(pair not in w.arcs for pair in need):
-                return False
-    return True
+    return _in_projection_class(g, ARC)
 
 
 def in_ang_projection_class(g: MixedGraph) -> bool:
@@ -559,24 +598,18 @@ def in_ang_projection_class(g: MixedGraph) -> bool:
     """
     if ANG not in classify(g):
         raise NotAnAnGError("class test requires an anterial graph")
-    w = _Work(g)
-    for k, i, kind_i, j, l, kind_j in _collider_trislides(w):
-        if kind_i != ARC:
-            continue
-        if kind_j == ARROW:
-            if (l, i) not in w.arrows:
-                return False
-        else:
-            if (min(k, j), max(k, j)) not in w.arcs:
-                return False
-            if (min(i, l), max(i, l)) not in w.arcs:
-                return False
-            if (min(i, j), max(i, j)) not in w.lines:
-                return False
-    return True
+    return _in_projection_class(g, LINE)
 
 
 # -- edge-characterization oracles ------------------------------------------
+
+
+def _require_oracle_endpoints(i: str, j: str, removed: frozenset[str], role: str) -> None:
+    if i == j:
+        raise TransformSpecError(f"edge oracle needs two distinct endpoints, got {i!r} twice")
+    for v in (i, j):
+        if v in removed:
+            raise TransformSpecError(f"edge oracle endpoint {v!r} is in the {role} set")
 
 
 def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> bool:
@@ -588,8 +621,7 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     """
     m = frozenset(m)
     g.require_nodes({i, j} | m)
-    if i in m or j in m or i == j:
-        raise UnknownNodeError(i if i in m else j)
+    _require_oracle_endpoints(i, j, m, "marginalized")
     h = marginalize_flank_closure(g, m)
     w = _Work(h)
 
@@ -655,8 +687,7 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     """
     c = frozenset(c)
     g.require_nodes({i, j} | c)
-    if i in c or j in c or i == j:
-        raise UnknownNodeError(i if i in c else j)
+    _require_oracle_endpoints(i, j, c, "conditioning")
     if g.adjacent(i, j):
         return True
     s_set = c | anteriors(g, c)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 
 import cmgraph as cm
 from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
-from cmgraph.propcheck import GeneratorConfig, random_graph
+from cmgraph.graphio import render
+from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
+from cmgraph.transform import _Work
 
 from conftest import G
 
@@ -178,6 +182,14 @@ class TestImageClasses:
         assert not cm.in_cg_projection_class(g)
         assert not cm.in_ang_projection_class(g)
 
+    def test_double_arc_needs_arc_or_line_between_i_and_j(self):
+        # both side arcs present: the AnG class takes the line i -- j,
+        # the CG class needs the arc i <-> j as well
+        g = G("k <-> i; i -- j; j <-> l; k <-> j; i <-> l")
+        assert not cm.in_cg_projection_class(g)
+        assert cm.in_ang_projection_class(g)
+        assert cm.in_cg_projection_class(G("k <-> i; i -- j; j <-> l; k <-> j; i <-> l; i <-> j"))
+
     def test_class_test_requires_ang(self):
         with pytest.raises(NotAnAnGError):
             cm.in_ang_projection_class(G("a <-> b; a -> b"))
@@ -217,6 +229,17 @@ class TestEdgeOracles:
         g = G("j <-> a; a <-> i; a -> i")
         assert cm.subprimitive_walk_exists(g, "j", "i")
         assert not cm.subprimitive_walk_exists(g, "i", "j")
+
+    @pytest.mark.parametrize("oracle", [cm.marginal_edge_oracle, cm.conditional_edge_oracle])
+    @pytest.mark.parametrize("i,j", [("c", "a"), ("a", "c")])
+    def test_endpoint_in_removed_set(self, oracle, i, j):
+        with pytest.raises(TransformSpecError, match="endpoint 'c' is in the"):
+            oracle(G("a -> b; b -- c"), ["c"], i, j)
+
+    @pytest.mark.parametrize("oracle", [cm.marginal_edge_oracle, cm.conditional_edge_oracle])
+    def test_equal_endpoints(self, oracle):
+        with pytest.raises(TransformSpecError, match="distinct endpoints, got 'a' twice"):
+            oracle(G("a -> b; b -- c"), ["c"], "a", "a")
 
     @given(cmg_and_subset(max_nodes=5))
     @HYP
@@ -309,3 +332,190 @@ class TestComposition:
         assert cm.models_equal(
             cm.pairwise_model(first_m), cm.pairwise_model(first_c)
         )
+
+
+# -- section search ----------------------------------------------------------
+
+
+def _line_bfs(lines, start, blocked):
+    ne = {}
+    for x, y in lines:
+        ne.setdefault(x, []).append(y)
+        ne.setdefault(y, []).append(x)
+    if start in blocked:
+        return set()
+    seen = {start}
+    todo = [start]
+    while todo:
+        for v in ne.get(todo.pop(), ()):
+            if v not in seen and v not in blocked:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _sections_by_definition(g, lines, start, stop):
+    """(far, j, kind): far reached from start by lines avoiding stop and j,
+    j puts an arrowhead at far, j not start or stop.  Ordered by far, then
+    arrows before arcs, then j."""
+    out = []
+    for far in sorted(_line_bfs(lines, start, {stop})):
+        heads = sorted(x for kind, x, y in g.edges if kind == cm.ARROW and y == far)
+        heads = [(x, cm.ARROW) for x in heads]
+        arcs = [(y if x == far else x) for kind, x, y in g.edges if kind == cm.ARC and far in (x, y)]
+        heads += [(x, cm.ARC) for x in sorted(arcs)]
+        for j, kind in heads:
+            if j not in (start, stop) and far in _line_bfs(lines, start, {stop, j}):
+                out.append((far, j, kind))
+    return out
+
+
+def _random_mixed_graph(rng, labels):
+    edges = []
+    for x, y in combinations(labels, 2):
+        bits = rng.randrange(16)
+        if bits & 1:
+            edges.append((x, y, cm.LINE))
+        if bits & 2:
+            edges.append((x, y, cm.ARROW))
+        if bits & 4:
+            edges.append((y, x, cm.ARROW))
+        if bits & 8:
+            edges.append((x, y, cm.ARC))
+    return cm.build_graph(labels, edges)
+
+
+def _section_graphs():
+    yield from enumerate_mixed_graphs(("a", "b", "c"))
+    rng = random.Random(2024)
+    for _ in range(200):
+        yield _random_mixed_graph(rng, tuple("abcdef"))
+
+
+def _lines_of(g):
+    return [(x, y) for kind, x, y in g.edges if kind == cm.LINE]
+
+
+class TestSectionSearch:
+    def test_matches_definition(self):
+        for g in _section_graphs():
+            lines = _lines_of(g)
+            w = _Work(g)
+            for start in g.nodes:
+                for stop in g.nodes:
+                    if stop != start:
+                        expected = _sections_by_definition(g, lines, start, stop)
+                        assert list(w.sections(start, stop)) == expected, (render(g), start, stop)
+
+    def test_snapshot_ignores_later_lines(self):
+        for g in _section_graphs():
+            lines = _lines_of(g)
+            w = _Work(g)
+            snap = w.line_snapshot()
+            for x, y in combinations(g.nodes, 2):
+                w.add_line(x, y)
+            every_pair = list(combinations(g.nodes, 2))
+            for start in g.nodes:
+                for stop in g.nodes:
+                    if stop != start:
+                        old = _sections_by_definition(g, lines, start, stop)
+                        assert list(w.sections(start, stop, snap)) == old, (render(g), start, stop)
+                        new = _sections_by_definition(g, every_pair, start, stop)
+                        assert list(w.sections(start, stop)) == new, (render(g), start, stop)
+
+    def test_line_reach_sees_added_line(self):
+        w = _Work(G("a -- b; nodes: c"))
+        assert w.line_reach("a") == {"a", "b"}
+        w.add_line("b", "c")
+        assert w.line_reach("a") == {"a", "b", "c"}
+
+    def test_line_reach_forgets_deleted_nodes(self):
+        w = _Work(G("a -- b; b -- c; c -- d"))
+        assert w.line_reach("a") == {"a", "b", "c", "d"}
+        w.delete_nodes(["c"])
+        assert w.line_reach("a") == {"a", "b"}
+        assert w.line_reach("d") == {"d"}
+
+    def test_line_reach_is_frozenset(self):
+        w = _Work(G("a -- b"))
+        assert isinstance(w.line_reach("a"), frozenset)
+        assert isinstance(w.line_reach("a", frozenset("b")), frozenset)
+        assert w.line_reach("a", frozenset("a")) == frozenset()
+        assert isinstance(w.line_reach("a", usable=w.line_snapshot()), frozenset)
+
+
+# -- graphs above the property-harness range -----------------------------------
+
+
+def _large_cmg(seed, n):
+    """A CMG of chain-component blocks: lines inside a block, arrows from a
+    block into earlier ones, and arcs between any two nodes on top."""
+    rng = random.Random(f"large-cmg:{seed}:{n}")
+    names = [f"v{k:03d}" for k in range(n)]
+    rng.shuffle(names)
+    edges = []
+    earlier = []
+    while len(earlier) < n:
+        block = names[len(earlier) : len(earlier) + rng.randint(1, 5)]
+        edges += [(x, y, cm.LINE) for x, y in combinations(block, 2) if rng.random() < 0.5]
+        for v in block:
+            for head in rng.sample(earlier, min(len(earlier), rng.randint(0, 2))):
+                edges.append((v, head, cm.ARROW))
+        earlier += block
+    for _ in range(n // 4):
+        x, y = rng.sample(names, 2)
+        edges.append((x, y, cm.ARC))
+    g = cm.build_graph(names, edges)
+    m = rng.sample(names, 2)
+    c = rng.sample(sorted(set(names) - set(m)), 2)
+    return g, m, c
+
+
+def _digest(g):
+    return hashlib.sha256(render(g).encode()).hexdigest()
+
+
+# sha256 of the rendered (marginalize, condition, anterialize) outputs
+LARGE_DIGESTS = {
+    (0, 32): (
+        "6494a0afd3c4a1780d6565663c33e3a702cc6fc5dec889729c9ab25a6bd10ba2",
+        "7055a1a3ebc8b31493a8f6a232d7378b48f7687e7aba7139743adc471f423216",
+        "cb17f0c67aa9dc5357a8e29723d7e0ca9738cddcc6ef40dfa0c4fe27061eae50",
+    ),
+    (1, 48): (
+        "2739776dd4d24051fd0574a42e48e49b0deac9fd0f38898b95d4135f415e605d",
+        "74bdeee364baa55fc0948237d72a644658241fbb0d9fb062d5c8749d1eba23a6",
+        "f334e8ec8c4005e240c19cb7001e205985a627d3490443bc12b36f11bfe745fc",
+    ),
+    (2, 64): (
+        "3b5d12fec7df229908b48443484c23d80490bf509f41767023ed808c4301b25a",
+        "6ce7ddb0ef09e455a5377c5b2c00170b16e5b444e3e2dadcfb444bf37f925c89",
+        "4ffe825ea183ef47fe8adcb74774b93c73657bd7fa67521bc71d95dd1d38cd99",
+    ),
+    (3, 80): (
+        "8cf526c02465550bea6e90b703e5ad2fc07d60db2a392737f04f507fd165451c",
+        "9dd68bf2ccc7e0ad3b332c9d23e18354914b59a37898c78b3145633edb363c14",
+        "177dc6264ea235976eb312d04e8dc01229ff2b86d9f2de0dfe7e3389479c9430",
+    ),
+    (4, 96): (
+        "4b597f81b96769a29d8a989b173ac9d504ab24c7dd458311278096fa70cb733f",
+        "8758f12504e0e4c6c662624bd633bea3222bdcbd5374b7c0b16a058611241a2b",
+        "a0d920e5f9707c8a2582a6746f0784e1ef842cdce77d34bb7fe77e2727dd871d",
+    ),
+    (5, 128): (
+        "4cc5be969a86b03b23fd7831981becf5327d0a8da0def6c43a9eeff786d75955",
+        "f140c18d8895dc20fa4992d9c42ab806e77c33550a747b2bdd304d97382955b7",
+        "d34e6e4fa83bd23f8b92e5abed79a89c98387790e73de50fd3aa2915e49bee05",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+def test_large_graphs(seed, n):
+    g, m, c = _large_cmg(seed, n)
+    assert cm.CMG in cm.classify(g)
+    outs = (cm.marginalize(g, m), cm.condition(g, c), cm.anterialize(g))
+    for h in outs:
+        assert cm.CMG in cm.classify(h)
+    assert cm.ANG in cm.classify(outs[2])
+    assert tuple(_digest(h) for h in outs) == LARGE_DIGESTS[seed, n]
