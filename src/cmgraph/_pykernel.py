@@ -11,10 +11,15 @@ start states carry the tail mark and acceptance requires reaching a
 target through lines avoiding the conditioning set.
 
 Node sets are bitmasks; Python integers make this work for any node
-count.  The compiled backend in ``_csep`` mirrors this module exactly.
+count.  The compiled backend in ``_csep`` returns the same values and
+lists as this module.  It runs one ``separated`` search per pair and
+conditioning set, where :func:`all_pair_separations` here enumerates one
+conditioning set at a time and shares each search among all pairs.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 
 def _bits(mask: int):
@@ -100,19 +105,158 @@ def _submasks_ascending(domain: int):
             return
 
 
+def _states_given(
+    ln: list[int], pa: list[int], ch: list[int], sp: list[int], comp: int, sub: int
+) -> list[tuple[int, tuple[int, int, int, int, int]]]:
+    """(v, entry) for every node v of the line component ``comp``, given C.
+
+    ``sub`` is C & comp; nothing else of C changes an entry.  An entry is
+    ``(group, tail_t, tail_h, head_t, head_h)``: a tail state at v moves
+    to tail states at ``tail_t`` and head states at ``tail_h``, a head
+    state to ``head_t`` and ``head_h``.  The states at the nodes of
+    ``group`` move alike, so one visit settles them all.  For v outside C
+    the group is ``r[v]``, v's line reach avoiding C; for v in C it is
+    the nodes of C in ``comp`` (only its head states move).
+    """
+    cpa = csp = 0
+    rest = comp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        cpa |= pa[w]
+        csp |= sp[w]
+    out = []
+    left = comp & ~sub
+    while left:
+        r = frontier = left & -left
+        p = c = s = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            w = low.bit_length() - 1
+            p |= pa[w]
+            c |= ch[w]
+            s |= sp[w]
+            fresh = ln[w] & left & ~r
+            r |= fresh
+            frontier |= fresh
+        left &= ~r
+        # as a non-collider a tail state leaves r by any edge and a head
+        # state only by an arrow out of r; as a collider a head state
+        # leaves comp by an arrowhead, when comp meets C
+        if sub:
+            entry = (r, p, c | s, cpa, c | csp)
+        else:
+            entry = (r, p, c | s, 0, c)
+        while r:
+            low = r & -r
+            r ^= low
+            out.append((low.bit_length() - 1, entry))
+    entry = (sub, 0, 0, cpa, csp)
+    while sub:
+        low = sub & -sub
+        sub ^= low
+        out.append((low.bit_length() - 1, entry))
+    return out
+
+
 def all_pair_separations(
     n: int, ln: list[int], pa: list[int], ch: list[int], sp: list[int]
 ) -> list[tuple[int, int, int]]:
-    """All (i, j, cmask) with i < j separated given cmask."""
+    """All (i, j, cmask) with i < j separated given cmask, sorted.
+
+    Works one conditioning set C at a time, which is exact for this
+    reason.  ``separated(n, ..., 1 << i, 1 << j, cmask)`` explores the
+    same states whatever ``j`` is.  It returns False exactly when a state
+    ``v`` outside C that it pops has ``reach(v, avoiding C)`` containing
+    ``j``.  A state's moves depend on ``v`` only through that reach,
+    ``r[v]`` (the line component of ``v`` in the graph with C removed),
+    and through ``v``'s full line component.  So one closure over the
+    (node, mark) states from a tail state at ``i`` collects ``conn``, the
+    union of ``r[v]`` over the states it reaches, and ``i`` is separated
+    given C from every ``j > i`` outside C and outside ``conn``.  Sources
+    with the same ``r`` share that closure.
+    """
     full = (1 << n) - 1
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            domain = full & ~(1 << i) & ~(1 << j)
-            for cmask in _submasks_ascending(domain):
-                if separated(n, ln, pa, ch, sp, 1 << i, 1 << j, cmask):
-                    out.append((i, j, cmask))
-    return out
+    # (line component, {C & component: its nodes' entries}); loops here
+    # and in _states_given are inlined, not _bits/_line_reach generators,
+    # because most calls are on graphs of 2-4 nodes, where they would
+    # dominate the fixed cost
+    comps = []
+    rest = full
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = ln[low.bit_length() - 1] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        rest &= ~comp
+        comps.append((comp, {}))
+    state = [None] * n
+    found = [[] for _ in range(n * n)]  # at i * n + j, in cmask order
+    for cmask in range(full + 1):
+        outside = full & ~cmask
+        if outside & (outside - 1) == 0:
+            continue
+        for comp, known in comps:
+            entries = known.get(cmask & comp)
+            if entries is None:
+                entries = known[cmask & comp] = _states_given(
+                    ln, pa, ch, sp, comp, cmask & comp
+                )
+            for v, entry in entries:
+                state[v] = entry
+        sources = outside
+        while sources:
+            low = sources & -sources
+            src, pend_t, pend_h, _, _ = state[low.bit_length() - 1]
+            sources &= ~src
+            above = outside & ~src & -(low << 1)
+            if not above:
+                continue
+            # nodes of C in conn are never targets, and a tail state in C
+            # has no moves, so it starts out seen
+            conn = src
+            seen_t = src | cmask
+            pend_t &= ~seen_t
+            seen_t |= pend_t
+            seen_h = pend_h
+            while pend_t or pend_h:
+                if pend_t:
+                    group, add_t, add_h, _, _ = state[
+                        (pend_t & -pend_t).bit_length() - 1
+                    ]
+                    seen_t |= group
+                    pend_t &= ~group
+                else:
+                    group, _, _, add_t, add_h = state[
+                        (pend_h & -pend_h).bit_length() - 1
+                    ]
+                    seen_h |= group
+                    pend_h &= ~group
+                conn |= group
+                add_t &= ~seen_t
+                add_h &= ~seen_h
+                seen_t |= add_t
+                seen_h |= add_h
+                pend_t |= add_t
+                pend_h |= add_h
+            targets = above & ~conn
+            while targets and src:
+                a = src & -src
+                src ^= a
+                i = a.bit_length() - 1
+                row = i * n
+                t = targets & -(a << 1)
+                while t:
+                    b = t & -t
+                    t ^= b
+                    j = b.bit_length() - 1
+                    found[row + j].append((i, j, cmask))
+    return list(chain.from_iterable(found))
 
 
 def exists_separator(

@@ -333,12 +333,22 @@ def pairwise_model(
     if len(g.nodes) > cap:
         raise TooLargeError(f"{len(g.nodes)} nodes exceeds enumeration cap {cap}")
     index, ln, pa, ch, sp = _mask_tables(g)
-    n = len(g.nodes)
+    nodes = g.nodes
+    n = len(nodes)
+    # each conditioning set is built once, from the one a node smaller
+    csets: dict[int, frozenset[str]] = {0: frozenset()}
+
+    def cset(cmask: int) -> frozenset[str]:
+        got = csets.get(cmask)
+        if got is None:
+            low = cmask & -cmask
+            got = csets[cmask] = cset(cmask ^ low) | {nodes[low.bit_length() - 1]}
+        return got
+
     stmts = set()
     for i, j, cmask in kernel.all_pair_separations(n, ln, pa, ch, sp):
-        cset = frozenset(g.nodes[k] for k in range(n) if cmask >> k & 1)
-        x, y = g.nodes[i], g.nodes[j]
-        stmts.add((min(x, y), max(x, y), cset))
+        x, y = nodes[i], nodes[j]
+        stmts.add((min(x, y), max(x, y), cset(cmask)))
     return IndependenceModel(g.node_set, frozenset(stmts))
 
 

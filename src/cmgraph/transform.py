@@ -753,17 +753,12 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
         return False
     if h.adjacent(i, j):
         return True
-    w = _Work(h)
-    allowed = w.anterior_map()[i] | {i}
+    allowed = anteriors(h, [i]) | {i}
 
-    seen: set[tuple[str, bool]] = set()
-    frontier: list[tuple[str, bool]] = []
-    for x in sorted(w.ch[j]):
-        frontier.append((x, True))
-    for x in sorted(w.pa[j]):
-        frontier.append((x, False))
-    for x in sorted(w.sp[j]):
-        frontier.append((x, True))
+    # (node, entered with an arrowhead); the search is exhaustive, so the
+    # order in which states are taken does not change the answer
+    frontier = [(x, True) for x in h.children[j] | h.spouses[j]]
+    frontier += [(x, False) for x in h.parents[j]]
     seen = set(frontier)
     while frontier:
         v, mark = frontier.pop()
@@ -771,14 +766,12 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
             return True
         if not mark or v not in allowed:
             continue
-        for far in sorted(w.line_reach(v)):
-            if far not in allowed:
-                continue
-            for x in sorted(w.pa[far]):
+        for far in h.line_reachable(v) & allowed:
+            for x in h.parents[far]:
                 if (x, False) not in seen:
                     seen.add((x, False))
                     frontier.append((x, False))
-            for x in sorted(w.sp[far]):
+            for x in h.spouses[far]:
                 if (x, True) not in seen:
                     seen.add((x, True))
                     frontier.append((x, True))

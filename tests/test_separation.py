@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,9 @@ from cmgraph.errors import (
     NotAChainGraphError,
     TooLargeError,
 )
-from cmgraph.propcheck import GeneratorConfig, random_graph
+from cmgraph import _pykernel
+from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
+from cmgraph.separation import _mask_tables
 from cmgraph.walks import COLLIDER, section_decomposition
 
 from conftest import G
@@ -294,3 +297,77 @@ def test_compiled_and_python_kernels_agree():
         assert _csep.all_pair_separations(
             n, ln, pa, ch, sp
         ) == _pykernel.all_pair_separations(n, ln, pa, ch, sp)
+
+
+# -- the all-pairs kernel against its definition --------------------------------
+
+
+def _all_pairs_by_definition(n, ln, pa, ch, sp):
+    """(i, j, cmask) from one ``separated`` call per pair and conditioning set."""
+    out = []
+    for i, j in combinations(range(n), 2):
+        domain = (1 << n) - 1 & ~(1 << i) & ~(1 << j)
+        for cmask in range(1 << n):
+            if cmask & ~domain == 0 and _pykernel.separated(
+                n, ln, pa, ch, sp, 1 << i, 1 << j, cmask
+            ):
+                out.append((i, j, cmask))
+    return out
+
+
+def _assert_all_pairs_match_definition(n, ln, pa, ch, sp):
+    assert _pykernel.all_pair_separations(n, ln, pa, ch, sp) == (
+        _all_pairs_by_definition(n, ln, pa, ch, sp)
+    )
+
+
+def test_all_pairs_kernel_on_every_three_node_graph():
+    # every mixed graph, so every CMG among them; the kernel's argument
+    # does not use the CMG property
+    for g in enumerate_mixed_graphs(("a", "b", "c")):
+        _, ln, pa, ch, sp = _mask_tables(g)
+        _assert_all_pairs_match_definition(3, ln, pa, ch, sp)
+
+
+@pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_all_pairs_kernel_on_random_graphs(graph_class, n):
+    for seed in range(8 if n < 7 else 3):
+        density = 0.1 + 0.15 * (seed % 4)
+        g = random_graph(GeneratorConfig(n, density, 1000 * n + seed, graph_class))
+        _, ln, pa, ch, sp = _mask_tables(g)
+        _assert_all_pairs_match_definition(n, ln, pa, ch, sp)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_all_pairs_kernel_on_sparse_graphs(n):
+    empty = [0] * n
+    _assert_all_pairs_match_definition(n, empty, empty, empty, empty)
+    for i, j in [(0, n - 1), (0, 1), (n - 2, n - 1)]:
+        one = [0] * n
+        one[i] |= 1 << j
+        one[j] |= 1 << i
+        # one line, then one arc
+        _assert_all_pairs_match_definition(n, one, empty, empty, empty)
+        _assert_all_pairs_match_definition(n, empty, empty, empty, one)
+
+
+# sha256 of the rendered pairwise model, one "x y | C" line per statement
+MODEL_DIGESTS = {
+    (1, 7, 0.25): "b34af6c5529571c8a72fedfb0eea26b72313dc3693254f8a85a23660b92f8d9e",
+    (2, 7, 0.35): "69cace39ab65a532f62983f5681a5de7f52e6f87b54d0c6cd6c927ca584d2c4e",
+    (8, 7, 0.3): "6303fcb98fbc48b401defef4bec907467bf42a56205d864134e42b463dcc3434",
+    (4, 8, 0.2): "31965139bfe73aae33c787ee12c71f15626089cc33d9af498d12e77ad71e5827",
+    (6, 8, 0.25): "4b88ee649397c1e8046ed6e1b0ffb1915ba4c76d60227afc583eb82bca927fa4",
+    (7, 8, 0.22): "96b8b85d2d2b7004d26113b7730ec82478eb4687d8de0f28443195c49c42ff3e",
+}
+
+
+@pytest.mark.parametrize("seed,n,density", list(MODEL_DIGESTS))
+def test_pairwise_model_digest(seed, n, density):
+    g = random_graph(GeneratorConfig(n, density, seed, "CMG"))
+    text = "\n".join(
+        f"{x} {y} | {' '.join(sorted(c))}"
+        for x, y, c in cm.pairwise_model(g).sorted_statements()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_DIGESTS[seed, n, density]

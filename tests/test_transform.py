@@ -519,3 +519,13 @@ def test_large_graphs(seed, n):
         assert cm.CMG in cm.classify(h)
     assert cm.ANG in cm.classify(outs[2])
     assert tuple(_digest(h) for h in outs) == LARGE_DIGESTS[seed, n]
+
+
+@pytest.mark.parametrize("seed,n", [(0, 32), (1, 48), (2, 64)])
+def test_inducing_oracle_matches_anterialize_on_large_graphs(seed, n):
+    g, _, _ = _large_cmg(seed, n)
+    h = cm.anterialize(g)
+    for i, j in combinations(g.nodes, 2):
+        assert h.adjacent(i, j) == (
+            cm.subprimitive_walk_exists(g, i, j) or cm.subprimitive_walk_exists(g, j, i)
+        ), (i, j)
