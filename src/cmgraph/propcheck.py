@@ -135,8 +135,16 @@ def enumerate_mixed_graphs(labels: tuple[str, ...]):
 
 def enumerate_cgs(labels: tuple[str, ...]):
     """Every chain graph over the labels (4 states per pair, acyclic only)."""
-    pairs = list(combinations(sorted(labels), 2))
-    for choice in product(range(4), repeat=len(pairs)):
+    return _cgs_over(labels, list(combinations(sorted(labels), 2)), range(4))
+
+
+def _cgs_over(labels, pairs, states):
+    """Chain graphs whose pairs each take one of ``states``, others empty.
+
+    States are 0 (no edge), 1 (line), 2 (x -> y) and 3 (y -> x) for a
+    pair (x, y); graphs come in the order of ``product`` over ``pairs``.
+    """
+    for choice in product(states, repeat=len(pairs)):
         edges = []
         for state, (x, y) in zip(choice, pairs):
             if state == 1:
@@ -280,6 +288,19 @@ def check_conditional_composition(
     return condition(condition(g, c), c1) == condition(g, c | c1)
 
 
+def _combined_routes(
+    g: MixedGraph, spec: TransformSpec, spec1: TransformSpec
+) -> tuple[MixedGraph, MixedGraph]:
+    """(spec then spec1, the union of both specs in one step)."""
+    nested = marginalize_and_condition(
+        marginalize_and_condition(g, spec), spec1
+    )
+    union = marginalize_and_condition(
+        g, TransformSpec.of(spec.m | spec1.m, spec.c | spec1.c)
+    )
+    return nested, union
+
+
 def check_combined_composition(
     g: MixedGraph, spec: TransformSpec, spec1: TransformSpec
 ) -> Optional[bool]:
@@ -287,12 +308,7 @@ def check_combined_composition(
 
     Model equality has no side condition and is always enforced.
     """
-    nested = marginalize_and_condition(
-        marginalize_and_condition(g, spec), spec1
-    )
-    union = marginalize_and_condition(
-        g, TransformSpec.of(spec.m | spec1.m, spec.c | spec1.c)
-    )
+    nested, union = _combined_routes(g, spec, spec1)
     if not models_equal(pairwise_model(nested), pairwise_model(union)):
         return False
     if not (is_maximal(nested) and is_maximal(union)):
@@ -482,15 +498,20 @@ def _commutativity_suite():
 def _combined_composition_suite():
     def run(report: PropertyReport, g: MixedGraph, sets, rng) -> None:
         m, c, m1, c1 = sets
-        verdict = check_combined_composition(
-            g, TransformSpec.of(m, c), TransformSpec.of(m1, c1)
-        )
+        spec, spec1 = TransformSpec.of(m, c), TransformSpec.of(m1, c1)
+        verdict = check_combined_composition(g, spec, spec1)
         if verdict is None:
             report.skipped += 1
-        report.record(
-            verdict is not False,
-            lambda: _payload(g, m=m, c=c, m1=m1, c1=c1),
-        )
+
+        def payload():
+            nested, union = _combined_routes(g, spec, spec1)
+            out = _payload(g, m=m, c=c, m1=m1, c1=c1)
+            out["models_equal"] = models_equal(
+                pairwise_model(nested), pairwise_model(union)
+            )
+            return out
+
+        report.record(verdict is not False, payload)
 
     return Suite("combined-composition", "CMG", 4, run)
 
@@ -585,9 +606,16 @@ def default_unrepresentable_dag() -> tuple[MixedGraph, frozenset[str]]:
 
 
 def find_cg_matching_model(model: IndependenceModel) -> Optional[MixedGraph]:
-    """Exhaustively search labelled chain graphs for one with this model."""
+    """Exhaustively search labelled chain graphs for one with this model.
+
+    Every chain graph is maximal, so one with this model is adjacent on
+    exactly the pairs that no statement separates; only their edge states
+    are searched, in the order of :func:`enumerate_cgs`.
+    """
     labels = tuple(sorted(model.ground))
-    for candidate in enumerate_cgs(labels):
+    separable = {(i, j) for i, j, _ in model.statements}
+    skeleton = [p for p in combinations(labels, 2) if p not in separable]
+    for candidate in _cgs_over(labels, skeleton, (1, 2, 3)):
         if models_equal(pairwise_model(candidate), model):
             return candidate
     return None

@@ -17,6 +17,7 @@ from cmgraph.propcheck import (
     run_suite,
     shrink_instance,
     SUITE_IDS,
+    _suites,
 )
 
 from conftest import G
@@ -68,6 +69,11 @@ class TestEnumeration:
         for g in enumerate_cgs(("a", "b", "c")):
             assert cm.CG in cm.classify(g)
 
+    def test_every_four_node_cg_is_maximal(self):
+        # the premise of find_cg_matching_model's skeleton filter
+        for g in enumerate_cgs(("a", "b", "c", "d")):
+            assert cm.is_maximal(g)
+
 
 class TestReports:
     def test_report_line_schema(self):
@@ -112,6 +118,21 @@ class TestChecks:
     def test_marginalization_instance(self):
         assert check_marginalization(G("a -> m; m -> b"), frozenset("m"))
 
+    def test_combined_composition_counterexample_has_model_diagnostic(self):
+        # the first combined-composition failure at seed 6, count 500
+        g = G(
+            "a -- d; a -> e; b -> a; b -> f; c -> a; c -> b; c -> d; d -> e; "
+            "d -> f; a <-> b; a <-> e; a <-> f; b <-> e; c <-> d; d <-> e; "
+            "d <-> f"
+        )
+        none = frozenset()
+        report = PropertyReport("combined-composition")
+        _suites()["combined-composition"].run(
+            report, g, (frozenset("d"), none, frozenset("c"), none), None
+        )
+        assert report.failures == 1
+        assert report.first_counterexample["models_equal"] is True
+
     def test_commutativity_returns_both_verdicts(self):
         models_ok, graphs_ok = check_commutativity(
             G("a -> b; b -- c"), frozenset("b"), frozenset("c")
@@ -132,6 +153,14 @@ class TestUnrepresentability:
         found = find_cg_matching_model(cm.pairwise_model(g))
         assert found is not None
         assert cm.models_equal(cm.pairwise_model(found), cm.pairwise_model(g))
+
+    def test_skeleton_search_matches_plain_enumeration(self):
+        labels = ("a", "b", "c")
+        cgs = [(c, cm.pairwise_model(c)) for c in enumerate_cgs(labels)]
+        for g in enumerate_cgs(labels):
+            model = cm.pairwise_model(g)
+            plain = next(c for c, own in cgs if cm.models_equal(own, model))
+            assert find_cg_matching_model(model) == plain
 
     def test_demo_report(self):
         report = cg_unrepresentability_demo()

@@ -84,6 +84,26 @@ class TestMarginalize:
         g, m = data
         assert cm.CMG in cm.classify(cm.marginalize(g, m))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: marginalizing a node joined to a kept node "
+        "by both a line and an arc loses a c-connecting walk",
+    )
+    @pytest.mark.parametrize(
+        "src, m, a, b, given",
+        [
+            ("a -- c; c -- d; c <-> d; e -> a", "d", "c", "e", "a"),
+            ("c -- e; e -- g; f -- g; c <-> e; f <-> g", "c", "e", "f", "g"),
+        ],
+    )
+    def test_parallel_line_and_arc_at_marginalized_node(self, src, m, a, b, given):
+        # checked against c-separation on the input, not an edge oracle
+        g = G(src)
+        out = cm.marginalize(g, [m])
+        assert cm.c_separated(out, [a], [b], [given]) == cm.c_separated(
+            g, [a], [b], [given]
+        )
+
 
 class TestCondition:
     def test_identity(self, g_ex):
