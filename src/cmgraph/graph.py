@@ -29,6 +29,7 @@ from .errors import (
     BlockedStartError,
     LoopEdgeError,
     NotAChainGraphError,
+    NotACMGError,
     UnknownNodeError,
 )
 
@@ -169,6 +170,35 @@ class MixedGraph:
         """True iff no semi-directed cycle contains an arrow."""
         return not has_semidirected_cycle_with_arrow(self)
 
+    @cached_property
+    def node_bits(self) -> Mapping[str, int]:
+        """Per node, its bit in a node mask: bit ``k`` stands for ``nodes[k]``."""
+        return {v: 1 << k for k, v in enumerate(self.nodes)}
+
+    @cached_property
+    def anterior_masks(self) -> Mapping[str, int]:
+        """Per node, the mask (see :attr:`node_bits`) of ``anteriors(self, [v])``.
+
+        One pass over the line components in topological order: a
+        component, together with everything anterior to it, is its own
+        nodes plus that set for each component with an arrow into it.
+        So ``anterior_masks[v] & node_bits[u]`` tests whether ``u`` is
+        anterior of ``v``.
+        Raises :class:`NotACMGError` when a semi-directed cycle contains
+        an arrow, because then no such order exists.
+        """
+        component, successors, order = _line_components_in_order(self)
+        if order is None:
+            raise NotACMGError("anteriors table requires a chain mixed graph")
+        bits = self.node_bits
+        upward = dict.fromkeys(order, 0)  # a component and all anterior to it
+        for v in self.nodes:
+            upward[component[v]] |= bits[v]
+        for c in order:  # upward[c] is complete once c's turn comes
+            for d in successors[c]:
+                upward[d] |= upward[c]
+        return {v: upward[component[v]] & ~bits[v] for v in self.nodes}
+
     # -- reachability ------------------------------------------------------
 
     def line_reachable(self, v: str, blocked: Iterable[str] = ()) -> frozenset[str]:
@@ -227,13 +257,17 @@ def build_graph(
 # -- walks over lines and arrows ------------------------------------------
 
 
-def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
-    """True iff some cycle of lines/arrows, arrows all forward, has an arrow.
+def _line_components_in_order(
+    g: MixedGraph,
+) -> tuple[dict[str, str], dict[str, list[str]], list[str] | None]:
+    """Line components ordered so that every arrow runs forward.
 
-    One linear pass: contract each line component to one node.  An arrow
-    inside a component closes such a cycle with a line path back to its
-    tail; otherwise every such cycle is a directed cycle among the
-    components, which Kahn's algorithm finds.
+    Returns ``(component, successors, order)``: each node's component
+    root, per root the roots its arrows point into (one entry per
+    arrow), and the roots with each arrow's tail component before its
+    head's.  ``order`` is ``None`` when no such order exists: when an
+    arrow lies inside one component, or the components form a directed
+    cycle (Kahn's algorithm).  One linear pass.
     """
     component: dict[str, str] = {}
     for root in g.nodes:
@@ -252,19 +286,31 @@ def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
         if kind == ARROW:
             tail, head = component[u], component[v]
             if tail == head:
-                return True
+                return component, successors, None
             successors[tail].append(head)
             indegree[head] += 1
     ready = [c for c, d in indegree.items() if d == 0]
-    removed = 0
+    order = []
     while ready:
         c = ready.pop()
-        removed += 1
+        order.append(c)
         for d in successors[c]:
             indegree[d] -= 1
             if indegree[d] == 0:
                 ready.append(d)
-    return removed < len(successors)
+    return component, successors, order if len(order) == len(successors) else None
+
+
+def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
+    """True iff some cycle of lines/arrows, arrows all forward, has an arrow.
+
+    Contract each line component to one node.  An arrow inside a
+    component closes such a cycle with a line path back to its tail;
+    otherwise every such cycle is a directed cycle among the components.
+    So the answer is whether the components have no order in which every
+    arrow runs forward.
+    """
+    return _line_components_in_order(g)[2] is None
 
 
 def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
@@ -314,16 +360,16 @@ def classify(g: MixedGraph) -> frozenset[str]:
             flags.add(CG)
             if not has_line:
                 flags.add(DAG)
-        if g.is_simple and _arcs_respect_anteriority(g):
+        if g.is_simple and (not has_arc or _arcs_respect_anteriority(g)):
             flags.add(ANG)
     return frozenset(flags)
 
 
 def _arcs_respect_anteriority(g: MixedGraph) -> bool:
+    ant, bits = g.anterior_masks, g.node_bits
     for kind, x, y in g.edges:
-        if kind == ARC:
-            if x in anteriors(g, [y]) or y in anteriors(g, [x]):
-                return False
+        if kind == ARC and (ant[y] & bits[x] or ant[x] & bits[y]):
+            return False
     return True
 
 

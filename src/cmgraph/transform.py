@@ -40,19 +40,36 @@ sections.  Afterwards every arrowhead pointing at S is removed (arrows
 into S become lines, arcs at S lose that head) and the conditioned nodes
 are deleted.
 
-Every stage that searches sections finds them with ``_Work.sections``.
-Lines are fixed inside each such stage: the flank, arc-flank and
-anterial generate stages add only arrows and arcs, and the collider
-stage reads a snapshot of the lines taken when it starts.  Section reach
-is therefore memoized per (node, blocked set), and the memo is dropped
-whenever a line is added or nodes are deleted.
+anterial closure, generate stage (``k`` anterior of ``i`` in the first
+pair, the section anterior of ``i`` in the second)::
+
+    j -> o --..-- i <-> k      =>  j -> i
+    j <-> o --..-- i <-> k     =>  i <-> j
+    j -> k1 --..-- km <-> i    =>  j -> i
+    j <-> k1 --..-- km <-> i   =>  j <-> i
+
+A generated edge may feed a later anterial match only for a target
+inside the anterior scope it was generated for.  Afterwards an arc with
+one end anterior to the other becomes an arrow out of that end, and an
+arc with each end anterior to the other becomes a line.
+
+Lines are fixed inside every stage that searches sections: the flank,
+arc-flank and anterial generate stages add only arrows and arcs, and
+the collider stage reads a snapshot of the lines taken when it starts.
+Section reach is therefore memoized per (node, blocked set), and the
+memo is dropped whenever a line is added or nodes are deleted.  The
+marginalization and conditioning stages search with ``_Work.sections``
+and rescan until a round adds nothing.  The anterial generate stage
+runs a worklist instead (see ``_ang_generate``), reads anteriors from
+the input graph's ``anterior_masks`` table and keeps scopes as node
+masks.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import (
     NotACMGError,
@@ -239,21 +256,6 @@ class _Work:
         out += [(x, ARC) for x in sorted(self.sp[v])]
         return out
 
-    def anterior_map(self) -> dict[str, set[str]]:
-        """ant[v]: nodes with a semi-directed walk into v (v excluded)."""
-        ant: dict[str, set[str]] = {}
-        for v in self.nodes:
-            reach = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in self.ne[u] | self.pa[u]:
-                    if w not in reach:
-                        reach.add(w)
-                        stack.append(w)
-            ant[v] = reach - {v}
-        return ant
-
     def to_graph(self) -> MixedGraph:
         edges = [(x, y, LINE) for x, y in self.lines]
         edges += [(t, h, ARROW) for t, h in self.arrows]
@@ -431,87 +433,141 @@ def marginalize_and_condition(
 
 
 class _RoleTracker:
-    """Reuse scope for edges generated during the anterial closure.
+    """Reuse scopes for edges generated during the anterial closure.
 
     A generated edge stands in for a walk whose inner sections are
     anterior to the target it was generated for, so it may only feed a
     later match when that target lies inside the new target's anterior
     scope; chaining without this guard manufactures adjacencies the walk
     characterization excludes.  Edges of the input graph carry no
-    restriction.  Widening an existing edge's scope re-arms the fixpoint.
+    restriction and have no scope.
+
+    A scope is a node mask of the targets an edge was generated for.
+    With ``down[t]`` the mask of ``t`` and its anteriors, the edge may
+    feed a match for target ``t`` iff ``scope & down[t]``.  Arrows are
+    keyed ``(tail, head)`` and arcs under both orders of their ends, so
+    no lookup sorts a key.
     """
 
-    def __init__(self, ant: dict[str, set[str]]):
-        self.ant = ant
-        self.roles: dict[tuple, set[str]] = {}
+    def __init__(self, ant: Mapping[str, int], bits: Mapping[str, int]):
+        self.bits = bits
+        self.down = {v: bits[v] | ant[v] for v in bits}
+        self.scopes: dict[str, dict[tuple[str, str], int]] = {ARROW: {}, ARC: {}}
 
-    def usable(self, key: tuple, target: str) -> bool:
-        scope = self.roles.get(key)
+    def generate(self, w: _Work, kind: str, j: str, t: str) -> bool:
+        """Add ``j -> t`` (or ``j <-> t``) for target ``t``.
+
+        True when the edge is new or its scope widens to take in ``t``.
+        """
+        scopes = self.scopes[kind]
+        scope = scopes.get((j, t))
         if scope is None:
-            return True
-        return any(r == target or r in self.ant[target] for r in scope)
-
-    def note(self, key: tuple, target: str, added: bool) -> bool:
-        if added:
-            self.roles[key] = {target}
-            return True
-        scope = self.roles.get(key)
-        if scope is not None and target not in scope and not self.usable(key, target):
-            scope.add(target)
-            return True
-        return False
-
-
-def _arrow_key(tail: str, head: str) -> tuple:
-    return (ARROW, tail, head)
+            if not (w.add_arrow(j, t) if kind == ARROW else w.add_arc(j, t)):
+                return False  # an input edge
+            scope = self.bits[t]
+        elif scope & self.down[t]:
+            return False
+        else:
+            scope |= self.bits[t]
+        scopes[j, t] = scope
+        if kind == ARC:
+            scopes[t, j] = scope
+        return True
 
 
-def _arc_key(x: str, y: str) -> tuple:
-    return (ARC, min(x, y), max(x, y))
+class _ArcEnd:
+    """End ``u`` of an arc ``u <-> i`` and the sections that start there.
+
+    ``reach`` is the line reach of ``u`` avoiding ``i``; lines are fixed
+    during the closure, so it never changes.  ``targets`` are the targets
+    this end can generate for: ``u`` when ``i`` is anterior of ``u``
+    (arc at the section), ``i`` when ``u`` is anterior of ``i`` (arc
+    beyond the section).  ``live`` pairs each target that the arc's own
+    scope serves with the target's ``down`` mask, as of the end's last
+    full search; a widened arc is due another one.
+    """
+
+    __slots__ = ("u", "i", "reach", "targets", "live")
+
+    def __init__(self, w: _Work, u: str, i: str, targets: list[str]):
+        self.u = u
+        self.i = i
+        self.reach = w.line_reach(u, frozenset((i,)))
+        self.targets = targets
+        self.live: list[tuple[str, int]] = []
 
 
-def _flank_key(v: str, other: str, kind: str) -> tuple:
-    return _arrow_key(other, v) if kind == ARROW else _arc_key(other, v)
+def _ang_generate(w: _Work, tracker: _RoleTracker) -> None:
+    # The rules are in the module docstring.  Matches come from a worklist
+    # rather than from rescanning every arc end until nothing changes.  An
+    # arc end is searched in full when its arc first appears or its scope
+    # widens.  An edge with a head at v that appears or widens later is
+    # matched only against the arc ends whose section reach holds v.
+    # Every rule is monotone, so the edges and scopes reach the same least
+    # fixpoint in any order.
+    down, bits, scopes_of = tracker.down, tracker.bits, tracker.scopes
+    ends: dict[tuple[str, str], _ArcEnd | None] = {}
+    ends_reaching: dict[str, list[_ArcEnd]] = defaultdict(list)
+    arcs = sorted(w.arcs)  # arcs whose two ends are due a full search
+    heads: list[tuple[str, str, str]] = []  # (v, j, kind): j puts a head at v
+
+    def match(e: _ArcEnd, far: str, tails: Iterable[str], kind: str) -> None:
+        # the edges of ``kind`` from ``tails`` with a head at ``far``
+        u, i, reach, scopes = e.u, e.i, e.reach, scopes_of[kind]
+        for j in tails:
+            if j == i or j == u:
+                continue
+            # blocking j changes nothing unless the walk can reach j
+            if j in reach and far not in w.line_reach(u, frozenset((i, j))):
+                continue
+            flank = scopes.get((j, far))
+            for t, d in e.live:
+                if flank is None or flank & d:
+                    if tracker.generate(w, kind, j, t):
+                        heads.append((t, j, kind))
+                        if kind == ARC:
+                            heads.append((j, t, kind))
+                            arcs.append((j, t))
+
+    def search(u: str, i: str) -> None:
+        key = (u, i)
+        if key in ends:
+            e = ends[key]
+            if e is None:
+                return
+        else:
+            # a target t needs the arc's other end s anterior of t
+            targets = [t for t, s in ((u, i), (i, u)) if down[t] & bits[s]]
+            e = ends[key] = _ArcEnd(w, u, i, targets) if targets else None
+            if e is None:
+                return
+            for v in e.reach:
+                ends_reaching[v].append(e)
+        own = scopes_of[ARC].get(key)
+        e.live = [(t, down[t]) for t in e.targets if own is None or own & down[t]]
+        if e.live:
+            for far in e.reach:
+                if w.pa[far]:
+                    match(e, far, tuple(w.pa[far]), ARROW)
+                if w.sp[far]:
+                    match(e, far, tuple(w.sp[far]), ARC)
+
+    while heads or arcs:
+        if heads:
+            v, j, kind = heads.pop()
+            for e in ends_reaching.get(v, ()):
+                if e.live:
+                    match(e, v, (j,), kind)
+        else:
+            x, y = arcs.pop()
+            search(x, y)
+            search(y, x)
 
 
-def _ang_generate(w: _Work, ant: dict[str, set[str]], tracker: _RoleTracker) -> None:
-    # arc-at-section:    j -> o --..-- i <-> k   (k anterior of i)  =>  j -> i
-    #                    j <-> o --..-- i <-> k  (k anterior of i)  =>  i <-> j
-    # arc-beyond-section: j -> k1 --..-- km <-> i (section anterior of i) => j -> i
-    #                     j <-> k1 --..-- km <-> i (same condition)       => j <-> i
-    changed = True
-    while changed:
-        changed = False
-        for x, y in sorted(w.arcs):
-            for u, i in ((x, y), (y, x)):
-                # u is the arc end inside/at the section, i the target
-                # at-section form: section ends at u, arc runs to i
-                at = tracker.usable(_arc_key(u, i), u) and i in ant[u]
-                # beyond-section form: section anterior of i beyond the arc
-                beyond = tracker.usable(_arc_key(u, i), i) and u in ant[i]
-                if not (at or beyond):
-                    continue
-                for far, j, kind in w.sections(u, i):
-                    if at and tracker.usable(_flank_key(far, j, kind), u):
-                        if kind == ARROW:
-                            added = w.add_arrow(j, u)
-                            changed |= tracker.note(_arrow_key(j, u), u, added)
-                        else:
-                            added = w.add_arc(u, j)
-                            changed |= tracker.note(_arc_key(u, j), u, added)
-                    if beyond and tracker.usable(_flank_key(far, j, kind), i):
-                        if kind == ARROW:
-                            added = w.add_arrow(j, i)
-                            changed |= tracker.note(_arrow_key(j, i), i, added)
-                        else:
-                            added = w.add_arc(j, i)
-                            changed |= tracker.note(_arc_key(j, i), i, added)
-
-
-def _ang_resolve_arcs(w: _Work, ant: dict[str, set[str]]) -> None:
+def _ang_resolve_arcs(w: _Work, ant: Mapping[str, int], bits: Mapping[str, int]) -> None:
     for x, y in sorted(w.arcs):
-        x_ant_y = x in ant[y]
-        y_ant_x = y in ant[x]
+        x_ant_y = ant[y] & bits[x]
+        y_ant_x = ant[x] & bits[y]
         if x_ant_y and y_ant_x:
             w.remove_arc(x, y)
             w.add_line(x, y)
@@ -526,14 +582,16 @@ def _ang_resolve_arcs(w: _Work, ant: dict[str, set[str]]) -> None:
 def anterialize(h: MixedGraph) -> MixedGraph:
     """Close a chain mixed graph into an anterial graph with the same model.
 
-    Anteriors are stable across all three stages, so the anterior map is
-    computed once up front.
+    Neither stage changes anteriors: a generated arrow runs from a node
+    already anterior to its head, and arc resolution follows
+    anteriority.  So both stages read the input's anteriors table.
     """
     _require_cmg(h)
     w = _Work(h)
-    ant = w.anterior_map()
-    _ang_generate(w, ant, _RoleTracker(ant))
-    _ang_resolve_arcs(w, ant)
+    if w.arcs:  # both stages start from arcs: an arc-free CMG is anterial
+        ant, bits = h.anterior_masks, h.node_bits
+        _ang_generate(w, _RoleTracker(ant, bits))
+        _ang_resolve_arcs(w, ant, bits)
     return w.to_graph()
 
 

@@ -549,3 +549,157 @@ def test_inducing_oracle_matches_anterialize_on_large_graphs(seed, n):
         assert h.adjacent(i, j) == (
             cm.subprimitive_walk_exists(g, i, j) or cm.subprimitive_walk_exists(g, j, i)
         ), (i, j)
+
+
+# -- anterial closure against the plain fixpoint loop ----------------------------
+
+
+def _anterialize_by_rescan(g):
+    """The anterial closure as the plain fixpoint loop.
+
+    Every round rescans the sections of every arc end, and ends when it
+    neither adds an edge nor widens a scope.  A scope is the set of
+    targets its edge was generated for; input edges have none.  Arcs are
+    then resolved by anteriority.
+    """
+    ant = {v: cm.anteriors(g, [v]) for v in g.nodes}
+    ne = {v: g.neighbours[v] for v in g.nodes}
+    pa = {v: set(g.parents[v]) for v in g.nodes}
+    sp = {v: set(g.spouses[v]) for v in g.nodes}
+    scopes = {}
+    reach_memo = {}
+
+    def reach(start, blocked):
+        key = (start, blocked)
+        if key not in reach_memo:
+            seen, todo = {start}, [start]
+            while todo:
+                for v in ne[todo.pop()]:
+                    if v not in seen and v not in blocked:
+                        seen.add(v)
+                        todo.append(v)
+            reach_memo[key] = seen
+        return reach_memo[key]
+
+    def edge_key(kind, x, y):
+        return (kind, x, y) if kind == cm.ARROW else (kind, frozenset((x, y)))
+
+    def usable(key, target):
+        scope = scopes.get(key)
+        return scope is None or any(r == target or r in ant[target] for r in scope)
+
+    def generate(kind, j, target):
+        key = edge_key(kind, j, target)
+        if j not in (pa if kind == cm.ARROW else sp)[target]:
+            if kind == cm.ARROW:
+                pa[target].add(j)
+            else:
+                sp[target].add(j)
+                sp[j].add(target)
+            scopes[key] = {target}
+            return True
+        if key in scopes and not usable(key, target):
+            scopes[key].add(target)
+            return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for x, y in sorted({tuple(sorted((x, y))) for x in sp for y in sp[x]}):
+            for u, i in ((x, y), (y, x)):
+                arc = edge_key(cm.ARC, u, i)
+                forms = [(u, usable(arc, u) and i in ant[u]), (i, usable(arc, i) and u in ant[i])]
+                for far in sorted(reach(u, frozenset([i]))):
+                    flanks = [(j, cm.ARROW) for j in sorted(pa[far])]
+                    flanks += [(j, cm.ARC) for j in sorted(sp[far])]
+                    for j, kind in flanks:
+                        if j in (u, i) or far not in reach(u, frozenset([i, j])):
+                            continue
+                        for target, ok in forms:
+                            if ok and usable(edge_key(kind, j, far), target):
+                                changed |= generate(kind, j, target)
+    edges = [(x, y, cm.LINE) for kind, x, y in g.edges if kind == cm.LINE]
+    edges += [(j, v, cm.ARROW) for v in pa for j in pa[v]]
+    for x, y in {tuple(sorted((x, y))) for x in sp for y in sp[x]}:
+        if x in ant[y] and y in ant[x]:
+            edges.append((x, y, cm.LINE))
+        elif x in ant[y]:
+            edges.append((x, y, cm.ARROW))
+        elif y in ant[x]:
+            edges.append((y, x, cm.ARROW))
+        else:
+            edges.append((x, y, cm.ARC))
+    return cm.build_graph(g.nodes, edges)
+
+
+def _three_node_cmgs():
+    return [g for g in enumerate_mixed_graphs(("a", "b", "c")) if g.is_cmg]
+
+
+def _six_node_cmgs():
+    rng = random.Random("six-node-cmgs")
+    return [
+        random_graph(GeneratorConfig(6, rng.uniform(0.2, 0.7), rng.getrandbits(32), "CMG"))
+        for _ in range(200)
+    ]
+
+
+def _large_cmgs():
+    return [_large_cmg(seed, n)[0] for seed, n in LARGE_DIGESTS]
+
+
+class TestAnterialClosure:
+    def test_equals_rescan_loop_on_three_nodes(self):
+        for g in _three_node_cmgs():
+            assert cm.anterialize(g) == _anterialize_by_rescan(g), render(g)
+
+    def test_equals_rescan_loop_on_six_nodes(self):
+        for g in _six_node_cmgs():
+            assert cm.anterialize(g) == _anterialize_by_rescan(g), render(g)
+
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_equals_rescan_loop_on_large_graphs(self, seed, n):
+        g, _, _ = _large_cmg(seed, n)
+        assert cm.anterialize(g) == _anterialize_by_rescan(g)
+
+    def test_rescan_reference_generates_edges(self):
+        # the reference is not a pass-through: an arc beyond an anterior
+        # section pulls the section's parent onto the arc's far end
+        g = G("j -> a; a -- b; b <-> i; b -> i")
+        assert _anterialize_by_rescan(g) == G("j -> a; a -- b; b -> i; j -> i")
+        assert cm.anterialize(g) == _anterialize_by_rescan(g)
+
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_fixed_points_on_large_graphs(self, seed, n):
+        g, _, _ = _large_cmg(seed, n)
+        h = cm.anterialize(g)
+        assert cm.anterialize(h) == h
+        assert cm.marginalize(g, []) == g
+        assert cm.condition(g, []) == g
+
+
+def _anterior_names(g, v):
+    mask = g.anterior_masks[v]
+    return {u for u in g.nodes if mask & g.node_bits[u]}
+
+
+class TestAnteriorsTable:
+    def test_matches_anteriors_on_three_nodes(self):
+        for g in _three_node_cmgs():
+            for v in g.nodes:
+                assert _anterior_names(g, v) == cm.anteriors(g, [v]), (render(g), v)
+
+    def test_matches_anteriors_on_large_graphs(self):
+        for g in _large_cmgs():
+            for v in g.nodes:
+                assert _anterior_names(g, v) == cm.anteriors(g, [v]), v
+
+    def test_requires_cmg(self):
+        with pytest.raises(NotACMGError):
+            G("a -> b; b -- c; c -> a").anterior_masks
+
+    def test_bits_follow_node_order(self):
+        g = G("b -> c; a <-> c")
+        assert g.node_bits == {"a": 1, "b": 2, "c": 4}
+        assert g.anterior_masks == {"a": 0, "b": 0, "c": 2}
