@@ -254,6 +254,45 @@ def build_graph(
     return MixedGraph(node_tuple, frozenset(canonical))
 
 
+def mask_tables(
+    g: MixedGraph,
+) -> tuple[dict[str, int], list[int], list[int], list[int], list[int]]:
+    """Per-node masks over ``g.nodes``: ``(index, ln, pa, ch, sp)``.
+
+    ``index[v]`` is the bit of ``v`` in a node mask, its position in
+    ``g.nodes``.  ``ln[k]``, ``pa[k]``, ``ch[k]`` and ``sp[k]`` are the
+    masks of the line neighbours, parents, children and spouses of
+    ``g.nodes[k]``.  Built afresh on every call, so a caller may change
+    the lists.
+    """
+    index = {v: i for i, v in enumerate(g.nodes)}
+    n = len(g.nodes)
+    ln = [0] * n
+    pa = [0] * n
+    ch = [0] * n
+    sp = [0] * n
+    for kind, x, y in g.edges:
+        xi, yi = index[x], index[y]
+        if kind == LINE:
+            ln[xi] |= 1 << yi
+            ln[yi] |= 1 << xi
+        elif kind == ARROW:
+            ch[xi] |= 1 << yi
+            pa[yi] |= 1 << xi
+        else:
+            sp[xi] |= 1 << yi
+            sp[yi] |= 1 << xi
+    return index, ln, pa, ch, sp
+
+
+def mask_of(index: Mapping[str, int], labels: Iterable[str]) -> int:
+    """The node mask of ``labels``, with bit positions from ``index``."""
+    m = 0
+    for v in labels:
+        m |= 1 << index[v]
+    return m
+
+
 # -- walks over lines and arrows ------------------------------------------
 
 

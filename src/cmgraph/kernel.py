@@ -32,7 +32,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _line_reach(ln: list[int], start: int, blocked: int) -> int:
+def line_reach(ln: list[int], start: int, blocked: int) -> int:
+    """Mask of the nodes joined to the mask ``start`` by line walks avoiding ``blocked``."""
     reach = start
     frontier = start
     while frontier:
@@ -75,7 +76,7 @@ def separated(
         add_head = 0
         if not vbit & cmask:
             # non-collider exit: the section avoids C entirely
-            reach = _line_reach(ln, vbit, cmask)
+            reach = line_reach(ln, vbit, cmask)
             if reach & bmask:
                 return False
             for w in _bits(reach):
@@ -85,7 +86,7 @@ def separated(
                     add_head |= sp[w]
         if head:
             # collider exit: the walk may wander the whole line component
-            comp = _line_reach(ln, vbit, 0)
+            comp = line_reach(ln, vbit, 0)
             if comp & cmask:
                 for w in _bits(comp):
                     add_tail |= pa[w]
@@ -183,7 +184,7 @@ def all_pair_separations(
     """
     full = (1 << n) - 1
     # (line component, {C & component: its nodes' entries}); loops here
-    # and in _states_given are inlined, not _bits/_line_reach generators,
+    # and in _states_given are inlined, not _bits/line_reach calls,
     # because most calls are on graphs of 2-4 nodes, where they would
     # dominate the fixed cost
     comps = []

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Optional
 
-from . import graphio
-from .errors import InvalidConfigError
+from . import graphio, kernel
+from .errors import InvalidConfigError, NotACMGError
 from .graph import (
     ANG,
     ARC,
@@ -33,10 +33,11 @@ from .graph import (
     MixedGraph,
     build_graph,
     classify,
+    mask_of,
+    mask_tables,
 )
 from .separation import (
     IndependenceModel,
-    c_separated,
     is_maximal,
     models_equal,
     non_maximality_witness,
@@ -231,14 +232,26 @@ def _restricted(model: IndependenceModel, keep: frozenset[str]) -> IndependenceM
 
 
 def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
-    """Statements (i, j, C1) with i, j, C1 over ``keep``, separated given base|C1."""
+    """Statements (i, j, C1) with i, j, C1 over ``keep``, separated given base|C1.
+
+    One ``kernel.separated`` query per statement, on tables built once;
+    deliberately not ``all_pair_separations``, which is what
+    ``pairwise_model`` runs and what this model is compared against.
+    """
+    if not g.is_cmg:
+        raise NotACMGError("graph has a semi-directed cycle with an arrow")
+    index, ln, pa, ch, sp = mask_tables(g)
+    n = len(g.nodes)
+    base_mask = mask_of(index, base)
     keep_sorted = sorted(keep)
     stmts = set()
     for i, j in combinations(keep_sorted, 2):
+        ibit, jbit = 1 << index[i], 1 << index[j]
         rest = [v for v in keep_sorted if v not in (i, j)]
         for r in range(len(rest) + 1):
             for extra in combinations(rest, r):
-                if c_separated(g, [i], [j], base | frozenset(extra)):
+                cmask = base_mask | mask_of(index, extra)
+                if kernel.separated(n, ln, pa, ch, sp, ibit, jbit, cmask):
                     stmts.add((i, j, frozenset(extra)))
     return IndependenceModel(frozenset(keep), frozenset(stmts))
 

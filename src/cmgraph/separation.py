@@ -34,6 +34,8 @@ from .graph import (
     MixedGraph,
     anteriors,
     classify,
+    mask_of,
+    mask_tables,
     moral_graph,
 )
 from .walks import Walk
@@ -78,31 +80,7 @@ def _check_query(g: MixedGraph, q: SeparationQuery) -> None:
 
 @lru_cache(maxsize=512)
 def _mask_tables(g: MixedGraph):
-    index = {v: i for i, v in enumerate(g.nodes)}
-    n = len(g.nodes)
-    ln = [0] * n
-    pa = [0] * n
-    ch = [0] * n
-    sp = [0] * n
-    for kind, x, y in g.edges:
-        xi, yi = index[x], index[y]
-        if kind == LINE:
-            ln[xi] |= 1 << yi
-            ln[yi] |= 1 << xi
-        elif kind == ARROW:
-            ch[xi] |= 1 << yi
-            pa[yi] |= 1 << xi
-        else:
-            sp[xi] |= 1 << yi
-            sp[yi] |= 1 << xi
-    return index, ln, pa, ch, sp
-
-
-def _mask_of(index, labels) -> int:
-    m = 0
-    for v in labels:
-        m |= 1 << index[v]
-    return m
+    return mask_tables(g)
 
 
 def c_separated(
@@ -124,9 +102,9 @@ def c_separated(
         pa,
         ch,
         sp,
-        _mask_of(index, q.a),
-        _mask_of(index, q.b),
-        _mask_of(index, q.given),
+        mask_of(index, q.a),
+        mask_of(index, q.b),
+        mask_of(index, q.given),
     )
 
 

@@ -55,14 +55,25 @@ arc with each end anterior to the other becomes a line.
 
 Lines are fixed inside every stage that searches sections: the flank,
 arc-flank and anterial generate stages add only arrows and arcs, and
-the collider stage reads a snapshot of the lines taken when it starts.
-Section reach is therefore memoized per (node, blocked set), and the
-memo is dropped whenever a line is added or nodes are deleted.  The
-marginalization and conditioning stages search with ``_Work.sections``
-and rescan until a round adds nothing.  The anterial generate stage
-runs a worklist instead (see ``_ang_generate``), reads anteriors from
-the input graph's ``anterior_masks`` table and keeps scopes as node
-masks.
+the lines that the collider stage makes go to a table of their own that
+no section reads.  Section reach is therefore memoized per (node,
+blocked set).
+
+Conditioning runs on node masks: per-node int masks ``ln``, ``pa``,
+``ch`` and ``sp`` over ``g.nodes`` (``graph.mask_tables``), with S as one
+mask.  The far flanks of the sections from a node are the OR of ``pa``
+and ``sp`` over its line reach, and a rule adds all the edges of one
+flank with one mask operation.  Both rule stages rescan until a round
+adds nothing; the head strip and the deletion of C happen while the
+output edges are emitted.
+
+Only marginalization and the anterial closure still use ``_Work``, the
+string-keyed edge store, whose reach memo is dropped whenever a line is
+added or nodes are deleted.  The marginalization stages search with
+``_Work.sections`` and rescan until a round adds nothing.  The anterial
+generate stage runs a worklist instead (see ``_ang_generate``), reads
+anteriors from the input graph's ``anterior_masks`` table and keeps
+scopes as node masks.
 """
 
 from __future__ import annotations
@@ -85,7 +96,10 @@ from .graph import (
     anteriors,
     build_graph,
     classify,
+    mask_of,
+    mask_tables,
 )
+from .kernel import line_reach
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,10 @@ class _LineReach:
 
 
 class _Work:
-    """Mutable edge store used by the rule engines."""
+    """Mutable string-keyed edge store of marginalization and the anterial closure.
+
+    The class tests and the edge oracles read it too.
+    """
 
     def __init__(self, g: MixedGraph):
         self.nodes: set[str] = set(g.nodes)
@@ -186,11 +203,6 @@ class _Work:
         self.sp[y].add(x)
         return True
 
-    def remove_arrow(self, tail: str, head: str) -> None:
-        self.arrows.discard((tail, head))
-        self.ch[tail].discard(head)
-        self.pa[head].discard(tail)
-
     def remove_arc(self, x: str, y: str) -> None:
         self.arcs.discard((min(x, y), max(x, y)))
         self.sp[x].discard(y)
@@ -209,28 +221,14 @@ class _Work:
                 others -= drop
         self._reach.memo.clear()
 
-    def line_reach(
-        self,
-        v: str,
-        blocked: frozenset[str] = frozenset(),
-        usable: _LineReach | None = None,
-    ) -> frozenset[str]:
+    def line_reach(self, v: str, blocked: frozenset[str] = frozenset()) -> frozenset[str]:
         """Nodes joined to ``v`` by a line walk avoiding ``blocked``.
 
-        Reads the current lines, or the snapshot ``usable`` taken by
-        :meth:`line_snapshot`.  Empty when ``v`` itself is blocked.
+        Empty when ``v`` itself is blocked.
         """
-        return (self._reach if usable is None else usable).reach(v, blocked)
+        return self._reach.reach(v, blocked)
 
-    def line_snapshot(self) -> _LineReach:
-        """Line reach over the current lines only, blind to lines added later."""
-        ne: dict[str, set[str]] = defaultdict(set)
-        for x, y in self.lines:
-            ne[x].add(y)
-            ne[y].add(x)
-        return _LineReach(ne)
-
-    def sections(self, start: str, stop: str, usable: _LineReach | None = None):
+    def sections(self, start: str, stop: str):
         """Sections from ``start`` that end at an arrowhead: (far, j, kind).
 
         ``far`` is joined to ``start`` by a line walk avoiding ``stop``
@@ -240,13 +238,13 @@ class _Work:
         seen exactly as by a nested loop.
         """
         blocked = frozenset((stop,))
-        reach = self.line_reach(start, blocked, usable)
+        reach = self.line_reach(start, blocked)
         for far in sorted(reach):
             for j, kind in self.head_flanks(far):
                 if j == stop or j == start:
                     continue
                 # blocking j changes nothing unless the walk can reach j
-                if j in reach and far not in self.line_reach(start, blocked | {j}, usable):
+                if j in reach and far not in self.line_reach(start, blocked | {j}):
                     continue
                 yield far, j, kind
 
@@ -344,73 +342,188 @@ def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
     return w.to_graph()
 
 
-def _condition_arc_flank_stage(w: _Work, s_set: frozenset[str]) -> None:
-    # s <-> i --..-- o <- j  =>  j -> i ; arc far-flank gives i <-> j
+def _mask_reach(ln: list[int]):
+    """Line reach over the fixed line masks ``ln``, memoized by (node, blocked mask).
+
+    ``reach(v, blocked)`` is the mask of the nodes joined to node ``v`` by
+    a line walk avoiding ``blocked``; ``v`` is never blocked.
+    """
+    memo: dict[tuple[int, int], int] = {}
+
+    def reach(v: int, blocked: int) -> int:
+        key = (v, blocked)
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = line_reach(ln, 1 << v, blocked)
+        return r
+
+    return reach
+
+
+def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, stop: int):
+    """Masks of the far flanks of the sections from node ``v``: (tails, arc ends).
+
+    ``j`` is in ``tails`` (``arcs``) when ``j -> far`` (``j <-> far``) for
+    some ``far`` joined to ``v`` by a line walk that avoids the node mask
+    ``stop`` and ``j`` itself; ``j`` is neither ``v`` nor in ``stop``.
+    """
+    r = reach(v, stop)
+    tails = arcs = 0
+    rest = r
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        tails |= pa[w]
+        arcs |= sp[w]
+    drop = stop | (1 << v)
+    tails &= ~drop
+    arcs &= ~drop
+    # blocking j changes nothing unless the walk can reach j
+    inner = (tails | arcs) & r
+    while inner:
+        low = inner & -inner
+        inner ^= low
+        j = low.bit_length() - 1
+        r_j = reach(v, stop | low)
+        if not ch[j] & r_j:
+            tails &= ~low
+        if not sp[j] & r_j:
+            arcs &= ~low
+    return tails, arcs
+
+
+def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:
+    """Join node ``v`` to each node ``j`` of the mask ``others``.
+
+    Sets ``others`` in ``at_v[v]`` and ``v`` in ``at_other[j]``: pass
+    ``(pa, ch)`` for arrows into ``v``, ``(ch, pa)`` for arrows out of it,
+    and one table twice for lines or arcs.  True if an edge is new.
+    """
+    new = others & ~at_v[v]
+    if not new:
+        return False
+    at_v[v] |= new
+    vbit = 1 << v
+    while new:
+        low = new & -new
+        new ^= low
+        at_other[low.bit_length() - 1] |= vbit
+    return True
+
+
+def _condition_arc_flank_stage(reach, pa: list[int], ch: list[int], sp: list[int], s: int) -> None:
+    # s <-> u --..-- o <- j  =>  j -> u ; arc far-flank gives u <-> j
+    n = len(pa)
     changed = True
     while changed:
         changed = False
-        for x, y in sorted(w.arcs):
-            for s, u in ((x, y), (y, x)):
-                if s not in s_set:
-                    continue
-                for _, j, kind in w.sections(u, s):
-                    if kind == ARROW:
-                        changed |= w.add_arrow(j, u)
-                    else:
-                        changed |= w.add_arc(u, j)
+        for u in range(n):
+            ends = sp[u] & s
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                tails, arcs = _section_flanks(reach, pa, ch, sp, u, low)
+                changed |= _link(u, tails, pa, ch)
+                changed |= _link(u, arcs, sp, sp)
 
 
-def _condition_collider_stage(w: _Work, s_set: frozenset[str]) -> None:
+def _condition_collider_stage(
+    reach, pa: list[int], ch: list[int], sp: list[int], s: int
+) -> list[int]:
+    """Run the collider rules; return the line masks they generate.
+
+    Sections read only the lines that ``reach`` was built on, so the
+    generated lines never build sections and never call for another round.
+    """
     # i -> s --..-- s <- j   =>  i -- j        (both flanks arrows)
     # i <-> s --..-- s <- j  =>  j -> i        (arc flank wins the head)
     # i <-> s --..-- s <-> j =>  i <-> j
-    usable = w.line_snapshot()  # lines generated below must not build sections
+    made = [0] * len(pa)
     changed = True
     while changed:
         changed = False
-        for s1 in sorted(s_set & w.nodes):
-            for i, kind_i in w.head_flanks(s1):
-                for _, j, kind_j in w.sections(s1, i, usable):
-                    if kind_i == ARROW and kind_j == ARROW:
-                        changed |= w.add_line(i, j)
-                    elif kind_i == ARC and kind_j == ARROW:
-                        changed |= w.add_arrow(j, i)
-                    elif kind_i == ARROW and kind_j == ARC:
-                        changed |= w.add_arrow(i, j)
-                    else:
-                        changed |= w.add_arc(i, j)
+        rest = s
+        while rest:
+            sbit = rest & -rest
+            rest ^= sbit
+            s1 = sbit.bit_length() - 1
+            heads, arcs_at = pa[s1], sp[s1]
+            flanks = heads | arcs_at
+            while flanks:
+                low = flanks & -flanks
+                flanks ^= low
+                i = low.bit_length() - 1
+                tails, arcs = _section_flanks(reach, pa, ch, sp, s1, low)
+                if heads & low:
+                    _link(i, tails, made, made)
+                    changed |= _link(i, arcs, ch, pa)
+                if arcs_at & low:
+                    changed |= _link(i, tails, pa, ch)
+                    changed |= _link(i, arcs, sp, sp)
+    return made
 
 
-def _condition_strip_heads(w: _Work, s_set: frozenset[str]) -> None:
-    for tail, head in sorted(w.arrows):
-        if head in s_set:
-            w.remove_arrow(tail, head)
-            w.add_line(tail, head)
-    for x, y in sorted(w.arcs):
-        in_s = (x in s_set, y in s_set)
-        if in_s == (True, True):
-            w.remove_arc(x, y)
-            w.add_line(x, y)
-        elif in_s == (True, False):
-            w.remove_arc(x, y)
-            w.add_arrow(x, y)
-        elif in_s == (False, True):
-            w.remove_arc(x, y)
-            w.add_arrow(y, x)
+def _condition_strip_heads(
+    nodes: tuple[str, ...], ln: list[int], pa: list[int], ch: list[int], sp: list[int], s: int, c: int
+) -> MixedGraph:
+    """Strip the arrowheads at S, delete C and build the output graph.
+
+    An arrow into S becomes a line, an arc with both ends in S a line, and
+    an arc with one end in S an arrow out of that end.
+    """
+    keep = ((1 << len(nodes)) - 1) & ~c
+    edges = []
+    rest = keep
+    while rest:
+        vbit = rest & -rest
+        rest ^= vbit
+        v = vbit.bit_length() - 1
+        if s & vbit:
+            lines = ln[v] | pa[v] | ((ch[v] | sp[v]) & s)
+            arrows = (ch[v] | sp[v]) & ~s
+            arcs = 0
+        else:
+            lines = ln[v] | (ch[v] & s)
+            arrows = ch[v] & ~s
+            arcs = sp[v] & ~s
+        above = keep & -(vbit << 1)  # each symmetric edge once, from its lower end
+        x = nodes[v]
+        for mask, kind in ((lines & above, LINE), (arcs & above, ARC)):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                y = nodes[low.bit_length() - 1]
+                edges.append((kind, x, y) if x < y else (kind, y, x))
+        arrows &= keep
+        while arrows:
+            low = arrows & -arrows
+            arrows ^= low
+            edges.append((ARROW, x, nodes[low.bit_length() - 1]))
+    kept = sorted(v for k, v in enumerate(nodes) if keep >> k & 1)
+    return MixedGraph(tuple(kept), frozenset(edges))
 
 
 def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
-    """Condition a chain mixed graph on the nodes of ``c``."""
+    """Condition a chain mixed graph on the nodes of ``c``.
+
+    Runs on node masks.  Neither rule stage adds a line that a section
+    reads (the arc-flank stage adds none, the collider stage keeps its
+    own), so one line-reach memo serves both.
+    """
     c = frozenset(c)
     _require_cmg(g)
     g.require_nodes(c)
-    s_set = c | anteriors(g, c)
-    w = _Work(g)
-    _condition_arc_flank_stage(w, s_set)
-    _condition_collider_stage(w, s_set)
-    _condition_strip_heads(w, s_set)
-    w.delete_nodes(c)
-    return w.to_graph()
+    if not c:  # S is empty: no rule fires and no head is stripped
+        return build_graph(g.nodes, [(x, y, kind) for kind, x, y in g.edges])
+    index, ln, pa, ch, sp = mask_tables(g)
+    cmask = mask_of(index, c)
+    s = cmask | mask_of(index, anteriors(g, c))
+    reach = _mask_reach(ln)
+    _condition_arc_flank_stage(reach, pa, ch, sp, s)
+    made = _condition_collider_stage(reach, pa, ch, sp, s)
+    lines = [a | b for a, b in zip(ln, made)]
+    return _condition_strip_heads(g.nodes, lines, pa, ch, sp, s, cmask)
 
 
 def marginalize_and_condition(

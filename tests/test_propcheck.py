@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 import cmgraph as cm
-from cmgraph.errors import InvalidConfigError
+from cmgraph.errors import InvalidConfigError, NotACMGError
 from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
@@ -17,6 +19,7 @@ from cmgraph.propcheck import (
     run_suite,
     shrink_instance,
     SUITE_IDS,
+    _shifted_model,
     _suites,
 )
 
@@ -132,6 +135,25 @@ class TestChecks:
         )
         assert report.failures == 1
         assert report.first_counterexample["models_equal"] is True
+
+    def test_shifted_model_matches_c_separated(self):
+        for seed in range(40):
+            g = random_graph(GeneratorConfig(6, 0.5, seed, "CMG"))
+            base = frozenset(g.nodes[: seed % 3])
+            keep = frozenset(g.nodes[3:])
+            want = set()
+            for i, j in combinations(sorted(keep), 2):
+                rest = sorted(keep - {i, j})
+                for r in range(len(rest) + 1):
+                    for extra in combinations(rest, r):
+                        if cm.c_separated(g, [i], [j], base | set(extra)):
+                            want.add((i, j, frozenset(extra)))
+            got = _shifted_model(g, base, keep)
+            assert got.ground == keep and got.statements == want, render(g)
+
+    def test_shifted_model_requires_cmg(self):
+        with pytest.raises(NotACMGError):
+            _shifted_model(G("a -> b; b -- c; c -> a"), frozenset(), frozenset("a"))
 
     def test_commutativity_returns_both_verdicts(self):
         models_ok, graphs_ok = check_commutativity(

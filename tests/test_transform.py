@@ -428,18 +428,16 @@ class TestSectionSearch:
                         assert list(w.sections(start, stop)) == expected, (render(g), start, stop)
 
     def test_snapshot_ignores_later_lines(self):
+        # no stage reads a snapshot of the lines any more: sections see
+        # every line added after the store was built
         for g in _section_graphs():
-            lines = _lines_of(g)
             w = _Work(g)
-            snap = w.line_snapshot()
             for x, y in combinations(g.nodes, 2):
                 w.add_line(x, y)
             every_pair = list(combinations(g.nodes, 2))
             for start in g.nodes:
                 for stop in g.nodes:
                     if stop != start:
-                        old = _sections_by_definition(g, lines, start, stop)
-                        assert list(w.sections(start, stop, snap)) == old, (render(g), start, stop)
                         new = _sections_by_definition(g, every_pair, start, stop)
                         assert list(w.sections(start, stop)) == new, (render(g), start, stop)
 
@@ -461,7 +459,6 @@ class TestSectionSearch:
         assert isinstance(w.line_reach("a"), frozenset)
         assert isinstance(w.line_reach("a", frozenset("b")), frozenset)
         assert w.line_reach("a", frozenset("a")) == frozenset()
-        assert isinstance(w.line_reach("a", usable=w.line_snapshot()), frozenset)
 
 
 # -- graphs above the property-harness range -----------------------------------
@@ -703,3 +700,168 @@ class TestAnteriorsTable:
         g = G("b -> c; a <-> c")
         assert g.node_bits == {"a": 1, "b": 2, "c": 4}
         assert g.anterior_masks == {"a": 0, "b": 0, "c": 2}
+
+
+# -- conditioning against the plain rescanning stages ------------------------------
+
+
+def _condition_by_rescan(g, c):
+    """Conditioning as three plain stages over dicts of sets.
+
+    The arc-flank and collider stages rescan until a round adds nothing.
+    Sections read only the input lines: the arc-flank stage adds no line,
+    and lines made by the collider stage never build sections.  Then
+    heads at S are stripped and C is deleted.
+    """
+    c = frozenset(c)
+    s_set = c | cm.anteriors(g, c)
+    ne = {v: g.neighbours[v] for v in g.nodes}
+    pa = {v: set(g.parents[v]) for v in g.nodes}
+    sp = {v: set(g.spouses[v]) for v in g.nodes}
+    made = set()
+    reach_memo = {}
+
+    def reach(start, blocked):
+        key = (start, blocked)
+        if key not in reach_memo:
+            seen, todo = {start}, [start]
+            while todo:
+                for v in ne[todo.pop()]:
+                    if v not in seen and v not in blocked:
+                        seen.add(v)
+                        todo.append(v)
+            reach_memo[key] = seen
+        return reach_memo[key]
+
+    def flanks(v):
+        return [(x, cm.ARROW) for x in sorted(pa[v])] + [(x, cm.ARC) for x in sorted(sp[v])]
+
+    def sections(start, stop):
+        r = reach(start, frozenset([stop]))
+        for far in sorted(r):
+            for j, kind in flanks(far):
+                if j in (start, stop):
+                    continue
+                # blocking j changes nothing unless the walk can reach j
+                if j not in r or far in reach(start, frozenset([stop, j])):
+                    yield j, kind
+
+    def add(kind, x, y):
+        if kind == cm.LINE:
+            if y in ne[x] or frozenset((x, y)) in made:
+                return False
+            made.add(frozenset((x, y)))
+        elif kind == cm.ARROW:
+            if x in pa[y]:
+                return False
+            pa[y].add(x)
+        else:
+            if y in sp[x]:
+                return False
+            sp[x].add(y)
+            sp[y].add(x)
+        return True
+
+    def arcs():
+        return sorted({tuple(sorted((x, y))) for x in sp for y in sp[x]})
+
+    changed = True
+    while changed:  # s <-> u --..-- o <- j  =>  j -> u ; arc flank gives u <-> j
+        changed = False
+        for x, y in arcs():
+            for s, u in ((x, y), (y, x)):
+                if s in s_set:
+                    for j, kind in sections(u, s):
+                        changed |= add(cm.ARROW, j, u) if kind == cm.ARROW else add(cm.ARC, u, j)
+    changed = True
+    while changed:  # i *-> s --..-- s <-* j
+        changed = False
+        for s1 in sorted(s_set):
+            for i, kind_i in flanks(s1):
+                for j, kind_j in sections(s1, i):
+                    if kind_i == cm.ARROW and kind_j == cm.ARROW:
+                        changed |= add(cm.LINE, i, j)
+                    elif kind_i == cm.ARC and kind_j == cm.ARROW:
+                        changed |= add(cm.ARROW, j, i)
+                    elif kind_i == cm.ARROW and kind_j == cm.ARC:
+                        changed |= add(cm.ARROW, i, j)
+                    else:
+                        changed |= add(cm.ARC, i, j)
+    edges = [(x, y, cm.LINE) for kind, x, y in g.edges if kind == cm.LINE]
+    edges += [(*sorted(pair), cm.LINE) for pair in made]
+    for h in pa:
+        edges += [(t, h, cm.LINE if h in s_set else cm.ARROW) for t in pa[h]]
+    for x, y in arcs():
+        if x in s_set and y in s_set:
+            edges.append((x, y, cm.LINE))
+        elif x in s_set:
+            edges.append((x, y, cm.ARROW))
+        elif y in s_set:
+            edges.append((y, x, cm.ARROW))
+        else:
+            edges.append((x, y, cm.ARC))
+    kept = set(g.nodes) - c
+    return cm.build_graph(kept, [e for e in edges if e[0] in kept and e[1] in kept])
+
+
+def _with_parallel_arcs(g, share=0.3):
+    """``g`` plus an arc alongside a random ``share`` of its lines."""
+    rng = random.Random(render(g))
+    lines = sorted((x, y) for kind, x, y in g.edges if kind == cm.LINE)
+    arcs = [(x, y, cm.ARC) for x, y in rng.sample(lines, round(share * len(lines)))]
+    return cm.build_graph(g.nodes, g.edges_as_triples() + arcs)
+
+
+def _large_conditionings():
+    """The ``_large_cmg`` graphs, as they are and with parallel arcs, with their C."""
+    out = []
+    for seed, n in LARGE_DIGESTS:
+        g, _, c = _large_cmg(seed, n)
+        out += [(g, c), (_with_parallel_arcs(g), c)]
+    return out
+
+
+class TestConditionAgainstRescan:
+    def test_three_nodes_every_c(self):
+        for g in _three_node_cmgs():
+            for r in range(4):
+                for c in combinations(g.nodes, r):
+                    assert cm.condition(g, c) == _condition_by_rescan(g, c), (render(g), c)
+
+    def test_six_nodes(self):
+        rng = random.Random("six-node-conditionings")
+        for g in _six_node_cmgs():
+            c = rng.sample(g.nodes, rng.randint(0, 3))
+            assert cm.condition(g, c) == _condition_by_rescan(g, c), (render(g), c)
+
+    @pytest.mark.parametrize("k", range(2 * len(LARGE_DIGESTS)))
+    def test_large_graphs(self, k):
+        g, c = _large_conditionings()[k]
+        assert cm.condition(g, c) == _condition_by_rescan(g, c)
+
+    def test_rescan_reference_generates_edges(self):
+        # both stages fire: the arc-flank stage pulls j onto i, and the
+        # collider at s joins its parents by a line and points k at i
+        g = G("s <-> i; i -- w; j -> w; k -> s; l -> s")
+        out = _condition_by_rescan(g, ["s"])
+        assert out == G("i -- w; j -> w; j -> i; k -- l; k -> i; l -> i")
+        assert cm.condition(g, ["s"]) == out
+
+
+class TestConditionModelOnLargeGraphs:
+    """``condition(g, c)`` keeps the model of ``g`` given ``c`` at 32-128 nodes."""
+
+    @pytest.mark.parametrize("k", range(2 * len(LARGE_DIGESTS)))
+    def test_model(self, k):
+        g, c = _large_conditionings()[k]
+        h = cm.condition(g, c)
+        for _, x, y in h.edges:
+            assert not cm.c_separated(g, [x], [y], c), (x, y)
+        rng = random.Random(f"large-condition-model:{k}")
+        for _ in range(150):
+            i, j = rng.sample(h.nodes, 2)
+            rest = [v for v in h.nodes if v not in (i, j)]
+            given = rng.sample(rest, rng.randint(0, 6))
+            assert cm.c_separated(h, [i], [j], given) == cm.c_separated(
+                g, [i], [j], list(c) + given
+            ), (i, j, given)
