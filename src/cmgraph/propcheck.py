@@ -583,6 +583,8 @@ def run_suite(
     suite_id: str, *, seed: int = 0, count: int = 500, max_nodes: int = 7
 ) -> PropertyReport:
     """Run one named suite over ``count`` seeded instances."""
+    if count < 0:
+        raise InvalidConfigError(f"count must be non-negative, got {count}")
     if suite_id == "cg-unrepresentability":
         return cg_unrepresentability_demo()
     suite = _suites()[suite_id]

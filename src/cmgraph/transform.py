@@ -12,10 +12,12 @@ Edge-generation rules, written with ``m`` a marginalized node, ``s`` a
 node of S = C together with its anteriors, and sections drawn as
 ``--..--``:
 
-marginalize, collider-flank stage (arrows out of ``m`` into a section)::
+flank stage (an entry edge into a section: ``m -> i`` when
+marginalizing, ``s <-> i`` when conditioning; ``e *-> i`` stands for
+either)::
 
-    m -> i --..-- o <- j   =>   j -> i
-    m -> i --..-- o <-> j  =>   i <-> j
+    e *-> i --..-- o <- j   =>   j -> i
+    e *-> i --..-- o <-> j  =>   i <-> j
 
 marginalize, tripath stage (inner node ``m``)::
 
@@ -23,11 +25,6 @@ marginalize, tripath stage (inner node ``m``)::
     i <- m -- j   =>  i <- j        i <- m <-> j  =>  i <-> j
     i <-> m -- j  =>  i <-> j       i -- m <- j   =>  i <- j
     i -- m -- j   =>  i -- j
-
-condition, arc-flank stage (arc out of ``s`` into a section)::
-
-    s <-> i --..-- o <- j   =>  j -> i
-    s <-> i --..-- o <-> j  =>  i <-> j
 
 condition, collider stage (inner section inside S)::
 
@@ -53,27 +50,27 @@ inside the anterior scope it was generated for.  Afterwards an arc with
 one end anterior to the other becomes an arrow out of that end, and an
 arc with each end anterior to the other becomes a line.
 
-Lines are fixed inside every stage that searches sections: the flank,
-arc-flank and anterial generate stages add only arrows and arcs, and
-the lines that the collider stage makes go to a table of their own that
-no section reads.  Section reach is therefore memoized per (node,
-blocked set).
+Lines are fixed inside every stage that searches sections: the flank
+and anterial generate stages add only arrows and arcs, and the lines
+that the collider stage makes go to a table of their own that no
+section reads.  Section reach is therefore memoized per (node, blocked
+set).
 
-Conditioning runs on node masks: per-node int masks ``ln``, ``pa``,
-``ch`` and ``sp`` over ``g.nodes`` (``graph.mask_tables``), with S as one
-mask.  The far flanks of the sections from a node are the OR of ``pa``
-and ``sp`` over its line reach, and a rule adds all the edges of one
-flank with one mask operation.  Both rule stages rescan until a round
-adds nothing; the head strip and the deletion of C happen while the
-output edges are emitted.
+Marginalization and conditioning run on node masks: per-node int masks
+``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes`` (``graph.mask_tables``),
+with M or S as one mask.  The far flanks of the sections from a node are
+the OR of ``pa`` and ``sp`` over its line reach, and a rule adds all the
+edges of one flank with one mask operation (``_link``).  One flank stage
+serves both transforms; it enters a section through ``pa[u] & M`` or
+``sp[u] & S``.  Every rule stage rescans until a round adds nothing.
+One emitter, ``_condition_strip_heads``, strips the heads at S and
+deletes C or M while it writes the output edges.
 
-Only marginalization and the anterial closure still use ``_Work``, the
-string-keyed edge store, whose reach memo is dropped whenever a line is
-added or nodes are deleted.  The marginalization stages search with
-``_Work.sections`` and rescan until a round adds nothing.  The anterial
-generate stage runs a worklist instead (see ``_ang_generate``), reads
-anteriors from the input graph's ``anterior_masks`` table and keeps
-scopes as node masks.
+Only the anterial closure still rewrites ``_Work``, the string-keyed
+edge store, whose reach memo is dropped whenever a line is added.  Its
+generate stage runs a worklist instead of rescanning (see
+``_ang_generate``), reads anteriors from the input graph's
+``anterior_masks`` table and keeps scopes as node masks.
 """
 
 from __future__ import annotations
@@ -99,7 +96,7 @@ from .graph import (
     mask_of,
     mask_tables,
 )
-from .kernel import line_reach
+from .kernel import _bits, line_reach
 
 
 @dataclass(frozen=True)
@@ -122,38 +119,8 @@ def _require_cmg(g: MixedGraph) -> None:
         raise NotACMGError("transform input has a semi-directed cycle with an arrow")
 
 
-class _LineReach:
-    """Line reachability over one line adjacency, memoized by (node, blocked set).
-
-    The owner clears ``memo`` whenever the adjacency changes.
-    """
-
-    def __init__(self, ne: dict[str, set[str]]):
-        self.ne = ne
-        self.memo: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
-
-    def reach(self, v: str, blocked: frozenset[str]) -> frozenset[str]:
-        key = (v, blocked)
-        out = self.memo.get(key)
-        if out is None:
-            if v in blocked:
-                out = frozenset()
-            else:
-                adj = self.ne
-                seen = {v}
-                stack = [v]
-                while stack:
-                    for w in adj[stack.pop()]:
-                        if w not in seen and w not in blocked:
-                            seen.add(w)
-                            stack.append(w)
-                out = frozenset(seen)
-            self.memo[key] = out
-        return out
-
-
 class _Work:
-    """Mutable string-keyed edge store of marginalization and the anterial closure.
+    """Mutable string-keyed edge store of the anterial closure.
 
     The class tests and the edge oracles read it too.
     """
@@ -167,7 +134,7 @@ class _Work:
         self.pa: dict[str, set[str]] = defaultdict(set)
         self.ch: dict[str, set[str]] = defaultdict(set)
         self.sp: dict[str, set[str]] = defaultdict(set)
-        self._reach = _LineReach(self.ne)
+        self._reach: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
         for kind, x, y in g.edges:
             if kind == LINE:
                 self.add_line(x, y)
@@ -183,7 +150,7 @@ class _Work:
         self.lines.add(pair)
         self.ne[x].add(y)
         self.ne[y].add(x)
-        self._reach.memo.clear()
+        self._reach.clear()
         return True
 
     def add_arrow(self, tail: str, head: str) -> bool:
@@ -208,25 +175,27 @@ class _Work:
         self.sp[x].discard(y)
         self.sp[y].discard(x)
 
-    def delete_nodes(self, drop: Iterable[str]) -> None:
-        drop = set(drop)
-        self.nodes -= drop
-        for store in (self.lines, self.arcs, self.arrows):
-            dead = {e for e in store if e[0] in drop or e[1] in drop}
-            store -= dead
-        for adj in (self.ne, self.pa, self.ch, self.sp):
-            for v in drop:
-                adj.pop(v, None)
-            for v, others in adj.items():
-                others -= drop
-        self._reach.memo.clear()
-
     def line_reach(self, v: str, blocked: frozenset[str] = frozenset()) -> frozenset[str]:
         """Nodes joined to ``v`` by a line walk avoiding ``blocked``.
 
-        Empty when ``v`` itself is blocked.
+        Empty when ``v`` itself is blocked.  Memoized until a line is added.
         """
-        return self._reach.reach(v, blocked)
+        key = (v, blocked)
+        out = self._reach.get(key)
+        if out is None:
+            if v in blocked:
+                out = frozenset()
+            else:
+                seen = {v}
+                stack = [v]
+                while stack:
+                    for u in self.ne[stack.pop()]:
+                        if u not in seen and u not in blocked:
+                            seen.add(u)
+                            stack.append(u)
+                out = frozenset(seen)
+            self._reach[key] = out
+        return out
 
     def sections(self, start: str, stop: str):
         """Sections from ``start`` that end at an arrowhead: (far, j, kind).
@@ -259,87 +228,6 @@ class _Work:
         edges += [(t, h, ARROW) for t, h in self.arrows]
         edges += [(x, y, ARC) for x, y in self.arcs]
         return build_graph(sorted(self.nodes), edges)
-
-
-def _marginalize_flank_stage(w: _Work, m_set: frozenset[str]) -> None:
-    # m -> i --..-- o <- j  =>  j -> i ; with an arc flank the result is an arc
-    changed = True
-    while changed:
-        changed = False
-        for mm in sorted(m_set & w.nodes):
-            for u in sorted(w.ch[mm]):
-                for _, j, kind in w.sections(u, mm):
-                    if kind == ARROW:
-                        changed |= w.add_arrow(j, u)
-                    else:
-                        changed |= w.add_arc(u, j)
-
-
-_TRIPATH_RULES = {
-    # (role of i at m, role of j at m) -> generated edge shape
-    ("child", "parent"): ARROW,  # i <- m <- j
-    ("child", "nbr"): ARROW,  # i <- m -- j
-    ("sp", "nbr"): ARC,  # i <-> m -- j
-    ("child", "child"): ARC,  # i <- m -> j
-    ("child", "sp"): ARC,  # i <- m <-> j
-    ("nbr", "parent"): ARROW,  # i -- m <- j
-    ("nbr", "nbr"): LINE,  # i -- m -- j
-}
-
-
-def _roles(w: _Work, mm: str) -> list[tuple[str, str]]:
-    out = [(x, "child") for x in sorted(w.ch[mm])]
-    out += [(x, "parent") for x in sorted(w.pa[mm])]
-    out += [(x, "nbr") for x in sorted(w.ne[mm])]
-    out += [(x, "sp") for x in sorted(w.sp[mm])]
-    return out
-
-
-def _marginalize_tripath_stage(w: _Work, m_set: frozenset[str]) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for mm in sorted(m_set & w.nodes):
-            roles = _roles(w, mm)
-            for i, ri in roles:
-                for j, rj in roles:
-                    if i == j:
-                        continue
-                    shape = _TRIPATH_RULES.get((ri, rj))
-                    if shape is None:
-                        continue
-                    if shape == ARROW:
-                        changed |= w.add_arrow(j, i)
-                    elif shape == ARC:
-                        changed |= w.add_arc(i, j)
-                    else:
-                        changed |= w.add_line(i, j)
-
-
-def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
-    """Project the marginalized nodes out of a chain mixed graph."""
-    m = frozenset(m)
-    _require_cmg(g)
-    g.require_nodes(m)
-    w = _Work(g)
-    _marginalize_flank_stage(w, m)
-    _marginalize_tripath_stage(w, m)
-    w.delete_nodes(m)
-    return w.to_graph()
-
-
-def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
-    """The intermediate graph after the collider-flank stage only.
-
-    Exposed for the marginal edge oracle, which is stated over this
-    graph rather than the input.
-    """
-    m = frozenset(m)
-    _require_cmg(g)
-    g.require_nodes(m)
-    w = _Work(g)
-    _marginalize_flank_stage(w, m)
-    return w.to_graph()
 
 
 def _mask_reach(ln: list[int]):
@@ -412,20 +300,58 @@ def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:
     return True
 
 
-def _condition_arc_flank_stage(reach, pa: list[int], ch: list[int], sp: list[int], s: int) -> None:
-    # s <-> u --..-- o <- j  =>  j -> u ; arc far-flank gives u <-> j
+def _flank_stage(
+    reach, pa: list[int], ch: list[int], sp: list[int], entry: list[int], removed: int
+) -> None:
+    # e *-> u --..-- o <- j  =>  j -> u ; an arc far flank gives u <-> j,
+    # for each e in entry[u] & removed; rescans until a round adds nothing
     n = len(pa)
     changed = True
     while changed:
         changed = False
         for u in range(n):
-            ends = sp[u] & s
+            ends = entry[u] & removed
             while ends:
                 low = ends & -ends
                 ends ^= low
                 tails, arcs = _section_flanks(reach, pa, ch, sp, u, low)
                 changed |= _link(u, tails, pa, ch)
                 changed |= _link(u, arcs, sp, sp)
+
+
+def _marginalize_flank_stage(reach, pa: list[int], ch: list[int], sp: list[int], m: int) -> None:
+    # m -> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j
+    _flank_stage(reach, pa, ch, sp, pa, m)
+
+
+def _condition_arc_flank_stage(reach, pa: list[int], ch: list[int], sp: list[int], s: int) -> None:
+    # s <-> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j
+    _flank_stage(reach, pa, ch, sp, sp, s)
+
+
+def _marginalize_tripath_stage(
+    ln: list[int], pa: list[int], ch: list[int], sp: list[int], m: int
+) -> None:
+    # the seven tripath rows of the module docstring, per inner node k in M;
+    # rescans until a round adds nothing
+    changed = True
+    while changed:
+        changed = False
+        rest = m
+        while rest:
+            kbit = rest & -rest
+            rest ^= kbit
+            k = kbit.bit_length() - 1
+            for i in _bits(ch[k]):  # i <- k
+                others = ~(1 << i)
+                changed |= _link(i, (pa[k] | ln[k]) & others, pa, ch)
+                changed |= _link(i, (ch[k] | sp[k]) & others, sp, sp)
+            for i in _bits(ln[k]):  # i -- k
+                others = ~(1 << i)
+                changed |= _link(i, pa[k] & others, pa, ch)
+                changed |= _link(i, ln[k] & others, ln, ln)
+            for i in _bits(sp[k]):  # i <-> k
+                changed |= _link(i, ln[k] & ~(1 << i), sp, sp)
 
 
 def _condition_collider_stage(
@@ -470,7 +396,8 @@ def _condition_strip_heads(
     """Strip the arrowheads at S, delete C and build the output graph.
 
     An arrow into S becomes a line, an arc with both ends in S a line, and
-    an arc with one end in S an arrow out of that end.
+    an arc with one end in S an arrow out of that end.  Marginalization
+    passes ``s = 0`` and M as ``c``: it strips nothing and deletes M.
     """
     keep = ((1 << len(nodes)) - 1) & ~c
     edges = []
@@ -502,6 +429,34 @@ def _condition_strip_heads(
             edges.append((ARROW, x, nodes[low.bit_length() - 1]))
     kept = sorted(v for k, v in enumerate(nodes) if keep >> k & 1)
     return MixedGraph(tuple(kept), frozenset(edges))
+
+
+def _marginal_flank_tables(g: MixedGraph, m: Iterable[str]):
+    """Node masks of ``g`` after the collider-flank stage: (M, ln, pa, ch, sp)."""
+    m = frozenset(m)
+    _require_cmg(g)
+    g.require_nodes(m)
+    index, ln, pa, ch, sp = mask_tables(g)
+    mmask = mask_of(index, m)
+    _marginalize_flank_stage(_mask_reach(ln), pa, ch, sp, mmask)
+    return mmask, ln, pa, ch, sp
+
+
+def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
+    """Project the marginalized nodes out of a chain mixed graph."""
+    mmask, ln, pa, ch, sp = _marginal_flank_tables(g, m)
+    _marginalize_tripath_stage(ln, pa, ch, sp, mmask)
+    return _condition_strip_heads(g.nodes, ln, pa, ch, sp, 0, mmask)
+
+
+def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
+    """The intermediate graph after the collider-flank stage only.
+
+    Exposed for the marginal edge oracle, which is stated over this
+    graph rather than the input.
+    """
+    _, ln, pa, ch, sp = _marginal_flank_tables(g, m)
+    return _condition_strip_heads(g.nodes, ln, pa, ch, sp, 0, 0)
 
 
 def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:

@@ -212,3 +212,10 @@ class TestCli:
         assert code == 0
         assert "property=marginalization" in out
         assert "failures=0" in out
+
+    @pytest.mark.parametrize("suite", ["marginalization", "all"])
+    def test_check_negative_count(self, capsys, suite):
+        code, out, err = run_cli(capsys, "check", "--suite", suite, "--count", "-1")
+        assert code == 2
+        assert out == ""
+        assert "count must be non-negative" in err

@@ -16,6 +16,7 @@ from cmgraph.propcheck import (
     enumerate_mixed_graphs,
     find_cg_matching_model,
     random_graph,
+    run_all,
     run_suite,
     shrink_instance,
     SUITE_IDS,
@@ -115,6 +116,16 @@ class TestReports:
             report = run_suite(sid, seed=1, count=5, max_nodes=5)
             assert report.instances == 5
             assert report.failures == 0
+
+    def test_negative_count_rejected(self):
+        for sid in ("marginalization", "cg-unrepresentability"):
+            with pytest.raises(InvalidConfigError):
+                run_suite(sid, count=-1)
+        with pytest.raises(InvalidConfigError):
+            run_all(count=-1)
+
+    def test_zero_count_runs_nothing(self):
+        assert run_suite("marginalization", count=0).instances == 0
 
 
 class TestChecks:

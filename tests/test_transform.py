@@ -10,7 +10,7 @@ import cmgraph as cm
 from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
 from cmgraph.graphio import render
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
-from cmgraph.transform import _Work
+from cmgraph.transform import _Work, marginalize_flank_closure
 
 from conftest import G
 
@@ -447,12 +447,11 @@ class TestSectionSearch:
         w.add_line("b", "c")
         assert w.line_reach("a") == {"a", "b", "c"}
 
-    def test_line_reach_forgets_deleted_nodes(self):
+    def test_line_reach_stops_at_blocked_nodes(self):
         w = _Work(G("a -- b; b -- c; c -- d"))
         assert w.line_reach("a") == {"a", "b", "c", "d"}
-        w.delete_nodes(["c"])
-        assert w.line_reach("a") == {"a", "b"}
-        assert w.line_reach("d") == {"d"}
+        assert w.line_reach("a", frozenset("c")) == {"a", "b"}
+        assert w.line_reach("d", frozenset("c")) == {"d"}
 
     def test_line_reach_is_frozenset(self):
         w = _Work(G("a -- b"))
@@ -865,3 +864,151 @@ class TestConditionModelOnLargeGraphs:
             assert cm.c_separated(h, [i], [j], given) == cm.c_separated(
                 g, [i], [j], list(c) + given
             ), (i, j, given)
+
+
+# -- marginalization against the plain rescanning stages ---------------------------
+
+
+def _marginalize_by_rescan(g, m):
+    """Marginalization as two plain stages over dicts of sets.
+
+    Returns the graph after the collider-flank stage and the final graph.
+    The flank stage searches the sections from each child of each node of
+    M; it adds no line, so sections read the input lines.  The tripath
+    stage applies the seven tripath rows at each node of M.  Both rescan
+    until a round adds nothing.  Then M is deleted.
+    """
+    m = frozenset(m)
+    ne = {v: set(g.neighbours[v]) for v in g.nodes}
+    pa = {v: set(g.parents[v]) for v in g.nodes}
+    ch = {v: set(g.children[v]) for v in g.nodes}
+    sp = {v: set(g.spouses[v]) for v in g.nodes}
+    reach_memo = {}
+
+    def reach(start, blocked):  # used by the flank stage only, while lines are fixed
+        key = (start, blocked)
+        if key not in reach_memo:
+            seen, todo = {start}, [start]
+            while todo:
+                for v in ne[todo.pop()]:
+                    if v not in seen and v not in blocked:
+                        seen.add(v)
+                        todo.append(v)
+            reach_memo[key] = seen
+        return reach_memo[key]
+
+    def sections(start, stop):
+        r = reach(start, frozenset([stop]))
+        for far in sorted(r):
+            flanks = [(x, cm.ARROW) for x in sorted(pa[far])]
+            flanks += [(x, cm.ARC) for x in sorted(sp[far])]
+            for j, kind in flanks:
+                if j in (start, stop):
+                    continue
+                # blocking j changes nothing unless the walk can reach j
+                if j not in r or far in reach(start, frozenset([stop, j])):
+                    yield j, kind
+
+    def add(kind, x, y):
+        if kind == cm.LINE:
+            if y in ne[x]:
+                return False
+            ne[x].add(y)
+            ne[y].add(x)
+        elif kind == cm.ARROW:
+            if x in pa[y]:
+                return False
+            pa[y].add(x)
+            ch[x].add(y)
+        else:
+            if y in sp[x]:
+                return False
+            sp[x].add(y)
+            sp[y].add(x)
+        return True
+
+    def graph(kept):
+        edges = [(x, y, cm.LINE) for x in ne for y in ne[x]]
+        edges += [(t, h, cm.ARROW) for h in pa for t in pa[h]]
+        edges += [(x, y, cm.ARC) for x in sp for y in sp[x]]
+        return cm.build_graph(kept, [e for e in edges if e[0] in kept and e[1] in kept])
+
+    changed = True
+    while changed:  # m -> u --..-- o <- j  =>  j -> u ; arc flank gives u <-> j
+        changed = False
+        for mm in sorted(m):
+            for u in sorted(ch[mm]):
+                for j, kind in sections(u, mm):
+                    changed |= add(cm.ARROW, j, u) if kind == cm.ARROW else add(cm.ARC, u, j)
+    flanked = graph(set(g.nodes))
+    rows = {  # (role of i at m, role of j at m) -> generated edge
+        ("child", "parent"): cm.ARROW,  # i <- m <- j   =>  j -> i
+        ("child", "nbr"): cm.ARROW,  # i <- m -- j   =>  j -> i
+        ("nbr", "parent"): cm.ARROW,  # i -- m <- j   =>  j -> i
+        ("child", "child"): cm.ARC,  # i <- m -> j   =>  i <-> j
+        ("child", "sp"): cm.ARC,  # i <- m <-> j  =>  i <-> j
+        ("sp", "nbr"): cm.ARC,  # i <-> m -- j  =>  i <-> j
+        ("nbr", "nbr"): cm.LINE,  # i -- m -- j   =>  i -- j
+    }
+    changed = True
+    while changed:
+        changed = False
+        for mm in sorted(m):
+            roles = [(x, "child") for x in sorted(ch[mm])]
+            roles += [(x, "parent") for x in sorted(pa[mm])]
+            roles += [(x, "nbr") for x in sorted(ne[mm])]
+            roles += [(x, "sp") for x in sorted(sp[mm])]
+            for i, ri in roles:
+                for j, rj in roles:
+                    kind = rows.get((ri, rj))
+                    if i != j and kind is not None:
+                        changed |= add(kind, j, i) if kind == cm.ARROW else add(kind, i, j)
+    return flanked, graph(set(g.nodes) - m)
+
+
+def _large_marginalizations():
+    """The ``_large_cmg`` graphs, as they are and with parallel arcs, with their M."""
+    out = []
+    for seed, n in LARGE_DIGESTS:
+        g, m, _ = _large_cmg(seed, n)
+        out += [(g, m), (_with_parallel_arcs(g), m)]
+    return out
+
+
+def _assert_marginalize_matches_rescan(g, m):
+    flanked, final = _marginalize_by_rescan(g, m)
+    assert marginalize_flank_closure(g, m) == flanked, (render(g), m)
+    assert cm.marginalize(g, m) == final, (render(g), m)
+
+
+class TestMarginalizeAgainstRescan:
+    def test_three_nodes_every_m(self):
+        for g in _three_node_cmgs():
+            for r in range(4):
+                for m in combinations(g.nodes, r):
+                    _assert_marginalize_matches_rescan(g, m)
+
+    def test_six_nodes(self):
+        rng = random.Random("six-node-marginalizations")
+        for g in _six_node_cmgs():
+            _assert_marginalize_matches_rescan(g, rng.sample(g.nodes, rng.randint(0, 3)))
+
+    @pytest.mark.parametrize("k", range(2 * len(LARGE_DIGESTS)))
+    def test_large_graphs(self, k):
+        _assert_marginalize_matches_rescan(*_large_marginalizations()[k])
+
+    def test_rescan_reference_generates_edges(self):
+        # both stages fire: the flank stage pulls j onto m's child u, and
+        # the tripath k -> m -> u gives k -> u
+        g = G("k -> m; m -> u; u -- w; j -> w")
+        flanked, final = _marginalize_by_rescan(g, ["m"])
+        assert flanked == G("k -> m; m -> u; u -- w; j -> w; j -> u")
+        assert final == G("u -- w; j -> w; j -> u; k -> u")
+        _assert_marginalize_matches_rescan(g, ["m"])
+
+    def test_tripath_stage_needs_a_second_round(self):
+        # the rows at d give c the child b and the spouse a, so only a
+        # second visit to c makes the arc a <-> b (i <- c <-> j)
+        g = G("a -- d; c -- d; c <-> d; d -> b")
+        assert cm.marginalize(g, ["c", "d"]).has_edge("a", "b", cm.ARC)
+        _assert_marginalize_matches_rescan(g, ["c", "d"])
