@@ -27,6 +27,7 @@ from typing import Iterable, Mapping
 
 from .errors import (
     BlockedStartError,
+    CmgraphError,
     LoopEdgeError,
     NotAChainGraphError,
     NotACMGError,
@@ -221,9 +222,6 @@ class MixedGraph:
                     stack.append(w)
         return frozenset(reach)
 
-    def line_component(self, v: str) -> frozenset[str]:
-        return self.line_reachable(v)
-
     def induced_subgraph(self, keep: Iterable[str]) -> "MixedGraph":
         keep = frozenset(keep)
         self.require_nodes(keep)
@@ -291,6 +289,13 @@ def mask_of(index: Mapping[str, int], labels: Iterable[str]) -> int:
     for v in labels:
         m |= 1 << index[v]
     return m
+
+
+def label_set(labels: Iterable[str], error: type[CmgraphError]) -> frozenset[str]:
+    """``labels`` as a set; a bare ``str``, which would read as its letters, raises ``error``."""
+    if isinstance(labels, str):
+        raise error(f"expected a collection of node labels, got the string {labels!r}")
+    return frozenset(labels)
 
 
 # -- walks over lines and arrows ------------------------------------------
@@ -424,7 +429,7 @@ def chain_components(g: MixedGraph) -> list[tuple[str, ...]]:
     comps = []
     for v in g.nodes:
         if v not in seen:
-            comp = g.line_component(v)
+            comp = g.line_reachable(v)
             seen |= comp
             comps.append(tuple(sorted(comp)))
     return sorted(comps)

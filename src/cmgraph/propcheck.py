@@ -31,6 +31,7 @@ from .graph import (
     CMG,
     LINE,
     MixedGraph,
+    anteriors,
     build_graph,
     classify,
     mask_of,
@@ -56,6 +57,7 @@ from .transform import (
     marginalize_and_condition,
     subprimitive_walk_exists,
 )
+from .walks import is_c_connecting
 
 GRAPH_CLASSES = ("CG", "CMG", "AnG")
 _LABELS = "abcdefgh"
@@ -397,9 +399,35 @@ def check_inducing_walks(g: MixedGraph) -> bool:
     return True
 
 
+def inseparable_pairs(g: MixedGraph) -> list[tuple[str, str]]:
+    """Non-adjacent pairs that no set separates, by ``kernel.exists_separator``."""
+    index, ln, pa, ch, sp = mask_tables(g)
+    n = len(g.nodes)
+    return [
+        (x, y)
+        for x, y in combinations(g.nodes, 2)
+        if not g.adjacent(x, y)
+        and kernel.exists_separator(n, ln, pa, ch, sp, index[x], index[y]) < 0
+    ]
+
+
 def check_witness_soundness(g: MixedGraph) -> bool:
+    """A witness exists iff the enumeration finds an inseparable pair.
+
+    Not checked against ``is_maximal``, which shares the witness's
+    search.  The witness's pair must be one of those, and its walk must
+    lie in ``g`` and c-connect the pair given ``ant({i, j}) \\ {i, j}``.
+    """
+    reference = inseparable_pairs(g)
     witness = non_maximality_witness(g)
-    return witness is None or not is_maximal(g)
+    if witness is None or not reference:
+        return witness is None and not reference
+    x, y = witness.endpoints
+    return (
+        (x, y) in reference  # non-adjacent, and no set separates them
+        and witness.walk.exists_in(g)
+        and is_c_connecting(witness.walk, {x}, {y}, anteriors(g, {x, y}))
+    )
 
 
 # -- suite driver -------------------------------------------------------------

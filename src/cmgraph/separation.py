@@ -27,20 +27,17 @@ from .errors import (
     TooLargeError,
 )
 from .graph import (
-    ARC,
-    ARROW,
     CG,
     LINE,
     MixedGraph,
     anteriors,
     classify,
+    label_set,
     mask_of,
     mask_tables,
     moral_graph,
 )
 from .walks import Walk
-
-DEFAULT_ENUMERATION_CAP = 8
 
 MODE_WALKS = "walks-in-C"
 MODE_PATHS = "paths-in-antC"
@@ -61,7 +58,7 @@ class SeparationQuery:
         b: Iterable[str],
         given: Iterable[str] = (),
     ) -> "SeparationQuery":
-        a, b, given = frozenset(a), frozenset(b), frozenset(given)
+        a, b, given = (label_set(s, MalformedQueryError) for s in (a, b, given))
         if a & b or a & given or b & given:
             raise MalformedQueryError("query sets must be pairwise disjoint")
         return cls(a, b, given)
@@ -290,7 +287,7 @@ class IndependenceModel:
 
     def holds(self, a: Iterable[str], b: Iterable[str], given: Iterable[str]) -> bool:
         """Set-level statement: every cross pair must be separated."""
-        a, b, c = frozenset(a), frozenset(b), frozenset(given)
+        a, b, c = (label_set(s, MalformedQueryError) for s in (a, b, given))
         if not a or not b:
             return True
         return all(
@@ -303,9 +300,7 @@ class IndependenceModel:
         )
 
 
-def pairwise_model(
-    g: MixedGraph, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> IndependenceModel:
+def pairwise_model(g: MixedGraph, *, cap: int = 8) -> IndependenceModel:
     """Enumerate every (i, j, C) with i, j singleton-separated given C."""
     _require_cmg(g)
     if len(g.nodes) > cap:
@@ -336,87 +331,58 @@ def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:
     return m1.statements == m2.statements
 
 
-def is_maximal(g: MixedGraph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """True iff every non-adjacent pair carries some separation statement."""
+def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int]]:
+    """The first non-adjacent pair that its ``D`` leaves connected, or None.
+
+    Returns ``(i, j, D(i, j))``: positions ``i < j`` in ``g.nodes`` and
+    the mask of ``ant({i, j}) \\ {i, j}`` (see :func:`is_maximal`).
+    """
     _require_cmg(g)
-    if len(g.nodes) > cap:
-        raise TooLargeError(f"{len(g.nodes)} nodes exceeds enumeration cap {cap}")
     index, ln, pa, ch, sp = _mask_tables(g)
+    ant = [g.anterior_masks[v] for v in g.nodes]
     n = len(g.nodes)
     for i in range(n):
+        adjacent = ln[i] | pa[i] | ch[i] | sp[i]
         for j in range(i + 1, n):
-            if g.adjacent(g.nodes[i], g.nodes[j]):
+            if adjacent >> j & 1:
                 continue
-            if kernel.exists_separator(n, ln, pa, ch, sp, i, j) < 0:
-                return False
-    return True
+            d = (ant[i] | ant[j]) & ~(1 << i | 1 << j)
+            if not kernel.separated(n, ln, pa, ch, sp, 1 << i, 1 << j, d):
+                return i, j, d
+    return None
+
+
+def is_maximal(g: MixedGraph) -> bool:
+    """True iff every non-adjacent pair carries some separation statement.
+
+    One separator per pair decides it, by this lemma: a non-adjacent pair
+    ``i, j`` is c-separated given some set iff it is c-separated given
+    ``D(i, j) = ant({i, j}) \\ {i, j}``.  Sadeghi and Lauritzen (2014,
+    "Markov properties for mixed graphs", Bernoulli) give the pairwise
+    Markov property of maximal graphs with this separator; Richardson and
+    Spirtes (2002, "Ancestral graph Markov models", Ann. Statist.) cover
+    ancestral graphs.  For CMGs the tests check the lemma against the
+    enumeration in ``kernel.exists_separator``.  No node cap.
+    """
+    return _unseparated_pair(g) is None
 
 
 @dataclass(frozen=True)
-class TrislideWitness:
-    """Collider trislide certifying non-maximality.
-
-    ``endpoints`` are non-adjacent, both flanking edges point into the
-    all-line ``section``, and ``arrow`` runs from a section node to one
-    of the endpoints.  Any conditioning set then leaves the endpoints
-    connected.
+class NonMaximalityWitness:
+    """A non-adjacent pair that no set separates, and a walk that
+    c-connects it given ``D(i, j)`` (see :func:`is_maximal`).
     """
 
-    endpoints: tuple[str, str]
-    section: tuple[str, ...]
-    flanks: tuple[tuple, tuple]
-    arrow: tuple[str, str]
+    endpoints: tuple[str, str]  # in the order of g.nodes
+    walk: Walk
 
 
-def _simple_line_paths(g: MixedGraph, u: str, w: str, avoid: frozenset[str]):
-    """All simple line paths from u to w avoiding ``avoid``."""
-    path = [u]
-    on_path = {u}
-
-    def rec(cur):
-        if cur == w:
-            yield tuple(path)
-            return
-        for nxt in sorted(g.neighbours[cur]):
-            if nxt in on_path or nxt in avoid:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from rec(nxt)
-            path.pop()
-            on_path.remove(nxt)
-
-    yield from rec(u)
-
-
-def _head_flank_edges(g: MixedGraph, v: str):
-    """Edges with an arrowhead at ``v``, with the far endpoint."""
-    for x in sorted(g.parents[v]):
-        yield x, (ARROW, x, v)
-    for x in sorted(g.spouses[v]):
-        yield x, (ARC, min(x, v), max(x, v))
-
-
-def non_maximality_witness(g: MixedGraph) -> Optional[TrislideWitness]:
-    """Search for a collider trislide with an inner-to-endpoint arrow.
-
-    Sufficient condition only: a witness implies the graph is not
-    maximal, absence implies nothing.
-    """
-    _require_cmg(g)
-    for u in g.nodes:
-        for i, flank_i in _head_flank_edges(g, u):
-            for w in sorted(g.line_component(u)):
-                for j, flank_j in _head_flank_edges(g, w):
-                    if j == i or i in (u, w) or j in (u, w):
-                        continue
-                    if g.adjacent(i, j):
-                        continue
-                    for path in _simple_line_paths(g, u, w, frozenset((i, j))):
-                        for x in path:
-                            for target in (i, j):
-                                if g.has_edge(x, target, ARROW) and x != target:
-                                    return TrislideWitness(
-                                        (i, j), path, (flank_i, flank_j), (x, target)
-                                    )
-    return None
+def non_maximality_witness(g: MixedGraph) -> Optional[NonMaximalityWitness]:
+    """The first pair that breaks maximality, with its walk; None iff maximal."""
+    found = _unseparated_pair(g)
+    if found is None:
+        return None
+    i, j, d = found
+    x, y = g.nodes[i], g.nodes[j]
+    given = [v for k, v in enumerate(g.nodes) if d >> k & 1]
+    return NonMaximalityWitness((x, y), c_connecting_witness(g, [x], [y], given))

@@ -93,6 +93,7 @@ from .graph import (
     anteriors,
     build_graph,
     classify,
+    label_set,
     mask_of,
     mask_tables,
 )
@@ -108,7 +109,7 @@ class TransformSpec:
 
     @classmethod
     def of(cls, m: Iterable[str] = (), c: Iterable[str] = ()) -> "TransformSpec":
-        m, c = frozenset(m), frozenset(c)
+        m, c = label_set(m, TransformSpecError), label_set(c, TransformSpecError)
         if m & c:
             raise TransformSpecError("marginalization and conditioning sets overlap")
         return cls(m, c)
@@ -433,7 +434,7 @@ def _condition_strip_heads(
 
 def _marginal_flank_tables(g: MixedGraph, m: Iterable[str]):
     """Node masks of ``g`` after the collider-flank stage: (M, ln, pa, ch, sp)."""
-    m = frozenset(m)
+    m = label_set(m, TransformSpecError)
     _require_cmg(g)
     g.require_nodes(m)
     index, ln, pa, ch, sp = mask_tables(g)
@@ -466,7 +467,7 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
     reads (the arc-flank stage adds none, the collider stage keeps its
     own), so one line-reach memo serves both.
     """
-    c = frozenset(c)
+    c = label_set(c, TransformSpecError)
     _require_cmg(g)
     g.require_nodes(c)
     if not c:  # S is empty: no rule fires and no head is stripped
@@ -745,7 +746,7 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     inner nodes all lie in the marginalized set and whose inner sections
     are all non-colliders.  Must agree with :func:`marginalize`.
     """
-    m = frozenset(m)
+    m = label_set(m, TransformSpecError)
     g.require_nodes({i, j} | m)
     _require_oracle_endpoints(i, j, m, "marginalized")
     h = marginalize_flank_closure(g, m)
@@ -811,7 +812,7 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     points into its section.  Direct edges always survive.  Must agree
     with :func:`condition`.
     """
-    c = frozenset(c)
+    c = label_set(c, TransformSpecError)
     g.require_nodes({i, j} | c)
     _require_oracle_endpoints(i, j, c, "conditioning")
     if g.adjacent(i, j):

@@ -1,5 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
+import cmgraph as cm
 from cmgraph.graphio import parse
 
 
@@ -12,3 +16,27 @@ def G(text: str):
 def g_ex():
     """Six-node chain graph used by the worked separation examples."""
     return G("j -> k; k -> l; l -- r; q -> r; q -> h")
+
+
+def _large_cmg(seed, n):
+    """A CMG of chain-component blocks: lines inside a block, arrows from a
+    block into earlier ones, and arcs between any two nodes on top."""
+    rng = random.Random(f"large-cmg:{seed}:{n}")
+    names = [f"v{k:03d}" for k in range(n)]
+    rng.shuffle(names)
+    edges = []
+    earlier = []
+    while len(earlier) < n:
+        block = names[len(earlier) : len(earlier) + rng.randint(1, 5)]
+        edges += [(x, y, cm.LINE) for x, y in combinations(block, 2) if rng.random() < 0.5]
+        for v in block:
+            for head in rng.sample(earlier, min(len(earlier), rng.randint(0, 2))):
+                edges.append((v, head, cm.ARROW))
+        earlier += block
+    for _ in range(n // 4):
+        x, y = rng.sample(names, 2)
+        edges.append((x, y, cm.ARC))
+    g = cm.build_graph(names, edges)
+    m = rng.sample(names, 2)
+    c = rng.sample(sorted(set(names) - set(m)), 2)
+    return g, m, c

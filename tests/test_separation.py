@@ -1,6 +1,7 @@
 import hashlib
 import inspect
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,18 @@ from cmgraph.errors import (
     TooLargeError,
 )
 from cmgraph import kernel
-from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
+from cmgraph.graphio import render
+from cmgraph.propcheck import (
+    GeneratorConfig,
+    check_witness_soundness,
+    enumerate_mixed_graphs,
+    inseparable_pairs,
+    random_graph,
+)
 from cmgraph.separation import _mask_tables
-from cmgraph.walks import COLLIDER, section_decomposition
+from cmgraph.walks import COLLIDER, is_c_connecting, section_decomposition
 
-from conftest import G
+from conftest import G, _large_cmg
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -72,6 +80,11 @@ class TestCSeparated:
         with pytest.raises(NotACMGError):
             cm.c_separated(G("a -> b; b -- c; c -> a"), ["a"], ["b"])
 
+    def test_node_named_like_a_string_of_labels(self):
+        g = G("ab -> c; a -- b")
+        assert not cm.c_separated(g, ["ab"], ["c"])
+        assert cm.c_separated(g, ["a", "b"], ["c"])
+
     @given(cmgs())
     @HYP
     def test_symmetry(self, g):
@@ -119,6 +132,35 @@ class TestCSeparated:
             return
         for given in (set(), comp - {g.nodes[0]}):
             assert cm.c_separated(g, [g.nodes[0]], rest, given)
+
+
+# a chain graph with a node ``ab`` next to the nodes ``a`` and ``b``
+_STR_GRAPH = "ab -> c; a -- b; b -> d"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: cm.SeparationQuery.of("ab", ["c"]),
+        lambda g: cm.c_separated(g, ["c"], ["d"], "ab"),
+        lambda g: cm.bounded_walk_oracle(g, "ab", ["c"]),
+        lambda g: cm.c_connecting_witness(g, ["c"], "ab"),
+        lambda g: cm.moral_separated(g, "ab", ["c"], ["d"]),
+        lambda g: cm.pairwise_model(g).holds(["c"], ["d"], "ab"),
+    ],
+    ids=[
+        "SeparationQuery.of",
+        "c_separated",
+        "bounded_walk_oracle",
+        "c_connecting_witness",
+        "moral_separated",
+        "IndependenceModel.holds",
+    ],
+)
+def test_bare_string_node_set_rejected(call):
+    # "ab" is an iterable of the labels a and b, and would query {a, b}
+    with pytest.raises(MalformedQueryError, match="the string 'ab'"):
+        call(G(_STR_GRAPH))
 
 
 class TestWitness:
@@ -278,9 +320,87 @@ class TestMaximality:
 
     @given(cmgs(max_nodes=5))
     @HYP
-    def test_witness_implies_not_maximal(self, g):
-        if cm.non_maximality_witness(g) is not None:
-            assert not cm.is_maximal(g)
+    def test_witness_iff_not_maximal(self, g):
+        witness = cm.non_maximality_witness(g)
+        assert (witness is None) == cm.is_maximal(g) == (not inseparable_pairs(g))
+        assert check_witness_soundness(g)
+
+
+# -- maximality with one separator per pair against the enumeration ------------
+
+
+def _simple_cmgs(labels):
+    """Every CMG over ``labels`` with at most one edge per pair."""
+    pairs = list(combinations(labels, 2))
+    for choice in product(range(5), repeat=len(pairs)):
+        edges = []
+        for state, (x, y) in zip(choice, pairs):
+            if state == 1:
+                edges.append((x, y, cm.LINE))
+            elif state == 2:
+                edges.append((x, y, cm.ARROW))
+            elif state == 3:
+                edges.append((y, x, cm.ARROW))
+            elif state == 4:
+                edges.append((x, y, cm.ARC))
+        g = cm.build_graph(labels, edges)
+        if g.is_cmg:
+            yield g
+
+
+def _assert_maximality_matches_enumeration(graphs):
+    for g in graphs:
+        assert cm.is_maximal(g) == (not inseparable_pairs(g)), render(g)
+
+
+def test_is_maximal_on_every_three_node_cmg():
+    graphs = [g for g in enumerate_mixed_graphs(("a", "b", "c")) if g.is_cmg]
+    assert len(graphs) == 400
+    _assert_maximality_matches_enumeration(graphs)
+
+
+def test_is_maximal_on_every_simple_four_node_cmg():
+    graphs = list(_simple_cmgs(("a", "b", "c", "d")))
+    assert len(graphs) == 9939
+    _assert_maximality_matches_enumeration(graphs)
+
+
+def test_is_maximal_on_seeded_marginals_and_conditionals():
+    rng = random.Random("maximality-lemma")
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        g = random_graph(
+            GeneratorConfig(n, rng.uniform(0.15, 0.55), rng.getrandbits(48), "CMG")
+        )
+        s = rng.sample(g.nodes, rng.randint(1, 2))
+        graphs += [g, cm.marginalize(g, s), cm.condition(g, s)]
+    assert sum(not cm.is_maximal(g) for g in graphs) > 50  # not vacuous
+    _assert_maximality_matches_enumeration(graphs)
+
+
+def _drop_arcs(g):
+    return cm.build_graph(g.nodes, [e for e in g.edges_as_triples() if e[2] != cm.ARC])
+
+
+def test_large_chain_graph_is_maximal():
+    # every chain graph is maximal; enumeration is out of reach at 128 nodes
+    g = _drop_arcs(_large_cmg(5, 128)[0])
+    assert cm.CG in cm.classify(g)
+    assert cm.is_maximal(g)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_large_anterial_graph_witness_audits(seed):
+    # the audit of check_witness_soundness less its enumeration, which
+    # would try 2^126 sets here
+    h = cm.anterialize(_large_cmg(seed, 128)[0])
+    witness = cm.non_maximality_witness(h)
+    assert witness is not None and not cm.is_maximal(h)
+    x, y = witness.endpoints
+    assert not h.adjacent(x, y)
+    assert witness.walk.exists_in(h)
+    assert is_c_connecting(witness.walk, {x}, {y}, cm.anteriors(h, {x, y}))
 
 
 # -- the all-pairs kernel against its definition --------------------------------

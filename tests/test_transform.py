@@ -12,7 +12,7 @@ from cmgraph.graphio import render
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 from cmgraph.transform import _Work, marginalize_flank_closure
 
-from conftest import G
+from conftest import G, _large_cmg
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -145,6 +145,33 @@ class TestCombined:
         cmf = cm.marginalize_and_condition(g_ex, spec, order="cm")
         assert mc == cm.condition(cm.marginalize(g_ex, ["k"]), ["l"])
         assert cmf == cm.marginalize(cm.condition(g_ex, ["l"]), ["k"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: cm.TransformSpec.of(c="ab"),
+        lambda g: cm.marginalize(g, "ab"),
+        lambda g: marginalize_flank_closure(g, "ab"),
+        lambda g: cm.condition(g, "ab"),
+        lambda g: cm.marginal_edge_oracle(g, "ab", "c", "d"),
+        lambda g: cm.conditional_edge_oracle(g, "ab", "c", "d"),
+    ],
+    ids=[
+        "TransformSpec.of",
+        "marginalize",
+        "marginalize_flank_closure",
+        "condition",
+        "marginal_edge_oracle",
+        "conditional_edge_oracle",
+    ],
+)
+def test_bare_string_node_set_rejected(call):
+    # "ab" is an iterable of the labels a and b, and would remove {a, b}
+    g = G("ab -> c; a -- b; b -> d")
+    with pytest.raises(TransformSpecError, match="the string 'ab'"):
+        call(g)
+    assert cm.marginalize(g, ["ab"]).node_set == {"a", "b", "c", "d"}
 
 
 class TestAnterialize:
@@ -461,30 +488,6 @@ class TestSectionSearch:
 
 
 # -- graphs above the property-harness range -----------------------------------
-
-
-def _large_cmg(seed, n):
-    """A CMG of chain-component blocks: lines inside a block, arrows from a
-    block into earlier ones, and arcs between any two nodes on top."""
-    rng = random.Random(f"large-cmg:{seed}:{n}")
-    names = [f"v{k:03d}" for k in range(n)]
-    rng.shuffle(names)
-    edges = []
-    earlier = []
-    while len(earlier) < n:
-        block = names[len(earlier) : len(earlier) + rng.randint(1, 5)]
-        edges += [(x, y, cm.LINE) for x, y in combinations(block, 2) if rng.random() < 0.5]
-        for v in block:
-            for head in rng.sample(earlier, min(len(earlier), rng.randint(0, 2))):
-                edges.append((v, head, cm.ARROW))
-        earlier += block
-    for _ in range(n // 4):
-        x, y = rng.sample(names, 2)
-        edges.append((x, y, cm.ARC))
-    g = cm.build_graph(names, edges)
-    m = rng.sample(names, 2)
-    c = rng.sample(sorted(set(names) - set(m)), 2)
-    return g, m, c
 
 
 def _digest(g):
