@@ -29,6 +29,7 @@ from .errors import (
     BlockedStartError,
     CmgraphError,
     LoopEdgeError,
+    MalformedQueryError,
     NotAChainGraphError,
     NotACMGError,
     UnknownNodeError,
@@ -209,7 +210,7 @@ class MixedGraph:
         ``v`` is blocked.
         """
         self.require_nodes([v])
-        blocked = frozenset(blocked)
+        blocked = label_set(blocked, MalformedQueryError)
         if v in blocked:
             raise BlockedStartError(f"start node {v!r} is blocked")
         reach = {v}
@@ -223,7 +224,7 @@ class MixedGraph:
         return frozenset(reach)
 
     def induced_subgraph(self, keep: Iterable[str]) -> "MixedGraph":
-        keep = frozenset(keep)
+        keep = label_set(keep, MalformedQueryError)
         self.require_nodes(keep)
         edges = frozenset(e for e in self.edges if e[1] in keep and e[2] in keep)
         return MixedGraph(tuple(sorted(keep)), edges)
@@ -364,7 +365,7 @@ def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
     contribute.  Members of ``a`` are excluded from the result, and a
     node is never its own anterior.
     """
-    a = frozenset(a)
+    a = label_set(a, MalformedQueryError)
     g.require_nodes(a)
     reach = set(a)
     stack = list(a)

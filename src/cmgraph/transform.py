@@ -66,11 +66,16 @@ serves both transforms; it enters a section through ``pa[u] & M`` or
 One emitter, ``_condition_strip_heads``, strips the heads at S and
 deletes C or M while it writes the output edges.
 
+The projection-class tests search the same sections with
+``_section_flanks``: one search from ``i`` avoiding ``k`` per arc
+``k <-> i`` finds every collider trislide at that arc.
+
 Only the anterial closure still rewrites ``_Work``, the string-keyed
 edge store, whose reach memo is dropped whenever a line is added.  Its
 generate stage runs a worklist instead of rescanning (see
 ``_ang_generate``), reads anteriors from the input graph's
-``anterior_masks`` table and keeps scopes as node masks.
+``anterior_masks`` table and keeps scopes as node masks.  The edge
+oracles read the immutable graph's own indexes.
 """
 
 from __future__ import annotations
@@ -121,10 +126,7 @@ def _require_cmg(g: MixedGraph) -> None:
 
 
 class _Work:
-    """Mutable string-keyed edge store of the anterial closure.
-
-    The class tests and the edge oracles read it too.
-    """
+    """Mutable string-keyed edge store of the anterial closure."""
 
     def __init__(self, g: MixedGraph):
         self.nodes: set[str] = set(g.nodes)
@@ -133,7 +135,6 @@ class _Work:
         self.arcs: set[tuple[str, str]] = set()
         self.ne: dict[str, set[str]] = defaultdict(set)
         self.pa: dict[str, set[str]] = defaultdict(set)
-        self.ch: dict[str, set[str]] = defaultdict(set)
         self.sp: dict[str, set[str]] = defaultdict(set)
         self._reach: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
         for kind, x, y in g.edges:
@@ -158,7 +159,6 @@ class _Work:
         if (tail, head) in self.arrows:
             return False
         self.arrows.add((tail, head))
-        self.ch[tail].add(head)
         self.pa[head].add(tail)
         return True
 
@@ -196,32 +196,6 @@ class _Work:
                             stack.append(u)
                 out = frozenset(seen)
             self._reach[key] = out
-        return out
-
-    def sections(self, start: str, stop: str):
-        """Sections from ``start`` that end at an arrowhead: (far, j, kind).
-
-        ``far`` is joined to ``start`` by a line walk avoiding ``stop``
-        and ``j``, and ``j`` puts an arrowhead at ``far`` by an edge of
-        ``kind``; ``j`` is neither ``start`` nor ``stop``.  Flanks are read
-        as the search reaches ``far``, so edges added between yields are
-        seen exactly as by a nested loop.
-        """
-        blocked = frozenset((stop,))
-        reach = self.line_reach(start, blocked)
-        for far in sorted(reach):
-            for j, kind in self.head_flanks(far):
-                if j == stop or j == start:
-                    continue
-                # blocking j changes nothing unless the walk can reach j
-                if j in reach and far not in self.line_reach(start, blocked | {j}):
-                    continue
-                yield far, j, kind
-
-    def head_flanks(self, v: str) -> list[tuple[str, str]]:
-        """(other, kind) for edges with an arrowhead at ``v``."""
-        out = [(x, ARROW) for x in sorted(self.pa[v])]
-        out += [(x, ARC) for x in sorted(self.sp[v])]
         return out
 
     def to_graph(self) -> MixedGraph:
@@ -383,8 +357,10 @@ def _condition_collider_stage(
                 i = low.bit_length() - 1
                 tails, arcs = _section_flanks(reach, pa, ch, sp, s1, low)
                 if heads & low:
+                    # i -> s1 --..-- o <-> j gives i -> j, but so does the
+                    # search from o's arc flank j: S is closed under line
+                    # reach and the same line walk leads back to s1
                     _link(i, tails, made, made)
-                    changed |= _link(i, arcs, ch, pa)
                 if arcs_at & low:
                     changed |= _link(i, tails, pa, ch)
                     changed |= _link(i, arcs, sp, sp)
@@ -673,35 +649,30 @@ def ang_transform(g: MixedGraph, spec: TransformSpec) -> MixedGraph:
 # -- image classes ----------------------------------------------------------
 
 
-def _collider_trislides(w: _Work):
-    """Collider trislides with a multi-node section: (k, i, kind_i, j, l, kind_j)."""
-    for i in sorted(w.nodes):
-        for k, kind_i in w.head_flanks(i):
-            for j, l, kind_j in w.sections(i, k):
-                if j != i:
-                    yield k, i, kind_i, j, l, kind_j
-
-
 def _in_projection_class(g: MixedGraph, ij_kind: str) -> bool:
     """No arc-flanked collider trislide lacks its required edges.
 
     ``ij_kind`` is the edge (``ARC`` or ``LINE``) that the double-arc
-    trislide needs between ``i`` and ``j``.
+    trislide needs between ``i`` and ``j``.  The sections are those of
+    the flank stages, searched from ``i`` avoiding ``k``.
     """
-    w = _Work(g)
-    ij_edges = w.arcs if ij_kind == ARC else w.lines
-    for k, i, kind_i, j, l, kind_j in _collider_trislides(w):
-        if kind_i != ARC:
-            continue
-        if kind_j == ARROW:
-            if (l, i) not in w.arrows:
+    _, ln, pa, ch, sp = mask_tables(g)
+    ij = sp if ij_kind == ARC else ln
+    reach = _mask_reach(ln)
+    for i in range(len(pa)):
+        for k in _bits(sp[i]):  # k <-> i
+            kbit = 1 << k
+            tails, arcs = _section_flanks(reach, pa, ch, sp, i, kbit)
+            # ... j <- l needs l -> i; ... j <-> l needs i <-> l
+            if tails & ~pa[i] or arcs & ~sp[i]:
                 return False
-        elif (
-            (min(k, j), max(k, j)) not in w.arcs
-            or (min(i, l), max(i, l)) not in w.arcs
-            or (min(i, j), max(i, j)) not in ij_edges
-        ):
-            return False
+            # ... j <-> l with j != i also needs k <-> j and i <-> j (i -- j)
+            r = reach(i, kbit)
+            for j in _bits(r & ~(sp[k] & ij[i]) & ~(1 << i)):
+                for l in _bits(sp[j] & arcs):
+                    # blocking l changes nothing unless the walk can reach l
+                    if not r >> l & 1 or reach(i, kbit | 1 << l) >> j & 1:
+                        return False
     return True
 
 
@@ -750,7 +721,6 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     g.require_nodes({i, j} | m)
     _require_oracle_endpoints(i, j, m, "marginalized")
     h = marginalize_flank_closure(g, m)
-    w = _Work(h)
 
     def m_section(v: str) -> set[str]:
         # v plus line-reachable nodes staying inside the marginalized set
@@ -758,22 +728,22 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
         stack = [v]
         while stack:
             u = stack.pop()
-            for nxt in w.ne[u]:
+            for nxt in h.neighbours[u]:
                 if nxt in m and nxt not in reach:
                     reach.add(nxt)
                     stack.append(nxt)
         return reach
 
     def lands_on_j(section: set[str]) -> bool:
-        return any(j in w.ne[u] for u in section) or j in section
+        return any(j in h.neighbours[u] for u in section) or j in section
 
     def exits(section: set[str]):
         for u in sorted(section):
-            for x in sorted(w.ch[u]):
+            for x in sorted(h.children[u]):
                 yield x, False, True
-            for x in sorted(w.pa[u]):
+            for x in sorted(h.parents[u]):
                 yield x, True, False
-            for x in sorted(w.sp[u]):
+            for x in sorted(h.spouses[u]):
                 yield x, True, True
 
     first = m_section(i)
@@ -813,31 +783,31 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     with :func:`condition`.
     """
     c = label_set(c, TransformSpecError)
+    _require_cmg(g)
     g.require_nodes({i, j} | c)
     _require_oracle_endpoints(i, j, c, "conditioning")
     if g.adjacent(i, j):
         return True
     s_set = c | anteriors(g, c)
-    w = _Work(g)
 
     def arc_into_s(v: str) -> bool:
-        return any(x in s_set for x in w.sp[v])
+        return any(x in s_set for x in g.spouses[v])
 
     def entries_from(v: str, wide: bool):
         # singleton start section, plus the widened section when allowed
-        for x in sorted(w.ch[v]):
+        for x in sorted(g.children[v]):
             yield x, True
-        for x in sorted(w.pa[v]):
+        for x in sorted(g.parents[v]):
             yield x, False
-        for x in sorted(w.sp[v]):
+        for x in sorted(g.spouses[v]):
             yield x, True
         if wide:
-            for far in sorted(w.line_reach(v)):
+            for far in sorted(g.line_reachable(v)):
                 if far == v:
                     continue
-                for x in sorted(w.pa[far]):
+                for x in sorted(g.parents[far]):
                     yield x, False
-                for x in sorted(w.sp[far]):
+                for x in sorted(g.spouses[far]):
                     yield x, True
 
     seen: set[tuple[str, bool]] = set()
@@ -851,16 +821,16 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
         v, mark = frontier.pop()
         if v == j:
             return True
-        if j_wide and mark and j in w.line_reach(v):
+        if j_wide and mark and j in g.line_reachable(v):
             return True
         if not mark or v not in s_set:
             continue  # inner sections are colliders inside S
-        for far in sorted(w.line_reach(v)):
-            for x in sorted(w.pa[far]):
+        for far in sorted(g.line_reachable(v)):
+            for x in sorted(g.parents[far]):
                 if (x, False) not in seen:
                     seen.add((x, False))
                     frontier.append((x, False))
-            for x in sorted(w.sp[far]):
+            for x in sorted(g.spouses[far]):
                 if (x, True) not in seen:
                     seen.add((x, True))
                     frontier.append((x, True))
@@ -875,6 +845,7 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
     anteriors of i (i itself allowed).  Direct edges count.  Adjacency in
     :func:`anterialize` equals this test in one direction or the other.
     """
+    _require_cmg(h)
     h.require_nodes({i, j})
     if i == j:
         return False

@@ -7,6 +7,7 @@ from cmgraph import graph
 from cmgraph.errors import (
     BlockedStartError,
     LoopEdgeError,
+    MalformedQueryError,
     NotACMGError,
     NotAChainGraphError,
     UnknownNodeError,
@@ -355,3 +356,27 @@ class TestMoralGraph:
     def test_idempotent(self, g):
         moral = cm.moral_graph(g)
         assert cm.moral_graph(moral) == moral
+
+
+_STR_GRAPH = cm.build_graph(["a", "b", "ab", "c"], [("a", "c", cm.ARROW), ("ab", "b", cm.LINE)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: cm.anteriors(g, "ab"),
+        lambda g: g.induced_subgraph("ab"),
+        lambda g: g.line_reachable("b", "ab"),
+    ],
+    ids=["anteriors", "induced_subgraph", "line_reachable"],
+)
+def test_bare_string_node_set_rejected(call):
+    # "ab" is an iterable of the labels a and b, and would read as {a, b}
+    with pytest.raises(MalformedQueryError, match="the string 'ab'"):
+        call(_STR_GRAPH)
+
+
+def test_node_named_ab_in_a_list():
+    assert cm.anteriors(_STR_GRAPH, ["ab"]) == {"b"}
+    assert _STR_GRAPH.induced_subgraph(["ab"]).nodes == ("ab",)
+    assert _STR_GRAPH.line_reachable("b", ["ab"]) == {"b"}
