@@ -56,8 +56,15 @@ def _check_label(label: str, lineno: int) -> None:
 
 
 def parse_file(path: str) -> MixedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse a UTF-8 graph file; undecodable bytes raise :class:`ParseError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    return parse(text)
 
 
 _OP_OF = {LINE: "--", ARROW: "->", ARC: "<->"}

@@ -45,44 +45,43 @@ pair, the section anterior of ``i`` in the second)::
     j -> k1 --..-- km <-> i    =>  j -> i
     j <-> k1 --..-- km <-> i   =>  j <-> i
 
-A generated edge may feed a later anterial match only for a target
-inside the anterior scope it was generated for.  Afterwards an arc with
-one end anterior to the other becomes an arrow out of that end, and an
-arc with each end anterior to the other becomes a line.
+This is the flank stage once more, entered through an arc ``u <-> i``
+and generating for each target ``t``: ``u`` when ``i`` is anterior of
+``u``, ``i`` when ``u`` is anterior of ``i``.  A generated edge stands
+for a walk whose inner sections are anterior to the target it was
+generated for, so it may feed a later match only where that walk stays
+anterior to the new target.  Every far node of a section from ``u``
+avoiding ``i`` is anterior to (or is) either target, so a generated
+arrow, whose target is its head, and the entry arc always qualify.  A
+generated arc ``j <-> o`` at the far node ``o`` qualifies for ``t`` iff
+it was generated for ``o`` or ``j`` is anterior to (or is) ``t``.
+Afterwards an arc with one end anterior to the other becomes an arrow
+out of that end, and an arc with each end anterior to the other becomes
+a line.
 
-Lines are fixed inside every stage that searches sections: the flank
-and anterial generate stages add only arrows and arcs, and the lines
-that the collider stage makes go to a table of their own that no
-section reads.  Section reach is therefore memoized per (node, blocked
-set).
-
-Marginalization and conditioning run on node masks: per-node int masks
-``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes`` (``graph.mask_tables``),
-with M or S as one mask.  The far flanks of the sections from a node are
-the OR of ``pa`` and ``sp`` over its line reach, and a rule adds all the
-edges of one flank with one mask operation (``_link``).  One flank stage
-serves both transforms; it enters a section through ``pa[u] & M`` or
-``sp[u] & S``.  Every rule stage rescans until a round adds nothing.
-One emitter, ``_condition_strip_heads``, strips the heads at S and
-deletes C or M while it writes the output edges.
+Every rule engine runs on ``_Work``: the per-node int masks ``ln``,
+``pa``, ``ch`` and ``sp`` over ``g.nodes`` (``graph.mask_tables``), with
+M, S and every other node set as one mask.  The far flanks of the
+sections from a node are the OR of ``pa`` and ``sp`` over its line
+reach, and a rule adds all the edges of one flank with one mask
+operation (``_link``).  Every rule stage rescans in index order until a
+round adds nothing.  Lines are fixed inside every stage that searches
+sections: the flank and anterial generate stages add only arrows and
+arcs, and the lines that the collider stage makes go to a table of their
+own that no section reads.  Section reach is therefore memoized per
+(node, blocked mask).  One emitter, ``_condition_strip_heads``, strips
+the heads at S and deletes C or M while it writes the output edges.
 
 The projection-class tests search the same sections with
 ``_section_flanks``: one search from ``i`` avoiding ``k`` per arc
-``k <-> i`` finds every collider trislide at that arc.
-
-Only the anterial closure still rewrites ``_Work``, the string-keyed
-edge store, whose reach memo is dropped whenever a line is added.  Its
-generate stage runs a worklist instead of rescanning (see
-``_ang_generate``), reads anteriors from the input graph's
-``anterior_masks`` table and keeps scopes as node masks.  The edge
-oracles read the immutable graph's own indexes.
+``k <-> i`` finds every collider trislide at that arc.  The edge oracles
+read the immutable graph's own indexes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     NotACMGError,
@@ -96,7 +95,6 @@ from .graph import (
     LINE,
     MixedGraph,
     anteriors,
-    build_graph,
     classify,
     label_set,
     mask_of,
@@ -126,101 +124,33 @@ def _require_cmg(g: MixedGraph) -> None:
 
 
 class _Work:
-    """Mutable string-keyed edge store of the anterial closure."""
+    """Node masks of a graph under rewrite, with a line-reach memo.
+
+    ``index``, ``ln``, ``pa``, ``ch`` and ``sp`` are those of
+    ``graph.mask_tables(g)``; the rule stages change the four lists in
+    place.
+    """
 
     def __init__(self, g: MixedGraph):
-        self.nodes: set[str] = set(g.nodes)
-        self.lines: set[tuple[str, str]] = set()
-        self.arrows: set[tuple[str, str]] = set()
-        self.arcs: set[tuple[str, str]] = set()
-        self.ne: dict[str, set[str]] = defaultdict(set)
-        self.pa: dict[str, set[str]] = defaultdict(set)
-        self.sp: dict[str, set[str]] = defaultdict(set)
-        self._reach: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
-        for kind, x, y in g.edges:
-            if kind == LINE:
-                self.add_line(x, y)
-            elif kind == ARROW:
-                self.add_arrow(x, y)
-            else:
-                self.add_arc(x, y)
+        self.nodes = g.nodes
+        self.index, self.ln, self.pa, self.ch, self.sp = mask_tables(g)
+        self._reach: dict[tuple[int, int], int] = {}
 
-    def add_line(self, x: str, y: str) -> bool:
-        pair = (min(x, y), max(x, y))
-        if pair in self.lines:
-            return False
-        self.lines.add(pair)
-        self.ne[x].add(y)
-        self.ne[y].add(x)
-        self._reach.clear()
-        return True
+    def line_reach(self, v: int, blocked: int) -> int:
+        """Mask of the nodes joined to node ``v`` by a line walk avoiding the mask ``blocked``.
 
-    def add_arrow(self, tail: str, head: str) -> bool:
-        if (tail, head) in self.arrows:
-            return False
-        self.arrows.add((tail, head))
-        self.pa[head].add(tail)
-        return True
-
-    def add_arc(self, x: str, y: str) -> bool:
-        pair = (min(x, y), max(x, y))
-        if pair in self.arcs:
-            return False
-        self.arcs.add(pair)
-        self.sp[x].add(y)
-        self.sp[y].add(x)
-        return True
-
-    def remove_arc(self, x: str, y: str) -> None:
-        self.arcs.discard((min(x, y), max(x, y)))
-        self.sp[x].discard(y)
-        self.sp[y].discard(x)
-
-    def line_reach(self, v: str, blocked: frozenset[str] = frozenset()) -> frozenset[str]:
-        """Nodes joined to ``v`` by a line walk avoiding ``blocked``.
-
-        Empty when ``v`` itself is blocked.  Memoized until a line is added.
+        ``v`` itself is never blocked.  Memoized: the stages that search
+        sections add no lines.
         """
         key = (v, blocked)
-        out = self._reach.get(key)
-        if out is None:
-            if v in blocked:
-                out = frozenset()
-            else:
-                seen = {v}
-                stack = [v]
-                while stack:
-                    for u in self.ne[stack.pop()]:
-                        if u not in seen and u not in blocked:
-                            seen.add(u)
-                            stack.append(u)
-                out = frozenset(seen)
-            self._reach[key] = out
-        return out
-
-    def to_graph(self) -> MixedGraph:
-        edges = [(x, y, LINE) for x, y in self.lines]
-        edges += [(t, h, ARROW) for t, h in self.arrows]
-        edges += [(x, y, ARC) for x, y in self.arcs]
-        return build_graph(sorted(self.nodes), edges)
-
-
-def _mask_reach(ln: list[int]):
-    """Line reach over the fixed line masks ``ln``, memoized by (node, blocked mask).
-
-    ``reach(v, blocked)`` is the mask of the nodes joined to node ``v`` by
-    a line walk avoiding ``blocked``; ``v`` is never blocked.
-    """
-    memo: dict[tuple[int, int], int] = {}
-
-    def reach(v: int, blocked: int) -> int:
-        key = (v, blocked)
-        r = memo.get(key)
+        r = self._reach.get(key)
         if r is None:
-            r = memo[key] = line_reach(ln, 1 << v, blocked)
+            r = self._reach[key] = line_reach(self.ln, 1 << v, blocked)
         return r
 
-    return reach
+    def to_graph(self, s: int = 0, c: int = 0) -> MixedGraph:
+        """The output graph: heads at the mask ``s`` stripped, the mask ``c`` deleted."""
+        return _condition_strip_heads(self.nodes, self.ln, self.pa, self.ch, self.sp, s, c)
 
 
 def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, stop: int):
@@ -229,6 +159,7 @@ def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, 
     ``j`` is in ``tails`` (``arcs``) when ``j -> far`` (``j <-> far``) for
     some ``far`` joined to ``v`` by a line walk that avoids the node mask
     ``stop`` and ``j`` itself; ``j`` is neither ``v`` nor in ``stop``.
+    ``reach(v, blocked)`` is a line-reach memo such as ``_Work.line_reach``.
     """
     r = reach(v, stop)
     tails = arcs = 0
@@ -275,16 +206,14 @@ def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:
     return True
 
 
-def _flank_stage(
-    reach, pa: list[int], ch: list[int], sp: list[int], entry: list[int], removed: int
-) -> None:
+def _flank_stage(w: _Work, entry: list[int], removed: int) -> None:
     # e *-> u --..-- o <- j  =>  j -> u ; an arc far flank gives u <-> j,
     # for each e in entry[u] & removed; rescans until a round adds nothing
-    n = len(pa)
+    reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     changed = True
     while changed:
         changed = False
-        for u in range(n):
+        for u in range(len(pa)):
             ends = entry[u] & removed
             while ends:
                 low = ends & -ends
@@ -294,21 +223,20 @@ def _flank_stage(
                 changed |= _link(u, arcs, sp, sp)
 
 
-def _marginalize_flank_stage(reach, pa: list[int], ch: list[int], sp: list[int], m: int) -> None:
+def _marginalize_flank_stage(w: _Work, m: int) -> None:
     # m -> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j
-    _flank_stage(reach, pa, ch, sp, pa, m)
+    _flank_stage(w, w.pa, m)
 
 
-def _condition_arc_flank_stage(reach, pa: list[int], ch: list[int], sp: list[int], s: int) -> None:
+def _condition_arc_flank_stage(w: _Work, s: int) -> None:
     # s <-> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j
-    _flank_stage(reach, pa, ch, sp, sp, s)
+    _flank_stage(w, w.sp, s)
 
 
-def _marginalize_tripath_stage(
-    ln: list[int], pa: list[int], ch: list[int], sp: list[int], m: int
-) -> None:
+def _marginalize_tripath_stage(w: _Work, m: int) -> None:
     # the seven tripath rows of the module docstring, per inner node k in M;
     # rescans until a round adds nothing
+    ln, pa, ch, sp = w.ln, w.pa, w.ch, w.sp
     changed = True
     while changed:
         changed = False
@@ -329,17 +257,16 @@ def _marginalize_tripath_stage(
                 changed |= _link(i, ln[k] & ~(1 << i), sp, sp)
 
 
-def _condition_collider_stage(
-    reach, pa: list[int], ch: list[int], sp: list[int], s: int
-) -> list[int]:
+def _condition_collider_stage(w: _Work, s: int) -> list[int]:
     """Run the collider rules; return the line masks they generate.
 
-    Sections read only the lines that ``reach`` was built on, so the
+    Sections read only ``w.ln``, which this stage leaves alone, so the
     generated lines never build sections and never call for another round.
     """
     # i -> s --..-- s <- j   =>  i -- j        (both flanks arrows)
     # i <-> s --..-- s <- j  =>  j -> i        (arc flank wins the head)
     # i <-> s --..-- s <-> j =>  i <-> j
+    reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     made = [0] * len(pa)
     changed = True
     while changed:
@@ -408,22 +335,23 @@ def _condition_strip_heads(
     return MixedGraph(tuple(kept), frozenset(edges))
 
 
-def _marginal_flank_tables(g: MixedGraph, m: Iterable[str]):
-    """Node masks of ``g`` after the collider-flank stage: (M, ln, pa, ch, sp)."""
+
+def _marginal_flank_work(g: MixedGraph, m: Iterable[str]) -> tuple[_Work, int]:
+    """``g`` after the collider-flank stage, and the mask of M."""
     m = label_set(m, TransformSpecError)
     _require_cmg(g)
     g.require_nodes(m)
-    index, ln, pa, ch, sp = mask_tables(g)
-    mmask = mask_of(index, m)
-    _marginalize_flank_stage(_mask_reach(ln), pa, ch, sp, mmask)
-    return mmask, ln, pa, ch, sp
+    w = _Work(g)
+    mmask = mask_of(w.index, m)
+    _marginalize_flank_stage(w, mmask)
+    return w, mmask
 
 
 def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
     """Project the marginalized nodes out of a chain mixed graph."""
-    mmask, ln, pa, ch, sp = _marginal_flank_tables(g, m)
-    _marginalize_tripath_stage(ln, pa, ch, sp, mmask)
-    return _condition_strip_heads(g.nodes, ln, pa, ch, sp, 0, mmask)
+    w, mmask = _marginal_flank_work(g, m)
+    _marginalize_tripath_stage(w, mmask)
+    return w.to_graph(0, mmask)
 
 
 def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
@@ -432,30 +360,26 @@ def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
     Exposed for the marginal edge oracle, which is stated over this
     graph rather than the input.
     """
-    _, ln, pa, ch, sp = _marginal_flank_tables(g, m)
-    return _condition_strip_heads(g.nodes, ln, pa, ch, sp, 0, 0)
+    return _marginal_flank_work(g, m)[0].to_graph()
 
 
 def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
     """Condition a chain mixed graph on the nodes of ``c``.
 
-    Runs on node masks.  Neither rule stage adds a line that a section
-    reads (the arc-flank stage adds none, the collider stage keeps its
-    own), so one line-reach memo serves both.
+    Neither rule stage adds a line that a section reads (the arc-flank
+    stage adds none, the collider stage keeps its own), so one line-reach
+    memo serves both.
     """
     c = label_set(c, TransformSpecError)
     _require_cmg(g)
     g.require_nodes(c)
-    if not c:  # S is empty: no rule fires and no head is stripped
-        return build_graph(g.nodes, [(x, y, kind) for kind, x, y in g.edges])
-    index, ln, pa, ch, sp = mask_tables(g)
-    cmask = mask_of(index, c)
-    s = cmask | mask_of(index, anteriors(g, c))
-    reach = _mask_reach(ln)
-    _condition_arc_flank_stage(reach, pa, ch, sp, s)
-    made = _condition_collider_stage(reach, pa, ch, sp, s)
-    lines = [a | b for a, b in zip(ln, made)]
-    return _condition_strip_heads(g.nodes, lines, pa, ch, sp, s, cmask)
+    w = _Work(g)
+    cmask = mask_of(w.index, c)
+    s = cmask | mask_of(w.index, anteriors(g, c))
+    _condition_arc_flank_stage(w, s)
+    made = _condition_collider_stage(w, s)
+    w.ln = [a | b for a, b in zip(w.ln, made)]
+    return w.to_graph(s, cmask)
 
 
 def marginalize_and_condition(
@@ -477,151 +401,50 @@ def marginalize_and_condition(
 # -- anterial closure -------------------------------------------------------
 
 
-class _RoleTracker:
-    """Reuse scopes for edges generated during the anterial closure.
-
-    A generated edge stands in for a walk whose inner sections are
-    anterior to the target it was generated for, so it may only feed a
-    later match when that target lies inside the new target's anterior
-    scope; chaining without this guard manufactures adjacencies the walk
-    characterization excludes.  Edges of the input graph carry no
-    restriction and have no scope.
-
-    A scope is a node mask of the targets an edge was generated for.
-    With ``down[t]`` the mask of ``t`` and its anteriors, the edge may
-    feed a match for target ``t`` iff ``scope & down[t]``.  Arrows are
-    keyed ``(tail, head)`` and arcs under both orders of their ends, so
-    no lookup sorts a key.
-    """
-
-    def __init__(self, ant: Mapping[str, int], bits: Mapping[str, int]):
-        self.bits = bits
-        self.down = {v: bits[v] | ant[v] for v in bits}
-        self.scopes: dict[str, dict[tuple[str, str], int]] = {ARROW: {}, ARC: {}}
-
-    def generate(self, w: _Work, kind: str, j: str, t: str) -> bool:
-        """Add ``j -> t`` (or ``j <-> t``) for target ``t``.
-
-        True when the edge is new or its scope widens to take in ``t``.
-        """
-        scopes = self.scopes[kind]
-        scope = scopes.get((j, t))
-        if scope is None:
-            if not (w.add_arrow(j, t) if kind == ARROW else w.add_arc(j, t)):
-                return False  # an input edge
-            scope = self.bits[t]
-        elif scope & self.down[t]:
-            return False
-        else:
-            scope |= self.bits[t]
-        scopes[j, t] = scope
-        if kind == ARC:
-            scopes[t, j] = scope
-        return True
+def _ang_generate(w: _Work, down: list[int]) -> None:
+    # The rules and the reuse rule are in the module docstring; ``down[t]``
+    # is the mask of t and its anteriors.  Rescans until a round adds nothing.
+    reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
+    free = sp[:]  # j in free[o]: j <-> o is an input arc or was generated for o
+    free_t = sp[:]  # o in free_t[j] iff j in free[o]
+    changed = True
+    while changed:
+        changed = False
+        for u in range(len(sp)):
+            for i in _bits(sp[u]):
+                # target u needs i anterior of u, target i needs u anterior of i
+                targets = [t for t, k in ((u, i), (i, u)) if down[t] >> k & 1]
+                if not targets:
+                    continue
+                stop = 1 << i
+                tails, arcs = _section_flanks(reach, pa, ch, sp, u, stop)
+                free_arcs = 0  # read only for arc ends outside down[t]
+                if any(arcs & ~down[t] for t in targets):
+                    free_arcs = _section_flanks(reach, free, free_t, sp, u, stop)[0]
+                for t in targets:
+                    changed |= _link(t, tails, pa, ch)
+                    usable = arcs & down[t] | free_arcs
+                    _link(t, usable, sp, sp)  # an arc new to sp is new to free
+                    changed |= _link(t, usable, free, free_t)
 
 
-class _ArcEnd:
-    """End ``u`` of an arc ``u <-> i`` and the sections that start there.
-
-    ``reach`` is the line reach of ``u`` avoiding ``i``; lines are fixed
-    during the closure, so it never changes.  ``targets`` are the targets
-    this end can generate for: ``u`` when ``i`` is anterior of ``u``
-    (arc at the section), ``i`` when ``u`` is anterior of ``i`` (arc
-    beyond the section).  ``live`` pairs each target that the arc's own
-    scope serves with the target's ``down`` mask, as of the end's last
-    full search; a widened arc is due another one.
-    """
-
-    __slots__ = ("u", "i", "reach", "targets", "live")
-
-    def __init__(self, w: _Work, u: str, i: str, targets: list[str]):
-        self.u = u
-        self.i = i
-        self.reach = w.line_reach(u, frozenset((i,)))
-        self.targets = targets
-        self.live: list[tuple[str, int]] = []
-
-
-def _ang_generate(w: _Work, tracker: _RoleTracker) -> None:
-    # The rules are in the module docstring.  Matches come from a worklist
-    # rather than from rescanning every arc end until nothing changes.  An
-    # arc end is searched in full when its arc first appears or its scope
-    # widens.  An edge with a head at v that appears or widens later is
-    # matched only against the arc ends whose section reach holds v.
-    # Every rule is monotone, so the edges and scopes reach the same least
-    # fixpoint in any order.
-    down, bits, scopes_of = tracker.down, tracker.bits, tracker.scopes
-    ends: dict[tuple[str, str], _ArcEnd | None] = {}
-    ends_reaching: dict[str, list[_ArcEnd]] = defaultdict(list)
-    arcs = sorted(w.arcs)  # arcs whose two ends are due a full search
-    heads: list[tuple[str, str, str]] = []  # (v, j, kind): j puts a head at v
-
-    def match(e: _ArcEnd, far: str, tails: Iterable[str], kind: str) -> None:
-        # the edges of ``kind`` from ``tails`` with a head at ``far``
-        u, i, reach, scopes = e.u, e.i, e.reach, scopes_of[kind]
-        for j in tails:
-            if j == i or j == u:
-                continue
-            # blocking j changes nothing unless the walk can reach j
-            if j in reach and far not in w.line_reach(u, frozenset((i, j))):
-                continue
-            flank = scopes.get((j, far))
-            for t, d in e.live:
-                if flank is None or flank & d:
-                    if tracker.generate(w, kind, j, t):
-                        heads.append((t, j, kind))
-                        if kind == ARC:
-                            heads.append((j, t, kind))
-                            arcs.append((j, t))
-
-    def search(u: str, i: str) -> None:
-        key = (u, i)
-        if key in ends:
-            e = ends[key]
-            if e is None:
-                return
-        else:
-            # a target t needs the arc's other end s anterior of t
-            targets = [t for t, s in ((u, i), (i, u)) if down[t] & bits[s]]
-            e = ends[key] = _ArcEnd(w, u, i, targets) if targets else None
-            if e is None:
-                return
-            for v in e.reach:
-                ends_reaching[v].append(e)
-        own = scopes_of[ARC].get(key)
-        e.live = [(t, down[t]) for t in e.targets if own is None or own & down[t]]
-        if e.live:
-            for far in e.reach:
-                if w.pa[far]:
-                    match(e, far, tuple(w.pa[far]), ARROW)
-                if w.sp[far]:
-                    match(e, far, tuple(w.sp[far]), ARC)
-
-    while heads or arcs:
-        if heads:
-            v, j, kind = heads.pop()
-            for e in ends_reaching.get(v, ()):
-                if e.live:
-                    match(e, v, (j,), kind)
-        else:
-            x, y = arcs.pop()
-            search(x, y)
-            search(y, x)
-
-
-def _ang_resolve_arcs(w: _Work, ant: Mapping[str, int], bits: Mapping[str, int]) -> None:
-    for x, y in sorted(w.arcs):
-        x_ant_y = ant[y] & bits[x]
-        y_ant_x = ant[x] & bits[y]
-        if x_ant_y and y_ant_x:
-            w.remove_arc(x, y)
-            w.add_line(x, y)
-        elif x_ant_y:
-            w.remove_arc(x, y)
-            w.add_arrow(x, y)
-        elif y_ant_x:
-            w.remove_arc(x, y)
-            w.add_arrow(y, x)
+def _ang_resolve_arcs(w: _Work, ant: list[int]) -> None:
+    # x <-> v with x anterior of v becomes x -> v, or x -- v when v is
+    # anterior of x as well
+    ln, pa, ch, sp = w.ln, w.pa, w.ch, w.sp
+    for v in range(len(sp)):
+        vbit = 1 << v
+        back = sp[v] & ant[v]
+        sp[v] ^= back
+        for x in _bits(back):
+            xbit = 1 << x
+            sp[x] ^= vbit
+            if ant[x] & vbit:
+                ln[v] |= xbit
+                ln[x] |= vbit
+            else:
+                pa[v] |= xbit
+                ch[x] |= vbit
 
 
 def anterialize(h: MixedGraph) -> MixedGraph:
@@ -633,10 +456,11 @@ def anterialize(h: MixedGraph) -> MixedGraph:
     """
     _require_cmg(h)
     w = _Work(h)
-    if w.arcs:  # both stages start from arcs: an arc-free CMG is anterial
-        ant, bits = h.anterior_masks, h.node_bits
-        _ang_generate(w, _RoleTracker(ant, bits))
-        _ang_resolve_arcs(w, ant, bits)
+    if any(w.sp):  # both stages start from arcs: an arc-free CMG is anterial
+        masks = h.anterior_masks
+        ant = [masks[v] for v in h.nodes]
+        _ang_generate(w, [a | 1 << k for k, a in enumerate(ant)])
+        _ang_resolve_arcs(w, ant)
     return w.to_graph()
 
 
@@ -656,9 +480,9 @@ def _in_projection_class(g: MixedGraph, ij_kind: str) -> bool:
     trislide needs between ``i`` and ``j``.  The sections are those of
     the flank stages, searched from ``i`` avoiding ``k``.
     """
-    _, ln, pa, ch, sp = mask_tables(g)
+    w = _Work(g)
+    reach, ln, pa, ch, sp = w.line_reach, w.ln, w.pa, w.ch, w.sp
     ij = sp if ij_kind == ARC else ln
-    reach = _mask_reach(ln)
     for i in range(len(pa)):
         for k in _bits(sp[i]):  # k <-> i
             kbit = 1 << k

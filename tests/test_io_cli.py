@@ -89,6 +89,13 @@ class TestCli:
         assert code == 2
         assert "line 1" in err
 
+    def test_classify_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"a -- b\n\xff\xfe a -- b\n")
+        code, _, err = run_cli(capsys, "classify", str(path))
+        assert code == 2
+        assert err == "error: line 2: byte 0xff is not UTF-8\n"
+
     def test_separate_connected_with_witness(self, capsys, g_ex_file):
         code, out, _ = run_cli(
             capsys, "separate", g_ex_file, "--a", "j", "--b", "h", "--given", "l"
