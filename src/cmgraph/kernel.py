@@ -11,8 +11,9 @@ start states carry the tail mark and acceptance requires reaching a
 target through lines avoiding the conditioning set.
 
 Node sets are bitmasks; Python integers make this work for any node
-count.  :func:`all_pair_separations` enumerates one conditioning set at a
-time and shares each search among all pairs.
+count.  :func:`pair_separations` gives the model over a node set ``keep``
+shifted by a set ``base``; it enumerates one conditioning set at a time
+and shares each search among all pairs.
 """
 
 from __future__ import annotations
@@ -159,7 +160,24 @@ def _states_given(
 def all_pair_separations(
     n: int, ln: list[int], pa: list[int], ch: list[int], sp: list[int]
 ) -> list[tuple[int, int, int]]:
-    """All (i, j, cmask) with i < j separated given cmask, sorted.
+    """All (i, j, cmask) with i < j separated given cmask, sorted: the full model."""
+    return pair_separations(n, ln, pa, ch, sp, (1 << n) - 1, 0)
+
+
+def pair_separations(
+    n: int,
+    ln: list[int],
+    pa: list[int],
+    ch: list[int],
+    sp: list[int],
+    keep: int,
+    base: int,
+) -> list[tuple[int, int, int]]:
+    """All (i, j, cmask) with i < j in ``keep`` separated given cmask, sorted.
+
+    ``cmask`` ranges over ``base | sub`` for the subsets ``sub`` of
+    ``keep`` without i and j; ``base`` must not meet ``keep``.  Nodes
+    outside both are walked through but never reported.
 
     Works one conditioning set C at a time, which is exact for this
     reason.  ``separated(n, ..., 1 << i, 1 << j, cmask)`` explores the
@@ -171,15 +189,15 @@ def all_pair_separations(
     (node, mark) states from a tail state at ``i`` collects ``conn``, the
     union of ``r[v]`` over the states it reaches, and ``i`` is separated
     given C from every ``j > i`` outside C and outside ``conn``.  Sources
-    with the same ``r`` share that closure.
+    with the same ``r`` share that closure; only the nodes of ``keep``
+    outside C are reported as sources and targets.
     """
-    full = (1 << n) - 1
     # (line component, {C & component: its nodes' entries}); loops here
     # and in _states_given are inlined, not _bits/line_reach calls,
     # because most calls are on graphs of 2-4 nodes, where they would
     # dominate the fixed cost
     comps = []
-    rest = full
+    rest = (1 << n) - 1
     while rest:
         comp = frontier = rest & -rest
         while frontier:
@@ -192,8 +210,12 @@ def all_pair_separations(
         comps.append((comp, {}))
     state = [None] * n
     found = [[] for _ in range(n * n)]  # at i * n + j, in cmask order
-    for cmask in range(full + 1):
-        outside = full & ~cmask
+    # subsets of keep in increasing order; keep itself leaves no pair
+    sub = 0
+    while sub != keep:
+        outside = keep & ~sub
+        cmask = base | sub
+        sub = (sub - keep) & keep
         if outside & (outside - 1) == 0:
             continue
         for comp, known in comps:
@@ -240,6 +262,7 @@ def all_pair_separations(
                 pend_t |= add_t
                 pend_h |= add_h
             targets = above & ~conn
+            src &= outside
             while targets and src:
                 a = src & -src
                 src ^= a

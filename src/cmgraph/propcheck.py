@@ -40,6 +40,7 @@ from .graph import (
 from .separation import (
     IndependenceModel,
     is_maximal,
+    labelled_statements,
     models_equal,
     non_maximality_witness,
     pairwise_model,
@@ -224,38 +225,25 @@ def shrink_instance(
     return g, sets
 
 
-def _restricted(model: IndependenceModel, keep: frozenset[str]) -> IndependenceModel:
-    stmts = frozenset(
-        (i, j, c)
-        for i, j, c in model.statements
-        if i in keep and j in keep and c <= keep
-    )
-    return IndependenceModel(keep, stmts)
-
-
 def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
     """Statements (i, j, C1) with i, j, C1 over ``keep``, separated given base|C1.
 
-    One ``kernel.separated`` query per statement, on tables built once;
-    deliberately not ``all_pair_separations``, which is what
-    ``pairwise_model`` runs and what this model is compared against.
+    With an empty ``base`` this is the model of ``g`` restricted to
+    ``keep``.  One ``kernel.pair_separations`` call shares each
+    conditioning set's search among all pairs, as ``pairwise_model`` does
+    for the full model.  The tests check it against one ``kernel.separated``
+    query per statement (``_shifted_model_by_queries``) and against
+    ``c_separated``.
     """
     if not g.is_cmg:
         raise NotACMGError("graph has a semi-directed cycle with an arrow")
     index, ln, pa, ch, sp = mask_tables(g)
-    n = len(g.nodes)
     base_mask = mask_of(index, base)
-    keep_sorted = sorted(keep)
-    stmts = set()
-    for i, j in combinations(keep_sorted, 2):
-        ibit, jbit = 1 << index[i], 1 << index[j]
-        rest = [v for v in keep_sorted if v not in (i, j)]
-        for r in range(len(rest) + 1):
-            for extra in combinations(rest, r):
-                cmask = base_mask | mask_of(index, extra)
-                if kernel.separated(n, ln, pa, ch, sp, ibit, jbit, cmask):
-                    stmts.add((i, j, frozenset(extra)))
-    return IndependenceModel(frozenset(keep), frozenset(stmts))
+    found = kernel.pair_separations(
+        len(g.nodes), ln, pa, ch, sp, mask_of(index, keep), base_mask
+    )
+    stmts = labelled_statements(g.nodes, found, base_mask)
+    return IndependenceModel(frozenset(keep), stmts)
 
 
 # -- single-instance checks --------------------------------------------------
@@ -265,7 +253,7 @@ def check_marginalization(g: MixedGraph, m: frozenset[str]) -> bool:
     """Model of the projection equals the restriction of the model."""
     keep = g.node_set - m
     got = pairwise_model(marginalize(g, m))
-    want = _restricted(pairwise_model(g), keep)
+    want = _shifted_model(g, frozenset(), keep)
     return models_equal(got, want)
 
 
@@ -615,7 +603,11 @@ def run_suite(
         raise InvalidConfigError(f"count must be non-negative, got {count}")
     if suite_id == "cg-unrepresentability":
         return cg_unrepresentability_demo()
-    suite = _suites()[suite_id]
+    suite = _suites().get(suite_id)
+    if suite is None:
+        raise InvalidConfigError(
+            f"unknown suite {suite_id!r}; expected one of {', '.join(SUITE_IDS)}"
+        )
     report = PropertyReport(suite.property_id)
     rng = random.Random(seed)
     cap = max_nodes if suite.node_cap is None else min(max_nodes, suite.node_cap)
@@ -680,7 +672,7 @@ def cg_unrepresentability_demo(*, seed: int = 0) -> PropertyReport:
         g = random_graph(cfg)
         candidates.append((g, frozenset(rng.choice(g.nodes))))
     for g, m in candidates:
-        marginal = _restricted(pairwise_model(g), g.node_set - m)
+        marginal = _shifted_model(g, frozenset(), g.node_set - m)
         own = pairwise_model(marginalize(g, m))
         if not models_equal(own, marginal):
             continue  # sanity: the CMG projection must match its own model

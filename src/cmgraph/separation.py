@@ -69,9 +69,9 @@ def _require_cmg(g: MixedGraph) -> None:
         raise NotACMGError("graph has a semi-directed cycle with an arrow")
 
 
-def _check_query(g: MixedGraph, q: SeparationQuery) -> None:
+def _check_query(nodes: frozenset[str], q: SeparationQuery) -> None:
     for v in q.a | q.b | q.given:
-        if not g.has_node(v):
+        if v not in nodes:
             raise MalformedQueryError(f"query mentions unknown node {v!r}")
 
 
@@ -89,7 +89,7 @@ def c_separated(
     """Decide whether ``a`` and ``b`` are c-separated given ``given``."""
     q = SeparationQuery.of(a, b, given)
     _require_cmg(g)
-    _check_query(g, q)
+    _check_query(g.node_set, q)
     if not q.a or not q.b:
         return True
     index, ln, pa, ch, sp = _mask_tables(g)
@@ -130,7 +130,7 @@ def bounded_walk_oracle(
     """
     q = SeparationQuery.of(a, b, given)
     _require_cmg(g)
-    _check_query(g, q)
+    _check_query(g.node_set, q)
     if not q.a or not q.b:
         return True
     n = len(g.nodes)
@@ -194,7 +194,7 @@ def c_connecting_witness(
     """A c-connecting walk between ``a`` and ``b`` given ``given``, or None."""
     q = SeparationQuery.of(a, b, given)
     _require_cmg(g)
-    _check_query(g, q)
+    _check_query(g.node_set, q)
     if not q.a or not q.b:
         return None
     steps = g.incidences
@@ -252,7 +252,7 @@ def moral_separated(
     q = SeparationQuery.of(a, b, given)
     if CG not in classify(g):
         raise NotAChainGraphError("moral separation requires a chain graph")
-    _check_query(g, q)
+    _check_query(g.node_set, q)
     if not q.a or not q.b:
         return True
     base = q.a | q.b | q.given
@@ -286,12 +286,16 @@ class IndependenceModel:
     statements: frozenset[Statement]
 
     def holds(self, a: Iterable[str], b: Iterable[str], given: Iterable[str]) -> bool:
-        """Set-level statement: every cross pair must be separated."""
-        a, b, c = (label_set(s, MalformedQueryError) for s in (a, b, given))
-        if not a or not b:
-            return True
+        """Set-level statement: every cross pair must be separated.
+
+        Overlapping sets and unknown nodes raise, as in ``c_separated``.
+        """
+        q = SeparationQuery.of(a, b, given)
+        _check_query(self.ground, q)
         return all(
-            (min(x, y), max(x, y), c) in self.statements for x in a for y in b
+            (min(x, y), max(x, y), q.given) in self.statements
+            for x in q.a
+            for y in q.b
         )
 
     def sorted_statements(self) -> list[Statement]:
@@ -306,23 +310,33 @@ def pairwise_model(g: MixedGraph, *, cap: int = 8) -> IndependenceModel:
     if len(g.nodes) > cap:
         raise TooLargeError(f"{len(g.nodes)} nodes exceeds enumeration cap {cap}")
     index, ln, pa, ch, sp = _mask_tables(g)
-    nodes = g.nodes
-    n = len(nodes)
+    found = kernel.all_pair_separations(len(g.nodes), ln, pa, ch, sp)
+    return IndependenceModel(g.node_set, labelled_statements(g.nodes, found))
+
+
+def labelled_statements(
+    nodes: tuple[str, ...], found: Iterable[tuple[int, int, int]], strip: int = 0
+) -> frozenset[Statement]:
+    """Statements of the kernel's ``(i, j, cmask)`` triples.
+
+    ``strip`` is a mask inside every cmask; it is left out of each C.
+    """
     # each conditioning set is built once, from the one a node smaller
-    csets: dict[int, frozenset[str]] = {0: frozenset()}
+    csets: dict[int, frozenset[str]] = {strip: frozenset()}
 
     def cset(cmask: int) -> frozenset[str]:
         got = csets.get(cmask)
         if got is None:
-            low = cmask & -cmask
+            rest = cmask ^ strip
+            low = rest & -rest
             got = csets[cmask] = cset(cmask ^ low) | {nodes[low.bit_length() - 1]}
         return got
 
     stmts = set()
-    for i, j, cmask in kernel.all_pair_separations(n, ln, pa, ch, sp):
+    for i, j, cmask in found:
         x, y = nodes[i], nodes[j]
         stmts.add((min(x, y), max(x, y), cset(cmask)))
-    return IndependenceModel(g.node_set, frozenset(stmts))
+    return frozenset(stmts)
 
 
 def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:

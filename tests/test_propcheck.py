@@ -1,9 +1,12 @@
+import random
 from itertools import combinations
 
 import pytest
 
 import cmgraph as cm
+from cmgraph import kernel
 from cmgraph.errors import InvalidConfigError, NotACMGError
+from cmgraph.graph import mask_of, mask_tables
 from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
@@ -20,11 +23,56 @@ from cmgraph.propcheck import (
     run_suite,
     shrink_instance,
     SUITE_IDS,
+    _instance,
+    _random_subsets,
     _shifted_model,
     _suites,
 )
 
 from conftest import G
+
+
+def _shifted_model_by_queries(g, base, keep):
+    """``_shifted_model`` from one ``kernel.separated`` query per statement."""
+    index, ln, pa, ch, sp = mask_tables(g)
+    n = len(g.nodes)
+    base_mask = mask_of(index, base)
+    keep_sorted = sorted(keep)
+    stmts = set()
+    for i, j in combinations(keep_sorted, 2):
+        ibit, jbit = 1 << index[i], 1 << index[j]
+        rest = [v for v in keep_sorted if v not in (i, j)]
+        for r in range(len(rest) + 1):
+            for extra in combinations(rest, r):
+                cmask = base_mask | mask_of(index, extra)
+                if kernel.separated(n, ln, pa, ch, sp, ibit, jbit, cmask):
+                    stmts.add((i, j, frozenset(extra)))
+    return cm.IndependenceModel(frozenset(keep), frozenset(stmts))
+
+
+def _restricted(model, keep):
+    """The statements of ``model`` over ``keep``: the marginal model's definition."""
+    stmts = frozenset(
+        (i, j, c)
+        for i, j, c in model.statements
+        if i in keep and j in keep and c <= keep
+    )
+    return cm.IndependenceModel(keep, stmts)
+
+
+def _suite_instances(suite_id, seed, count):
+    """(g, M, C) as ``run_suite`` draws them for a model-preservation suite."""
+    suite = _suites()[suite_id]
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = _instance(rng, suite.graph_class, 7)
+        sets = _random_subsets(rng, g.nodes, suite.set_count)
+        if suite_id == "marginalization":
+            yield g, sets[0], frozenset()
+        elif suite_id == "conditioning":
+            yield g, frozenset(), sets[0]
+        else:
+            yield g, sets[0], sets[1]
 
 
 class TestGenerator:
@@ -124,6 +172,10 @@ class TestReports:
         with pytest.raises(InvalidConfigError):
             run_all(count=-1)
 
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(InvalidConfigError, match="marginalization"):
+            run_suite("nope")
+
     def test_zero_count_runs_nothing(self):
         assert run_suite("marginalization", count=0).instances == 0
 
@@ -161,6 +213,29 @@ class TestChecks:
                             want.add((i, j, frozenset(extra)))
             got = _shifted_model(g, base, keep)
             assert got.ground == keep and got.statements == want, render(g)
+
+    @pytest.mark.parametrize(
+        "suite_id", ["marginalization", "conditioning", "combined", "ang"]
+    )
+    def test_shifted_model_matches_queries_on_suite_instances(self, suite_id):
+        # the marginalization instances give the restricted (empty-base) case
+        for g, m, c in _suite_instances(suite_id, 3, 1250):
+            keep = g.node_set - m - c
+            want = _shifted_model_by_queries(g, c, keep)
+            assert _shifted_model(g, c, keep) == want, (render(g), m, c)
+
+    def test_marginalization_check_matches_restriction(self):
+        # seed 2 holds a known marginalization failure (ROADMAP item 1),
+        # so both verdicts are compared
+        verdicts = set()
+        for g, m, _ in _suite_instances("marginalization", 2, 500):
+            keep = g.node_set - m
+            want = _restricted(cm.pairwise_model(g), keep)
+            assert _shifted_model(g, frozenset(), keep) == want, (render(g), m)
+            ok = check_marginalization(g, m)
+            verdicts.add(ok)
+            assert ok == cm.models_equal(cm.pairwise_model(cm.marginalize(g, m)), want)
+        assert verdicts == {True, False}
 
     def test_shifted_model_requires_cmg(self):
         with pytest.raises(NotACMGError):

@@ -284,6 +284,29 @@ class TestPairwiseModel:
             and cm.c_separated(g, ["a"], ["d"], ["b"])
         )
 
+    @pytest.mark.parametrize(
+        "a,b,given",
+        [
+            (["zz"], ["a"], []),
+            (["a"], ["b"], ["zz"]),
+            (["a"], ["a"], []),
+            (["a"], ["b"], ["a"]),
+            (["a"], ["b"], ["b"]),
+            ([], ["zz"], []),
+        ],
+    )
+    def test_holds_rejects_what_c_separated_rejects(self, a, b, given):
+        g = G("a -> b; b -> c")
+        model = cm.pairwise_model(g)
+        with pytest.raises(MalformedQueryError):
+            cm.c_separated(g, a, b, given)
+        with pytest.raises(MalformedQueryError):
+            model.holds(a, b, given)
+
+    def test_holds_empty_side(self):
+        model = cm.pairwise_model(G("a -- b"))
+        assert model.holds([], ["a"], ["b"]) is True
+
     def test_models_equal_ground_mismatch(self):
         m1 = cm.pairwise_model(G("nodes: a b"))
         m2 = cm.pairwise_model(G("nodes: a c"))
@@ -406,23 +429,51 @@ def test_large_anterial_graph_witness_audits(seed):
 # -- the all-pairs kernel against its definition --------------------------------
 
 
-def _all_pairs_by_definition(n, ln, pa, ch, sp):
-    """(i, j, cmask) from one ``separated`` call per pair and conditioning set."""
+def _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base):
+    """(i, j, base | sub) from one ``separated`` call per pair and set.
+
+    ``i < j`` range over ``keep`` and ``sub`` over the subsets of
+    ``keep`` without them.
+    """
     out = []
     for i, j in combinations(range(n), 2):
-        domain = (1 << n) - 1 & ~(1 << i) & ~(1 << j)
-        for cmask in range(1 << n):
-            if cmask & ~domain == 0 and kernel.separated(
-                n, ln, pa, ch, sp, 1 << i, 1 << j, cmask
+        pair = 1 << i | 1 << j
+        if keep & pair != pair:
+            continue
+        for sub in range(1 << n):
+            if sub & ~(keep & ~pair) == 0 and kernel.separated(
+                n, ln, pa, ch, sp, 1 << i, 1 << j, base | sub
             ):
-                out.append((i, j, cmask))
+                out.append((i, j, base | sub))
     return out
 
 
 def _assert_all_pairs_match_definition(n, ln, pa, ch, sp):
     assert kernel.all_pair_separations(n, ln, pa, ch, sp) == (
-        _all_pairs_by_definition(n, ln, pa, ch, sp)
+        _all_pairs_by_definition(n, ln, pa, ch, sp, (1 << n) - 1, 0)
     )
+
+
+def _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base):
+    assert kernel.pair_separations(n, ln, pa, ch, sp, keep, base) == (
+        _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base)
+    ), (keep, base)
+
+
+def _split(roles):
+    """(keep, base) masks: role 0 keeps a node, 1 conditions on it, 2 walks it."""
+    keep = base = 0
+    for v, role in enumerate(roles):
+        if role == 0:
+            keep |= 1 << v
+        elif role == 1:
+            base |= 1 << v
+    return keep, base
+
+
+def _random_splits(n, seed, count=4):
+    rng = random.Random(seed)
+    return [_split([rng.randrange(3) for _ in range(n)]) for _ in range(count)]
 
 
 def test_all_pairs_kernel_on_every_three_node_graph():
@@ -433,14 +484,35 @@ def test_all_pairs_kernel_on_every_three_node_graph():
         _assert_all_pairs_match_definition(3, ln, pa, ch, sp)
 
 
+def test_pair_separations_on_every_three_node_split():
+    splits = [_split(roles) for roles in product(range(3), repeat=3)]
+    for g in enumerate_mixed_graphs(("a", "b", "c")):
+        _, ln, pa, ch, sp = _mask_tables(g)
+        for keep, base in splits:
+            _assert_pair_separations_match_definition(3, ln, pa, ch, sp, keep, base)
+
+
+def _seeded_graphs(graph_class, n):
+    for seed in range(8 if n < 7 else 3):
+        density = 0.1 + 0.15 * (seed % 4)
+        yield random_graph(GeneratorConfig(n, density, 1000 * n + seed, graph_class))
+
+
 @pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
 @pytest.mark.parametrize("n", range(2, 9))
 def test_all_pairs_kernel_on_random_graphs(graph_class, n):
-    for seed in range(8 if n < 7 else 3):
-        density = 0.1 + 0.15 * (seed % 4)
-        g = random_graph(GeneratorConfig(n, density, 1000 * n + seed, graph_class))
+    for g in _seeded_graphs(graph_class, n):
         _, ln, pa, ch, sp = _mask_tables(g)
         _assert_all_pairs_match_definition(n, ln, pa, ch, sp)
+
+
+@pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_separations_on_random_graphs(graph_class, n):
+    for k, g in enumerate(_seeded_graphs(graph_class, n)):
+        _, ln, pa, ch, sp = _mask_tables(g)
+        for keep, base in _random_splits(n, 1000 * n + k):
+            _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -454,6 +526,46 @@ def test_all_pairs_kernel_on_sparse_graphs(n):
         # one line, then one arc
         _assert_all_pairs_match_definition(n, one, empty, empty, empty)
         _assert_all_pairs_match_definition(n, empty, empty, empty, one)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_separations_on_sparse_graphs(n):
+    empty = [0] * n
+    splits = _random_splits(n, n)
+    for keep, base in splits:
+        _assert_pair_separations_match_definition(
+            n, empty, empty, empty, empty, keep, base
+        )
+    for i, j in [(0, n - 1), (0, 1), (n - 2, n - 1)]:
+        one = [0] * n
+        one[i] |= 1 << j
+        one[j] |= 1 << i
+        # the line or arc between a kept pair, a kept and a conditioned
+        # node, and a kept and a walked-through node
+        for keep, base in splits + [
+            (1 << i | 1 << j, 0),
+            (1 << i, 1 << j),
+            (1 << i | 1 << (j + 1) % n, 0),
+        ]:
+            if keep & base:
+                continue
+            _assert_pair_separations_match_definition(
+                n, one, empty, empty, empty, keep, base
+            )
+            _assert_pair_separations_match_definition(
+                n, empty, empty, empty, one, keep, base
+            )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pair_separations_with_fewer_than_two_kept(n):
+    g = random_graph(GeneratorConfig(n, 0.5, n, "CMG"))
+    _, ln, pa, ch, sp = _mask_tables(g)
+    full = (1 << n) - 1
+    for keep, base in [(0, 0), (0, full), (1, 0), (1, full & ~1), (1 << n - 1, 1)]:
+        if keep & base:
+            continue
+        assert kernel.pair_separations(n, ln, pa, ch, sp, keep, base) == []
 
 
 # sha256 of the rendered pairwise model, one "x y | C" line per statement
@@ -487,7 +599,8 @@ def test_backend_name_is_the_one_kernel():
 
 
 @pytest.mark.parametrize(
-    "name", ["separated", "all_pair_separations", "exists_separator"]
+    "name",
+    ["separated", "all_pair_separations", "pair_separations", "exists_separator"],
 )
 def test_kernel_entry_points_are_module_functions(name):
     # perfbench/layertrace.py wraps them by module path and name
