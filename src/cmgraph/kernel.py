@@ -10,6 +10,13 @@ to pick the node up).  Endpoint sections are never colliders, so the
 start states carry the tail mark and acceptance requires reaching a
 target through lines avoiding the conditioning set.
 
+A state at ``v`` outside C moves only through ``v``'s line reach
+avoiding C and through ``v``'s full line component, so the states of one
+mark at the nodes of one such reach move alike: the searches settle a
+whole reach group per visit.  :func:`components` is the per-graph table
+of line components and their flank unions; where a component does not
+meet C it is its nodes' reach, and the table answers without a search.
+
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
 shifted by a set ``base``; it enumerates one conditioning set at a time
@@ -46,8 +53,46 @@ def line_reach(ln: list[int], start: int, blocked: int) -> int:
     return reach
 
 
+def components(
+    ln: list[int], pa: list[int], ch: list[int], sp: list[int]
+) -> list[tuple[int, int, int, int]]:
+    """Per node, ``(comp, parents, children, spouses)`` of its line component.
+
+    ``comp`` is the node's full line component and the other three are
+    the ORs of ``pa``, ``ch`` and ``sp`` over it.  The nodes of one
+    component share one tuple.  One pass over the graph; the table does
+    not depend on any query, so callers build it once per graph.
+    """
+    table: list = [None] * len(ln)
+    for v, entry in enumerate(table):
+        if entry is not None:
+            continue
+        if not ln[v]:
+            table[v] = (1 << v, pa[v], ch[v], sp[v])
+            continue
+        comp = frontier = 1 << v
+        p = c = s = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            w = low.bit_length() - 1
+            p |= pa[w]
+            c |= ch[w]
+            s |= sp[w]
+            fresh = ln[w] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        entry = (comp, p, c, s)
+        rest = comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            table[low.bit_length() - 1] = entry
+    return table
+
+
 def separated(
-    n: int,
+    table: list[tuple[int, int, int, int]],
     ln: list[int],
     pa: list[int],
     ch: list[int],
@@ -56,57 +101,92 @@ def separated(
     bmask: int,
     cmask: int,
 ) -> bool:
-    """True iff no c-connecting walk joins ``amask`` and ``bmask`` given ``cmask``."""
+    """True iff no c-connecting walk joins ``amask`` and ``bmask`` given ``cmask``.
+
+    ``table`` is :func:`components` of the graph.  A state at ``v``
+    outside C moves only through ``r``, ``v``'s line reach avoiding C,
+    and through ``v``'s line component, so the states of one mark at the
+    nodes of ``r`` move alike and one pop settles them all.  When the
+    component does not meet C, ``r`` is the component and its flank
+    unions come from the table; otherwise one search inside the
+    component gives them.  The head states at the nodes of C in one
+    component share the collider exit, which is taken once per component.
+    """
     if amask == 0 or bmask == 0:
         return True
-    seen_tail = amask
-    seen_head = 0
-    pend_tail = amask
-    pend_head = 0
-    while pend_tail or pend_head:
-        if pend_tail:
-            low = pend_tail & -pend_tail
-            pend_tail ^= low
-            v, head = low.bit_length() - 1, False
+    free = ~cmask
+    # a tail state in C has no moves, so it starts out seen
+    seen_t = amask | cmask
+    seen_h = 0
+    pend_t = amask & free
+    pend_h = 0
+    collided = 0  # the line components whose collider exit is taken
+    while pend_t or pend_h:
+        head = not pend_t
+        low = pend_h & -pend_h if head else pend_t & -pend_t
+        comp, cpa, cch, csp = table[low.bit_length() - 1]
+        if low & cmask:
+            # a head state in C: the collider exit is its only move
+            r = comp & cmask
+            add_t = add_h = 0
         else:
-            low = pend_head & -pend_head
-            pend_head ^= low
-            v, head = low.bit_length() - 1, True
-        vbit = 1 << v
-        add_tail = 0
-        add_head = 0
-        if not vbit & cmask:
-            # non-collider exit: the section avoids C entirely
-            reach = line_reach(ln, vbit, cmask)
-            if reach & bmask:
-                return False
-            for w in _bits(reach):
-                add_head |= ch[w]
-                if not head:
-                    add_tail |= pa[w]
-                    add_head |= sp[w]
-        if head:
-            # collider exit: the walk may wander the whole line component
-            comp = line_reach(ln, vbit, 0)
             if comp & cmask:
-                for w in _bits(comp):
-                    add_tail |= pa[w]
-                    add_head |= sp[w]
-        new_tail = add_tail & ~seen_tail
-        new_head = add_head & ~seen_head
-        seen_tail |= new_tail
-        seen_head |= new_head
-        pend_tail |= new_tail
-        pend_head |= new_head
+                # the line reach avoiding C, with its flank unions
+                r = frontier = low
+                p = c = s = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    w = bit.bit_length() - 1
+                    p |= pa[w]
+                    c |= ch[w]
+                    s |= sp[w]
+                    fresh = ln[w] & free & ~r
+                    r |= fresh
+                    frontier |= fresh
+            else:
+                r, p, c, s = comp, cpa, cch, csp
+            if r & bmask:
+                return False
+            # as a non-collider a tail state leaves r by any edge and a
+            # head state only by an arrow out of r
+            if head:
+                add_t, add_h = 0, c
+            else:
+                add_t, add_h = p, c | s
+        if head:
+            seen_h |= r
+            pend_h &= ~r
+            # as a collider a head state leaves comp by an arrowhead, when
+            # comp meets C; the walk may wander comp to pick C up
+            if comp & cmask and not comp & collided:
+                collided |= comp
+                add_t |= cpa
+                add_h |= csp
+        else:
+            seen_t |= r
+            pend_t &= ~r
+        add_t &= ~seen_t
+        add_h &= ~seen_h
+        seen_t |= add_t
+        seen_h |= add_h
+        pend_t |= add_t
+        pend_h |= add_h
     return True
 
 
 def _states_given(
-    ln: list[int], pa: list[int], ch: list[int], sp: list[int], comp: int, sub: int
+    ln: list[int],
+    pa: list[int],
+    ch: list[int],
+    sp: list[int],
+    component: tuple[int, int, int, int],
+    sub: int,
 ) -> list[tuple[int, tuple[int, int, int, int, int]]]:
-    """(v, entry) for every node v of the line component ``comp``, given C.
+    """(v, entry) for every node v of a line component, given C.
 
-    ``sub`` is C & comp; nothing else of C changes an entry.  An entry is
+    ``component`` is the component's :func:`components` tuple and ``sub``
+    is C & comp; nothing else of C changes an entry.  An entry is
     ``(group, tail_t, tail_h, head_t, head_h)``: a tail state at v moves
     to tail states at ``tail_t`` and head states at ``tail_h``, a head
     state to ``head_t`` and ``head_h``.  The states at the nodes of
@@ -114,14 +194,7 @@ def _states_given(
     the group is ``r[v]``, v's line reach avoiding C; for v in C it is
     the nodes of C in ``comp`` (only its head states move).
     """
-    cpa = csp = 0
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        w = low.bit_length() - 1
-        cpa |= pa[w]
-        csp |= sp[w]
+    comp, cpa, _, csp = component
     out = []
     left = comp & ~sub
     while left:
@@ -180,7 +253,7 @@ def pair_separations(
     outside both are walked through but never reported.
 
     Works one conditioning set C at a time, which is exact for this
-    reason.  ``separated(n, ..., 1 << i, 1 << j, cmask)`` explores the
+    reason.  ``separated(table, ..., 1 << i, 1 << j, cmask)`` explores the
     same states whatever ``j`` is.  It returns False exactly when a state
     ``v`` outside C that it pops has ``reach(v, avoiding C)`` containing
     ``j``.  A state's moves depend on ``v`` only through that reach,
@@ -192,20 +265,15 @@ def pair_separations(
     with the same ``r`` share that closure; only the nodes of ``keep``
     outside C are reported as sources and targets.
     """
-    # (line component, {C & component: its nodes' entries}); loops here
-    # and in _states_given are inlined, not _bits/line_reach calls,
+    # (line component, {C & component: its nodes' entries}); the loops
+    # here and in _states_given are inlined, not _bits/line_reach calls,
     # because most calls are on graphs of 2-4 nodes, where they would
     # dominate the fixed cost
+    table = components(ln, pa, ch, sp)
     comps = []
     rest = (1 << n) - 1
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            fresh = ln[low.bit_length() - 1] & ~comp
-            comp |= fresh
-            frontier |= fresh
+        comp = table[(rest & -rest).bit_length() - 1][0]
         rest &= ~comp
         comps.append((comp, {}))
     state = [None] * n
@@ -221,8 +289,9 @@ def pair_separations(
         for comp, known in comps:
             entries = known.get(cmask & comp)
             if entries is None:
+                component = table[(comp & -comp).bit_length() - 1]
                 entries = known[cmask & comp] = _states_given(
-                    ln, pa, ch, sp, comp, cmask & comp
+                    ln, pa, ch, sp, component, cmask & comp
                 )
             for v, entry in entries:
                 state[v] = entry
@@ -285,8 +354,11 @@ def exists_separator(
     The reference that the tests and the witness-soundness suite check
     ``separation.is_maximal`` against; it tries up to 2^(n-2) sets.
     """
+    table = components(ln, pa, ch, sp)
     pair = 1 << i | 1 << j
     for cmask in range(1 << n):
-        if not cmask & pair and separated(n, ln, pa, ch, sp, 1 << i, 1 << j, cmask):
+        if not cmask & pair and separated(
+            table, ln, pa, ch, sp, 1 << i, 1 << j, cmask
+        ):
             return cmask
     return -1

@@ -77,7 +77,10 @@ def _check_query(nodes: frozenset[str], q: SeparationQuery) -> None:
 
 @lru_cache(maxsize=512)
 def _mask_tables(g: MixedGraph):
-    return mask_tables(g)
+    """``(index, ln, pa, ch, sp, table)``: ``graph.mask_tables`` and the
+    ``kernel.components`` table, once per graph."""
+    index, ln, pa, ch, sp = mask_tables(g)
+    return index, ln, pa, ch, sp, kernel.components(ln, pa, ch, sp)
 
 
 def c_separated(
@@ -92,9 +95,9 @@ def c_separated(
     _check_query(g.node_set, q)
     if not q.a or not q.b:
         return True
-    index, ln, pa, ch, sp = _mask_tables(g)
+    index, ln, pa, ch, sp, table = _mask_tables(g)
     return kernel.separated(
-        len(g.nodes),
+        table,
         ln,
         pa,
         ch,
@@ -304,12 +307,18 @@ class IndependenceModel:
         )
 
 
-def pairwise_model(g: MixedGraph, *, cap: int = 8) -> IndependenceModel:
+# pairwise_model enumerates 2^(n-2) sets per pair; larger graphs raise
+MODEL_NODE_CAP = 8
+
+
+def pairwise_model(g: MixedGraph) -> IndependenceModel:
     """Enumerate every (i, j, C) with i, j singleton-separated given C."""
     _require_cmg(g)
-    if len(g.nodes) > cap:
-        raise TooLargeError(f"{len(g.nodes)} nodes exceeds enumeration cap {cap}")
-    index, ln, pa, ch, sp = _mask_tables(g)
+    if len(g.nodes) > MODEL_NODE_CAP:
+        raise TooLargeError(
+            f"{len(g.nodes)} nodes exceeds enumeration cap {MODEL_NODE_CAP}"
+        )
+    _, ln, pa, ch, sp, _ = _mask_tables(g)
     found = kernel.all_pair_separations(len(g.nodes), ln, pa, ch, sp)
     return IndependenceModel(g.node_set, labelled_statements(g.nodes, found))
 
@@ -352,7 +361,7 @@ def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int]]:
     the mask of ``ant({i, j}) \\ {i, j}`` (see :func:`is_maximal`).
     """
     _require_cmg(g)
-    index, ln, pa, ch, sp = _mask_tables(g)
+    _, ln, pa, ch, sp, table = _mask_tables(g)
     ant = [g.anterior_masks[v] for v in g.nodes]
     n = len(g.nodes)
     for i in range(n):
@@ -361,7 +370,7 @@ def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int]]:
             if adjacent >> j & 1:
                 continue
             d = (ant[i] | ant[j]) & ~(1 << i | 1 << j)
-            if not kernel.separated(n, ln, pa, ch, sp, 1 << i, 1 << j, d):
+            if not kernel.separated(table, ln, pa, ch, sp, 1 << i, 1 << j, d):
                 return i, j, d
     return None
 

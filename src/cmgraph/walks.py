@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import ARC, ARROW, LINE, Edge, MixedGraph
+from .errors import MalformedQueryError
+from .graph import ARC, ARROW, LINE, Edge, MixedGraph, label_set
 
 ENDPOINT = "endpoint"
 COLLIDER = "collider"
@@ -110,9 +111,9 @@ def is_c_connecting(
 
     Endpoints must land in ``a`` and ``b`` (either orientation); every
     collider section must meet ``given`` and every other section must
-    avoid it.
+    avoid it.  A bare ``str`` for a set raises ``MalformedQueryError``.
     """
-    a, b, c = frozenset(a), frozenset(b), frozenset(given)
+    a, b, c = (label_set(s, MalformedQueryError) for s in (a, b, given))
     ends_ok = (walk.start in a and walk.end in b) or (
         walk.start in b and walk.end in a
     )

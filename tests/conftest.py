@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import cmgraph as cm
-from cmgraph.graphio import parse
+from cmgraph.graphio import parse, render
 
 
 def G(text: str):
@@ -40,3 +40,11 @@ def _large_cmg(seed, n):
     m = rng.sample(names, 2)
     c = rng.sample(sorted(set(names) - set(m)), 2)
     return g, m, c
+
+
+def _with_parallel_arcs(g, share=0.3):
+    """``g`` plus an arc alongside a random ``share`` of its lines."""
+    rng = random.Random(render(g))
+    lines = sorted((x, y) for kind, x, y in g.edges if kind == cm.LINE)
+    arcs = [(x, y, cm.ARC) for x, y in rng.sample(lines, round(share * len(lines)))]
+    return cm.build_graph(g.nodes, g.edges_as_triples() + arcs)

@@ -35,7 +35,7 @@ from conftest import G
 def _shifted_model_by_queries(g, base, keep):
     """``_shifted_model`` from one ``kernel.separated`` query per statement."""
     index, ln, pa, ch, sp = mask_tables(g)
-    n = len(g.nodes)
+    table = kernel.components(ln, pa, ch, sp)
     base_mask = mask_of(index, base)
     keep_sorted = sorted(keep)
     stmts = set()
@@ -45,7 +45,7 @@ def _shifted_model_by_queries(g, base, keep):
         for r in range(len(rest) + 1):
             for extra in combinations(rest, r):
                 cmask = base_mask | mask_of(index, extra)
-                if kernel.separated(n, ln, pa, ch, sp, ibit, jbit, cmask):
+                if kernel.separated(table, ln, pa, ch, sp, ibit, jbit, cmask):
                     stmts.add((i, j, frozenset(extra)))
     return cm.IndependenceModel(frozenset(keep), frozenset(stmts))
 

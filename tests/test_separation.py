@@ -17,6 +17,8 @@ from cmgraph.errors import (
     TooLargeError,
 )
 from cmgraph import kernel
+from cmgraph.kernel import _bits
+from cmgraph.graph import mask_tables
 from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
@@ -28,7 +30,7 @@ from cmgraph.propcheck import (
 from cmgraph.separation import _mask_tables
 from cmgraph.walks import COLLIDER, is_c_connecting, section_decomposition
 
-from conftest import G, _large_cmg
+from conftest import G, _large_cmg, _with_parallel_arcs
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -147,6 +149,9 @@ _STR_GRAPH = "ab -> c; a -- b; b -> d"
         lambda g: cm.c_connecting_witness(g, ["c"], "ab"),
         lambda g: cm.moral_separated(g, "ab", ["c"], ["d"]),
         lambda g: cm.pairwise_model(g).holds(["c"], ["d"], "ab"),
+        lambda g: cm.is_c_connecting(
+            cm.c_connecting_witness(g, ["ab"], ["c"]), "ab", ["c"], []
+        ),
     ],
     ids=[
         "SeparationQuery.of",
@@ -155,6 +160,7 @@ _STR_GRAPH = "ab -> c; a -- b; b -> d"
         "c_connecting_witness",
         "moral_separated",
         "IndependenceModel.holds",
+        "is_c_connecting",
     ],
 )
 def test_bare_string_node_set_rejected(call):
@@ -164,6 +170,19 @@ def test_bare_string_node_set_rejected(call):
 
 
 class TestWitness:
+    def test_audit_node_named_like_a_string_of_labels(self):
+        g = cm.build_graph(
+            ["a", "b", "ab", "c"], [("ab", "c", cm.LINE), ("a", "c", cm.ARROW)]
+        )
+        line = cm.c_connecting_witness(g, ["ab"], ["c"])
+        arrow = cm.c_connecting_witness(g, ["a"], ["c"])
+        assert line.render() == "ab -- c" and arrow.render() == "a -> c"
+        assert is_c_connecting(line, ["ab"], ["c"], [])
+        assert not is_c_connecting(arrow, ["ab"], ["c"], [])
+        for walk in (line, arrow):
+            with pytest.raises(MalformedQueryError, match="the string 'ab'"):
+                is_c_connecting(walk, "ab", ["c"], [])
+
     def test_worked_example_witness(self, g_ex):
         walk = cm.c_connecting_witness(g_ex, ["j"], ["h"], ["l"])
         assert walk is not None
@@ -435,6 +454,7 @@ def _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base):
     ``i < j`` range over ``keep`` and ``sub`` over the subsets of
     ``keep`` without them.
     """
+    table = kernel.components(ln, pa, ch, sp)
     out = []
     for i, j in combinations(range(n), 2):
         pair = 1 << i | 1 << j
@@ -442,7 +462,7 @@ def _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base):
             continue
         for sub in range(1 << n):
             if sub & ~(keep & ~pair) == 0 and kernel.separated(
-                n, ln, pa, ch, sp, 1 << i, 1 << j, base | sub
+                table, ln, pa, ch, sp, 1 << i, 1 << j, base | sub
             ):
                 out.append((i, j, base | sub))
     return out
@@ -480,14 +500,14 @@ def test_all_pairs_kernel_on_every_three_node_graph():
     # every mixed graph, so every CMG among them; the kernel's argument
     # does not use the CMG property
     for g in enumerate_mixed_graphs(("a", "b", "c")):
-        _, ln, pa, ch, sp = _mask_tables(g)
+        _, ln, pa, ch, sp, _ = _mask_tables(g)
         _assert_all_pairs_match_definition(3, ln, pa, ch, sp)
 
 
 def test_pair_separations_on_every_three_node_split():
     splits = [_split(roles) for roles in product(range(3), repeat=3)]
     for g in enumerate_mixed_graphs(("a", "b", "c")):
-        _, ln, pa, ch, sp = _mask_tables(g)
+        _, ln, pa, ch, sp, _ = _mask_tables(g)
         for keep, base in splits:
             _assert_pair_separations_match_definition(3, ln, pa, ch, sp, keep, base)
 
@@ -502,7 +522,7 @@ def _seeded_graphs(graph_class, n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_all_pairs_kernel_on_random_graphs(graph_class, n):
     for g in _seeded_graphs(graph_class, n):
-        _, ln, pa, ch, sp = _mask_tables(g)
+        _, ln, pa, ch, sp, _ = _mask_tables(g)
         _assert_all_pairs_match_definition(n, ln, pa, ch, sp)
 
 
@@ -510,7 +530,7 @@ def test_all_pairs_kernel_on_random_graphs(graph_class, n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_separations_on_random_graphs(graph_class, n):
     for k, g in enumerate(_seeded_graphs(graph_class, n)):
-        _, ln, pa, ch, sp = _mask_tables(g)
+        _, ln, pa, ch, sp, _ = _mask_tables(g)
         for keep, base in _random_splits(n, 1000 * n + k):
             _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base)
 
@@ -560,12 +580,136 @@ def test_pair_separations_on_sparse_graphs(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_separations_with_fewer_than_two_kept(n):
     g = random_graph(GeneratorConfig(n, 0.5, n, "CMG"))
-    _, ln, pa, ch, sp = _mask_tables(g)
+    _, ln, pa, ch, sp, _ = _mask_tables(g)
     full = (1 << n) - 1
     for keep, base in [(0, 0), (0, full), (1, 0), (1, full & ~1), (1 << n - 1, 1)]:
         if keep & base:
             continue
         assert kernel.pair_separations(n, ln, pa, ch, sp, keep, base) == []
+
+
+# -- the grouped kernel against the per-state search -----------------------------
+
+
+def _separated_by_states(ln, pa, ch, sp, amask, bmask, cmask):
+    """``kernel.separated`` visiting one (node, mark) state at a time."""
+    if amask == 0 or bmask == 0:
+        return True
+    seen_tail = pend_tail = amask
+    seen_head = pend_head = 0
+    while pend_tail or pend_head:
+        if pend_tail:
+            low = pend_tail & -pend_tail
+            pend_tail ^= low
+            head = False
+        else:
+            low = pend_head & -pend_head
+            pend_head ^= low
+            head = True
+        add_tail = add_head = 0
+        if not low & cmask:
+            # non-collider exit: the section avoids C entirely
+            reach = kernel.line_reach(ln, low, cmask)
+            if reach & bmask:
+                return False
+            for w in _bits(reach):
+                add_head |= ch[w]
+                if not head:
+                    add_tail |= pa[w]
+                    add_head |= sp[w]
+        if head:
+            # collider exit: the walk may wander the whole line component
+            comp = kernel.line_reach(ln, low, 0)
+            if comp & cmask:
+                for w in _bits(comp):
+                    add_tail |= pa[w]
+                    add_head |= sp[w]
+        new_tail = add_tail & ~seen_tail
+        new_head = add_head & ~seen_head
+        seen_tail |= new_tail
+        seen_head |= new_head
+        pend_tail |= new_tail
+        pend_head |= new_head
+    return True
+
+
+def _assert_kernel_matches_states(g, queries):
+    _, ln, pa, ch, sp = mask_tables(g)
+    table = kernel.components(ln, pa, ch, sp)
+    for amask, bmask, cmask in queries:
+        assert kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask) == (
+            _separated_by_states(ln, pa, ch, sp, amask, bmask, cmask)
+        ), (render(g), amask, bmask, cmask)
+
+
+def _role_queries(roles_list):
+    """(amask, bmask, cmask) per role list: 0 in a, 1 in b, 2 in C, 3 none."""
+    for roles in roles_list:
+        masks = [0, 0, 0, 0]
+        for v, role in enumerate(roles):
+            masks[role] |= 1 << v
+        yield masks[0], masks[1], masks[2]
+
+
+def _cutting_queries(g, seed, count):
+    """Random disjoint queries whose C takes nodes with line neighbours,
+    so that it cuts line components."""
+    _, ln, _, _, _ = mask_tables(g)
+    rng = random.Random(seed)
+    n = len(g.nodes)
+    lined = [v for v in range(n) if ln[v]]
+    for _ in range(count):
+        c = set(rng.sample(lined, min(len(lined), rng.randint(1, 12))))
+        c |= set(rng.sample(range(n), rng.randint(0, 4)))
+        ends = rng.sample(sorted(set(range(n)) - c), rng.randint(2, 5))
+        cut = rng.randint(1, len(ends) - 1)
+        yield tuple(sum(1 << v for v in part) for part in (ends[:cut], ends[cut:], c))
+
+
+def test_kernel_on_every_three_node_query():
+    # every mixed graph and every disjoint (a, b, C), empty sides included
+    queries = list(_role_queries(product(range(4), repeat=3)))
+    for g in enumerate_mixed_graphs(("a", "b", "c")):
+        _assert_kernel_matches_states(g, queries)
+
+
+@pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_kernel_on_random_graphs(graph_class, n):
+    rng = random.Random(f"kernel-queries:{graph_class}:{n}")
+    for g in _seeded_graphs(graph_class, n):
+        roles = [[rng.randrange(4) for _ in range(n)] for _ in range(60)]
+        _assert_kernel_matches_states(g, _role_queries(roles))
+
+
+@pytest.mark.parametrize(
+    "seed,n", [(0, 32), (1, 48), (2, 64), (3, 128), (4, 192), (5, 256)]
+)
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_kernel_on_large_graphs(seed, n, parallel):
+    g = _large_cmg(seed, n)[0]
+    if parallel:
+        g = _with_parallel_arcs(g)
+    _assert_kernel_matches_states(g, _cutting_queries(g, seed, 100))
+
+
+@pytest.mark.parametrize("seed,n", [(0, 32), (1, 64), (3, 256)])
+def test_components_table(seed, n):
+    small = random_graph(GeneratorConfig(8, 0.4, seed, "CMG"))
+    for g in [_large_cmg(seed, n)[0], small]:
+        _, ln, pa, ch, sp = mask_tables(g)
+        table = kernel.components(ln, pa, ch, sp)
+        assert len(table) == len(g.nodes)
+        for v, entry in enumerate(table):
+            comp = kernel.line_reach(ln, 1 << v, 0)
+            unions = [0, 0, 0]
+            for w in _bits(comp):
+                unions[0] |= pa[w]
+                unions[1] |= ch[w]
+                unions[2] |= sp[w]
+            assert entry == (comp, *unions)
+            # the nodes of one component share one tuple
+            assert all(table[w] is entry for w in _bits(comp))
 
 
 # sha256 of the rendered pairwise model, one "x y | C" line per statement
@@ -600,7 +744,13 @@ def test_backend_name_is_the_one_kernel():
 
 @pytest.mark.parametrize(
     "name",
-    ["separated", "all_pair_separations", "pair_separations", "exists_separator"],
+    [
+        "components",
+        "separated",
+        "all_pair_separations",
+        "pair_separations",
+        "exists_separator",
+    ],
 )
 def test_kernel_entry_points_are_module_functions(name):
     # perfbench/layertrace.py wraps them by module path and name

@@ -19,7 +19,7 @@ from cmgraph.transform import (
     marginalize_flank_closure,
 )
 
-from conftest import G, _large_cmg
+from conftest import G, _large_cmg, _with_parallel_arcs
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -865,14 +865,6 @@ def _condition_by_rescan(g, c):
             edges.append((x, y, cm.ARC))
     kept = set(g.nodes) - c
     return cm.build_graph(kept, [e for e in edges if e[0] in kept and e[1] in kept])
-
-
-def _with_parallel_arcs(g, share=0.3):
-    """``g`` plus an arc alongside a random ``share`` of its lines."""
-    rng = random.Random(render(g))
-    lines = sorted((x, y) for kind, x, y in g.edges if kind == cm.LINE)
-    arcs = [(x, y, cm.ARC) for x, y in rng.sample(lines, round(share * len(lines)))]
-    return cm.build_graph(g.nodes, g.edges_as_triples() + arcs)
 
 
 def _large_conditionings():
