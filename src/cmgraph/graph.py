@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from . import kernel
 from .errors import (
     BlockedStartError,
     CmgraphError,
@@ -178,28 +179,71 @@ class MixedGraph:
         return {v: 1 << k for k, v in enumerate(self.nodes)}
 
     @cached_property
+    def masks(self) -> tuple:
+        """``(index, ln, pa, ch, sp, table)``: the graph's one mask core.
+
+        The first five are those of :func:`mask_tables`, with the four
+        mask lists kept as tuples because every caller shares them;
+        ``table`` is ``kernel.components(ln, pa, ch, sp)``.  Built once
+        per graph object.
+        """
+        index, ln, pa, ch, sp = mask_tables(self)
+        table = kernel.components(ln, pa, ch, sp)
+        return index, tuple(ln), tuple(pa), tuple(ch), tuple(sp), tuple(table)
+
+    @cached_property
+    def _upward(self) -> tuple[int, ...] | None:
+        """Per node position, its line component and everything anterior to
+        it; None when no CMG.
+
+        One depth-first pass over the components of :attr:`masks` along
+        their parent unions.  An arrow inside a component, or a directed
+        cycle of components, leads back to a component still on the stack.
+        """
+        table = self.masks[5]
+        up: dict[int, int] = {}  # per finished component, its mask
+        done = 0
+        for entry in table:
+            if entry[0] & done:
+                continue
+            stack = [entry]
+            active = entry[0]  # the nodes of the components on the stack
+            while stack:
+                comp, p, _, _ = stack[-1]
+                todo = p & ~done
+                if todo & active:
+                    return None
+                if todo:
+                    parent = table[(todo & -todo).bit_length() - 1]
+                    active |= parent[0]
+                    stack.append(parent)
+                    continue
+                u = comp
+                while p:
+                    d = table[(p & -p).bit_length() - 1][0]
+                    u |= up[d]
+                    p &= ~d
+                up[comp] = u
+                done |= comp
+                active &= ~comp
+                stack.pop()
+        return tuple(up[entry[0]] for entry in table)
+
+    @cached_property
     def anterior_masks(self) -> Mapping[str, int]:
         """Per node, the mask (see :attr:`node_bits`) of ``anteriors(self, [v])``.
 
-        One pass over the line components in topological order: a
-        component, together with everything anterior to it, is its own
-        nodes plus that set for each component with an arrow into it.
-        So ``anterior_masks[v] & node_bits[u]`` tests whether ``u`` is
-        anterior of ``v``.
+        Read from the component pass that also gives :attr:`is_cmg`: a
+        node's anteriors are its component and everything anterior to
+        it, less the node.  So ``anterior_masks[v] & node_bits[u]`` tests
+        whether ``u`` is anterior of ``v``.
         Raises :class:`NotACMGError` when a semi-directed cycle contains
         an arrow, because then no such order exists.
         """
-        component, successors, order = _line_components_in_order(self)
-        if order is None:
+        upward = self._upward
+        if upward is None:
             raise NotACMGError("anteriors table requires a chain mixed graph")
-        bits = self.node_bits
-        upward = dict.fromkeys(order, 0)  # a component and all anterior to it
-        for v in self.nodes:
-            upward[component[v]] |= bits[v]
-        for c in order:  # upward[c] is complete once c's turn comes
-            for d in successors[c]:
-                upward[d] |= upward[c]
-        return {v: upward[component[v]] & ~bits[v] for v in self.nodes}
+        return {v: upward[k] & ~(1 << k) for k, v in enumerate(self.nodes)}
 
     # -- reachability ------------------------------------------------------
 
@@ -213,15 +257,10 @@ class MixedGraph:
         blocked = label_set(blocked, MalformedQueryError)
         if v in blocked:
             raise BlockedStartError(f"start node {v!r} is blocked")
-        reach = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.neighbours[u]:
-                if w not in reach and w not in blocked:
-                    reach.add(w)
-                    stack.append(w)
-        return frozenset(reach)
+        index, ln = self.masks[:2]
+        stop = mask_of(index, blocked & self.node_set)
+        reach = kernel.line_reach(ln, 1 << index[v], stop)
+        return frozenset(self.nodes[k] for k in kernel._bits(reach))
 
     def induced_subgraph(self, keep: Iterable[str]) -> "MixedGraph":
         keep = label_set(keep, MalformedQueryError)
@@ -261,8 +300,9 @@ def mask_tables(
     ``index[v]`` is the bit of ``v`` in a node mask, its position in
     ``g.nodes``.  ``ln[k]``, ``pa[k]``, ``ch[k]`` and ``sp[k]`` are the
     masks of the line neighbours, parents, children and spouses of
-    ``g.nodes[k]``.  Built afresh on every call, so a caller may change
-    the lists.
+    ``g.nodes[k]``.  The one builder of these masks: :attr:`MixedGraph.masks`
+    calls it once per graph and keeps the lists as tuples, which callers
+    that rewrite the masks copy.
     """
     index = {v: i for i, v in enumerate(g.nodes)}
     n = len(g.nodes)
@@ -302,60 +342,17 @@ def label_set(labels: Iterable[str], error: type[CmgraphError]) -> frozenset[str
 # -- walks over lines and arrows ------------------------------------------
 
 
-def _line_components_in_order(
-    g: MixedGraph,
-) -> tuple[dict[str, str], dict[str, list[str]], list[str] | None]:
-    """Line components ordered so that every arrow runs forward.
-
-    Returns ``(component, successors, order)``: each node's component
-    root, per root the roots its arrows point into (one entry per
-    arrow), and the roots with each arrow's tail component before its
-    head's.  ``order`` is ``None`` when no such order exists: when an
-    arrow lies inside one component, or the components form a directed
-    cycle (Kahn's algorithm).  One linear pass.
-    """
-    component: dict[str, str] = {}
-    for root in g.nodes:
-        if root in component:
-            continue
-        component[root] = root
-        stack = [root]
-        while stack:
-            for w in g.neighbours[stack.pop()]:
-                if w not in component:
-                    component[w] = root
-                    stack.append(w)
-    successors: dict[str, list[str]] = {c: [] for c in component.values()}
-    indegree = dict.fromkeys(successors, 0)
-    for kind, u, v in g.edges:
-        if kind == ARROW:
-            tail, head = component[u], component[v]
-            if tail == head:
-                return component, successors, None
-            successors[tail].append(head)
-            indegree[head] += 1
-    ready = [c for c, d in indegree.items() if d == 0]
-    order = []
-    while ready:
-        c = ready.pop()
-        order.append(c)
-        for d in successors[c]:
-            indegree[d] -= 1
-            if indegree[d] == 0:
-                ready.append(d)
-    return component, successors, order if len(order) == len(successors) else None
-
-
 def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
     """True iff some cycle of lines/arrows, arrows all forward, has an arrow.
 
     Contract each line component to one node.  An arrow inside a
     component closes such a cycle with a line path back to its tail;
     otherwise every such cycle is a directed cycle among the components.
-    So the answer is whether the components have no order in which every
-    arrow runs forward.
+    So the answer is whether the components of ``g.masks``' table have no
+    order in which every arrow runs forward.  One pass per graph decides
+    it and gives the anteriors (:attr:`MixedGraph.anterior_masks`).
     """
-    return _line_components_in_order(g)[2] is None
+    return g._upward is None
 
 
 def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
@@ -426,14 +423,8 @@ def chain_components(g: MixedGraph) -> list[tuple[str, ...]]:
     """Connected components of the line-only subgraph of a chain graph."""
     if CG not in classify(g):
         raise NotAChainGraphError("chain components require a chain graph")
-    seen: set[str] = set()
-    comps = []
-    for v in g.nodes:
-        if v not in seen:
-            comp = g.line_reachable(v)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-    return sorted(comps)
+    comps = {entry[0] for entry in g.masks[5]}
+    return sorted(tuple(sorted(g.nodes[k] for k in kernel._bits(c))) for c in comps)
 
 
 def moral_graph(g: MixedGraph) -> MixedGraph:

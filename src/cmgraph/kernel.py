@@ -61,7 +61,8 @@ def components(
     ``comp`` is the node's full line component and the other three are
     the ORs of ``pa``, ``ch`` and ``sp`` over it.  The nodes of one
     component share one tuple.  One pass over the graph; the table does
-    not depend on any query, so callers build it once per graph.
+    not depend on any query, so ``MixedGraph.masks`` builds it once per
+    graph and every search here takes it as its ``table`` argument.
     """
     table: list = [None] * len(ln)
     for v, entry in enumerate(table):
@@ -231,14 +232,15 @@ def _states_given(
 
 
 def all_pair_separations(
-    n: int, ln: list[int], pa: list[int], ch: list[int], sp: list[int]
+    n: int, table: list, ln: list[int], pa: list[int], ch: list[int], sp: list[int]
 ) -> list[tuple[int, int, int]]:
     """All (i, j, cmask) with i < j separated given cmask, sorted: the full model."""
-    return pair_separations(n, ln, pa, ch, sp, (1 << n) - 1, 0)
+    return pair_separations(n, table, ln, pa, ch, sp, (1 << n) - 1, 0)
 
 
 def pair_separations(
     n: int,
+    table: list,
     ln: list[int],
     pa: list[int],
     ch: list[int],
@@ -248,9 +250,10 @@ def pair_separations(
 ) -> list[tuple[int, int, int]]:
     """All (i, j, cmask) with i < j in ``keep`` separated given cmask, sorted.
 
-    ``cmask`` ranges over ``base | sub`` for the subsets ``sub`` of
-    ``keep`` without i and j; ``base`` must not meet ``keep``.  Nodes
-    outside both are walked through but never reported.
+    ``table`` is :func:`components` of the graph.  ``cmask`` ranges over
+    ``base | sub`` for the subsets ``sub`` of ``keep`` without i and j;
+    ``base`` must not meet ``keep``.  Nodes outside both are walked
+    through but never reported.
 
     Works one conditioning set C at a time, which is exact for this
     reason.  ``separated(table, ..., 1 << i, 1 << j, cmask)`` explores the
@@ -269,7 +272,6 @@ def pair_separations(
     # here and in _states_given are inlined, not _bits/line_reach calls,
     # because most calls are on graphs of 2-4 nodes, where they would
     # dominate the fixed cost
-    table = components(ln, pa, ch, sp)
     comps = []
     rest = (1 << n) - 1
     while rest:
@@ -347,14 +349,21 @@ def pair_separations(
 
 
 def exists_separator(
-    n: int, ln: list[int], pa: list[int], ch: list[int], sp: list[int], i: int, j: int
+    n: int,
+    table: list,
+    ln: list[int],
+    pa: list[int],
+    ch: list[int],
+    sp: list[int],
+    i: int,
+    j: int,
 ) -> int:
     """Smallest-by-enumeration cmask separating i and j, or -1.
 
-    The reference that the tests and the witness-soundness suite check
-    ``separation.is_maximal`` against; it tries up to 2^(n-2) sets.
+    ``table`` is :func:`components` of the graph.  The reference that
+    the tests and the witness-soundness suite check ``separation.is_maximal``
+    against; it tries up to 2^(n-2) sets.
     """
-    table = components(ln, pa, ch, sp)
     pair = 1 << i | 1 << j
     for cmask in range(1 << n):
         if not cmask & pair and separated(

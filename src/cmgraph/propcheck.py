@@ -35,7 +35,6 @@ from .graph import (
     build_graph,
     classify,
     mask_of,
-    mask_tables,
 )
 from .separation import (
     IndependenceModel,
@@ -237,10 +236,10 @@ def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
     """
     if not g.is_cmg:
         raise NotACMGError("graph has a semi-directed cycle with an arrow")
-    index, ln, pa, ch, sp = mask_tables(g)
+    index, ln, pa, ch, sp, table = g.masks
     base_mask = mask_of(index, base)
     found = kernel.pair_separations(
-        len(g.nodes), ln, pa, ch, sp, mask_of(index, keep), base_mask
+        len(g.nodes), table, ln, pa, ch, sp, mask_of(index, keep), base_mask
     )
     stmts = labelled_statements(g.nodes, found, base_mask)
     return IndependenceModel(frozenset(keep), stmts)
@@ -389,13 +388,13 @@ def check_inducing_walks(g: MixedGraph) -> bool:
 
 def inseparable_pairs(g: MixedGraph) -> list[tuple[str, str]]:
     """Non-adjacent pairs that no set separates, by ``kernel.exists_separator``."""
-    index, ln, pa, ch, sp = mask_tables(g)
+    index, ln, pa, ch, sp, table = g.masks
     n = len(g.nodes)
     return [
         (x, y)
         for x, y in combinations(g.nodes, 2)
         if not g.adjacent(x, y)
-        and kernel.exists_separator(n, ln, pa, ch, sp, index[x], index[y]) < 0
+        and kernel.exists_separator(n, table, ln, pa, ch, sp, index[x], index[y]) < 0
     ]
 
 

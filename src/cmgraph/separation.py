@@ -34,7 +34,6 @@ from .graph import (
     classify,
     label_set,
     mask_of,
-    mask_tables,
     moral_graph,
 )
 from .walks import Walk
@@ -77,10 +76,8 @@ def _check_query(nodes: frozenset[str], q: SeparationQuery) -> None:
 
 @lru_cache(maxsize=512)
 def _mask_tables(g: MixedGraph):
-    """``(index, ln, pa, ch, sp, table)``: ``graph.mask_tables`` and the
-    ``kernel.components`` table, once per graph."""
-    index, ln, pa, ch, sp = mask_tables(g)
-    return index, ln, pa, ch, sp, kernel.components(ln, pa, ch, sp)
+    """``(index, ln, pa, ch, sp, table)``: the graph's cached ``g.masks``."""
+    return g.masks
 
 
 def c_separated(
@@ -318,8 +315,8 @@ def pairwise_model(g: MixedGraph) -> IndependenceModel:
         raise TooLargeError(
             f"{len(g.nodes)} nodes exceeds enumeration cap {MODEL_NODE_CAP}"
         )
-    _, ln, pa, ch, sp, _ = _mask_tables(g)
-    found = kernel.all_pair_separations(len(g.nodes), ln, pa, ch, sp)
+    _, ln, pa, ch, sp, table = _mask_tables(g)
+    found = kernel.all_pair_separations(len(g.nodes), table, ln, pa, ch, sp)
     return IndependenceModel(g.node_set, labelled_statements(g.nodes, found))
 
 

@@ -59,16 +59,17 @@ Afterwards an arc with one end anterior to the other becomes an arrow
 out of that end, and an arc with each end anterior to the other becomes
 a line.
 
-Every rule engine runs on ``_Work``: the per-node int masks ``ln``,
-``pa``, ``ch`` and ``sp`` over ``g.nodes`` (``graph.mask_tables``), with
-M, S and every other node set as one mask.  The far flanks of the
-sections from a node are the OR of ``pa`` and ``sp`` over its line
-reach, and a rule adds all the edges of one flank with one mask
-operation (``_link``).  Every rule stage rescans in index order until a
-round adds nothing.  Lines are fixed inside every stage that searches
-sections: the flank and anterial generate stages add only arrows and
-arcs, and the lines that the collider stage makes go to a table of their
-own that no section reads.  Section reach is therefore memoized per
+Every rule engine runs on ``_Work``: list copies of the per-node int
+masks ``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes`` that the input
+graph caches once (``MixedGraph.masks``), with M, S and every other
+node set as one mask.  The far flanks of the sections from a node are
+the OR of ``pa`` and ``sp`` over its line reach, and a rule adds all
+the edges of one flank with one mask operation (``_link``).  Every
+rule stage rescans in index order until a round adds nothing.  Lines
+are fixed inside every stage that searches sections: the flank and
+anterial generate stages add only arrows and arcs, and the lines that
+the collider stage makes go to a table of their own that no section
+reads.  Section reach is therefore memoized per
 (node, blocked mask).  One emitter, ``_condition_strip_heads``, strips
 the heads at S and deletes C or M while it writes the output edges.
 
@@ -98,7 +99,6 @@ from .graph import (
     classify,
     label_set,
     mask_of,
-    mask_tables,
 )
 from .kernel import _bits, line_reach
 
@@ -126,14 +126,16 @@ def _require_cmg(g: MixedGraph) -> None:
 class _Work:
     """Node masks of a graph under rewrite, with a line-reach memo.
 
-    ``index``, ``ln``, ``pa``, ``ch`` and ``sp`` are those of
-    ``graph.mask_tables(g)``; the rule stages change the four lists in
-    place.
+    ``index``, ``ln``, ``pa``, ``ch`` and ``sp`` start as the input's
+    cached ``g.masks``: ``index`` is shared, and the four masks are
+    copied into lists that the rule stages change in place, so the
+    input's own masks stay as they are.
     """
 
     def __init__(self, g: MixedGraph):
         self.nodes = g.nodes
-        self.index, self.ln, self.pa, self.ch, self.sp = mask_tables(g)
+        self.index, ln, pa, ch, sp, _ = g.masks
+        self.ln, self.pa, self.ch, self.sp = list(ln), list(pa), list(ch), list(sp)
         self._reach: dict[tuple[int, int], int] = {}
 
     def line_reach(self, v: int, blocked: int) -> int:

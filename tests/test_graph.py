@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from cmgraph.errors import (
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 
 from conftest import G
+from test_transform import _large_cmgs
 
 
 @st.composite
@@ -115,6 +118,23 @@ class TestCycles:
             edges.append((*closing, cm.ARROW))
         g = cm.build_graph(labels, edges)
         assert cm.has_semidirected_cycle_with_arrow(g) == per_arrow_cycle(g) == cyclic
+
+    def test_agrees_with_per_arrow_definition_on_large_graphs(self):
+        for g in _large_cmgs():
+            assert cm.has_semidirected_cycle_with_arrow(g) is per_arrow_cycle(g) is False
+
+    def test_arrow_into_an_anterior_is_a_cycle_on_large_graphs(self):
+        # an anterior in the node's own line component puts the arrow inside
+        # the component; one outside makes a directed cycle of components
+        rng = random.Random("arrow-into-anterior")
+        kinds = set()
+        for g in _large_cmgs():
+            v = rng.choice([v for v in g.nodes if cm.anteriors(g, [v])])
+            u = rng.choice(sorted(cm.anteriors(g, [v])))
+            kinds.add(u in g.line_reachable(v))
+            h = cm.build_graph(g.nodes, g.edges_as_triples() + [(v, u, cm.ARROW)])
+            assert cm.has_semidirected_cycle_with_arrow(h) is per_arrow_cycle(h) is True
+        assert kinds == {False, True}
 
 
 def per_arrow_cycle(g):

@@ -469,13 +469,15 @@ def _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base):
 
 
 def _assert_all_pairs_match_definition(n, ln, pa, ch, sp):
-    assert kernel.all_pair_separations(n, ln, pa, ch, sp) == (
+    table = kernel.components(ln, pa, ch, sp)
+    assert kernel.all_pair_separations(n, table, ln, pa, ch, sp) == (
         _all_pairs_by_definition(n, ln, pa, ch, sp, (1 << n) - 1, 0)
     )
 
 
 def _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base):
-    assert kernel.pair_separations(n, ln, pa, ch, sp, keep, base) == (
+    table = kernel.components(ln, pa, ch, sp)
+    assert kernel.pair_separations(n, table, ln, pa, ch, sp, keep, base) == (
         _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base)
     ), (keep, base)
 
@@ -580,12 +582,12 @@ def test_pair_separations_on_sparse_graphs(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_separations_with_fewer_than_two_kept(n):
     g = random_graph(GeneratorConfig(n, 0.5, n, "CMG"))
-    _, ln, pa, ch, sp, _ = _mask_tables(g)
+    _, ln, pa, ch, sp, table = _mask_tables(g)
     full = (1 << n) - 1
     for keep, base in [(0, 0), (0, full), (1, 0), (1, full & ~1), (1 << n - 1, 1)]:
         if keep & base:
             continue
-        assert kernel.pair_separations(n, ln, pa, ch, sp, keep, base) == []
+        assert kernel.pair_separations(n, table, ln, pa, ch, sp, keep, base) == []
 
 
 # -- the grouped kernel against the per-state search -----------------------------

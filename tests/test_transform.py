@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmgraph as cm
+from cmgraph import kernel
 from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
 from cmgraph.graph import mask_tables
 from cmgraph.graphio import render
@@ -578,6 +579,22 @@ def test_large_graphs(seed, n):
         assert cm.CMG in cm.classify(h)
     assert cm.ANG in cm.classify(outs[2])
     assert tuple(_digest(h) for h in outs) == LARGE_DIGESTS[seed, n]
+
+
+@pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+def test_rewrites_leave_the_input_masks_as_built(seed, n):
+    # the rule engines change list copies of the masks that the input caches
+    g, m, c = _large_cmg(seed, n)
+    for g in (g, _with_parallel_arcs(g)):
+        cm.marginalize(g, m)
+        cm.condition(g, c)
+        cm.anterialize(g)
+        index, ln, pa, ch, sp = mask_tables(g)
+        assert g.masks == (
+            index,
+            *map(tuple, (ln, pa, ch, sp)),
+            tuple(kernel.components(ln, pa, ch, sp)),
+        )
 
 
 @pytest.mark.parametrize("seed,n", [(0, 32), (1, 48), (2, 64)])
