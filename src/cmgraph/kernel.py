@@ -16,6 +16,10 @@ mark at the nodes of one such reach move alike: the searches settle a
 whole reach group per visit.  :func:`components` is the per-graph table
 of line components and their flank unions; where a component does not
 meet C it is its nodes' reach, and the table answers without a search.
+One search loop gives both the verdict (:func:`separated`) and, in walk
+mode, a witness (:func:`connecting_walk`) spelled from a trail of the
+settled groups: each section is a shortest line path, but the walk is
+not always shortest in edges.
 
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
@@ -104,14 +108,50 @@ def separated(
 ) -> bool:
     """True iff no c-connecting walk joins ``amask`` and ``bmask`` given ``cmask``.
 
-    ``table`` is :func:`components` of the graph.  A state at ``v``
-    outside C moves only through ``r``, ``v``'s line reach avoiding C,
-    and through ``v``'s line component, so the states of one mark at the
-    nodes of ``r`` move alike and one pop settles them all.  When the
-    component does not meet C, ``r`` is the component and its flank
-    unions come from the table; otherwise one search inside the
+    ``table`` is :func:`components` of the graph.  The verdict of
+    :func:`_search`, which keeps no trail on this path.
+    """
+    return _search(table, ln, pa, ch, sp, amask, bmask, cmask, None)
+
+
+def connecting_walk(
+    table: list[tuple[int, int, int, int]],
+    ln: list[int],
+    pa: list[int],
+    ch: list[int],
+    sp: list[int],
+    amask: int,
+    bmask: int,
+    cmask: int,
+) -> tuple[list[int], list[tuple[int, int, int]]] | None:
+    """A c-connecting walk from ``amask`` to ``bmask`` given ``cmask``, or None.
+
+    The walk is ``(nodes, edges)``: node positions, and per step one
+    ``(kind, x, y)`` with kind 0 a line, 1 an arrow ``x -> y`` and 2 an
+    arc.  It comes from the same search as :func:`separated`, spelled
+    backward from its trail (see :func:`_spell`); each section is a
+    shortest line path, but the walk need not be shortest in edges.
+    """
+    trail: list = []
+    if _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
+        return None
+    return _spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
+
+
+def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
+    """The one search behind :func:`separated` and :func:`connecting_walk`.
+
+    A state at ``v`` outside C moves only through ``r``, ``v``'s line
+    reach avoiding C, and through ``v``'s line component, so the states of
+    one mark at the nodes of ``r`` move alike and one pop settles them
+    all.  When the component does not meet C, ``r`` is the component and
+    its flank unions come from the table; otherwise one search inside the
     component gives them.  The head states at the nodes of C in one
     component share the collider exit, which is taken once per component.
+
+    With a ``trail`` list, each pop appends ``(low, head, r, comp, add_t,
+    add_h)``: the popped state, its settled group, its line component and
+    the tail and head states it added; an accepting pop adds none.
     """
     if amask == 0 or bmask == 0:
         return True
@@ -148,6 +188,8 @@ def separated(
             else:
                 r, p, c, s = comp, cpa, cch, csp
             if r & bmask:
+                if trail is not None:
+                    trail.append((low, head, r, comp, 0, 0))
                 return False
             # as a non-collider a tail state leaves r by any edge and a
             # head state only by an arrow out of r
@@ -173,7 +215,102 @@ def separated(
         seen_h |= add_h
         pend_t |= add_t
         pend_h |= add_h
+        if trail is not None:
+            trail.append((low, head, r, comp, add_t, add_h))
     return True
+
+
+def _spell(ln, pa, ch, sp, amask, bmask, cmask, trail):
+    """The walk of an accepting :func:`_search` trail, spelled backward.
+
+    The last record accepts: its section runs inside ``r`` to the lowest
+    node of B there.  Each earlier step finds the record that added the
+    current section's entry state and joins it by one edge from ``u``,
+    the lowest node of that record's group with the edge kind that the
+    entry mark needs.  The section before that edge is a shortest line
+    path to ``u``: inside ``r`` for a non-collider, and inside the line
+    component through a node of C for a collider.
+    """
+    low, head, r, _, _, _ = trail[-1]
+    start = low.bit_length() - 1
+    hit = r & bmask
+    nodes = _line_path(ln, start, (hit & -hit).bit_length() - 1, r, 0)
+    edges = [(0, x, y) for x, y in zip(nodes, nodes[1:])]
+    at = len(trail) - 1
+    while not (low & amask and not head):
+        at -= 1
+        while not trail[at][5 if head else 4] & low:
+            at -= 1
+        plow, phead, r, comp, _, _ = trail[at]
+        # the non-collider exits out of r first, then the collider exit
+        u = -1
+        if not plow & cmask and (head or not phead):
+            for w in _bits(r):
+                if (ch[w] | (0 if phead else sp[w]) if head else pa[w]) & low:
+                    u = w
+                    break
+        via = 0
+        if u < 0:
+            via = comp & cmask
+            for w in _bits(comp):
+                if (sp[w] if head else pa[w]) & low:
+                    u = w
+                    break
+        if not head:
+            edge = (1, start, u)
+        elif ch[u] & low and not via:
+            edge = (1, u, start)
+        else:
+            edge = (2, u, start)
+        path = _line_path(ln, plow.bit_length() - 1, u, comp if via else r, via)
+        edges = [(0, x, y) for x, y in zip(path, path[1:])] + [edge] + edges
+        nodes = path + nodes
+        low, head, start = plow, phead, plow.bit_length() - 1
+    return nodes, edges
+
+
+def _line_path(ln, start: int, goal: int, inside: int, via: int) -> list[int]:
+    """A shortest line path from ``start`` to ``goal`` inside the mask
+    ``inside`` that meets the mask ``via``; ``via`` 0 asks for nothing.
+
+    One breadth-first pass over (node, met) states, one pair of masks per
+    layer, then back from ``goal`` through the lowest predecessor.
+    """
+    first = 1 << start
+    if via and not first & via:
+        layers = [(first, 0)]  # (not yet met via, met via)
+    else:
+        layers = [(0, first)]
+    seen_u, seen_m = layers[0]
+    goal_bit = 1 << goal
+    while not layers[-1][1] & goal_bit:
+        out_u = out_m = 0
+        for v in _bits(layers[-1][0]):
+            out_u |= ln[v]
+        for v in _bits(layers[-1][1]):
+            out_m |= ln[v]
+        next_m = (out_m | out_u & via) & inside & ~seen_m
+        next_u = out_u & inside & ~via & ~seen_u
+        seen_u |= next_u
+        seen_m |= next_m
+        layers.append((next_u, next_m))
+    path = [goal]
+    met = True
+    for unmet, done in reversed(layers[:-1]):
+        v = path[-1]
+        # a met state comes from a met one, or from an unmet one at a node of via
+        if not met:
+            preds = unmet
+        elif 1 << v & via:
+            preds = done | unmet
+        else:
+            preds = done
+        p = ln[v] & preds
+        p &= -p
+        met = met and bool(p & done)
+        path.append(p.bit_length() - 1)
+    path.reverse()
+    return path
 
 
 def _states_given(

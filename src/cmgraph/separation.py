@@ -27,13 +27,14 @@ from .errors import (
     TooLargeError,
 )
 from .graph import (
+    ARC,
+    ARROW,
     CG,
     LINE,
     MixedGraph,
     anteriors,
     classify,
     label_set,
-    mask_of,
     moral_graph,
 )
 from .walks import Walk
@@ -80,6 +81,38 @@ def _mask_tables(g: MixedGraph):
     return g.masks
 
 
+def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
+    """``(g.masks, amask, bmask, cmask)`` of a query, checked in one pass.
+
+    Raises what :meth:`SeparationQuery.of`, :func:`_require_cmg` and
+    :func:`_check_query` raise, in that order: a bare ``str``, overlapping
+    sets, a graph that is no CMG, an unknown node.  Until the last check
+    an unknown label holds a bit past the graph's nodes.
+    """
+    for labels in (a, b, given):
+        if isinstance(labels, str):
+            label_set(labels, MalformedQueryError)  # raises
+    masks = _mask_tables(g)
+    index = masks[0]
+    unknown: dict = {}
+    out = []
+    for labels in (a, b, given):
+        m = 0
+        for v in labels:
+            bit = index.get(v)
+            if bit is None:
+                bit = unknown.setdefault(v, len(index) + len(unknown))
+            m |= 1 << bit
+        out.append(m)
+    amask, bmask, cmask = out
+    if amask & bmask or amask & cmask or bmask & cmask:
+        raise MalformedQueryError("query sets must be pairwise disjoint")
+    _require_cmg(g)
+    if unknown:
+        raise MalformedQueryError(f"query mentions unknown node {next(iter(unknown))!r}")
+    return masks, amask, bmask, cmask
+
+
 def c_separated(
     g: MixedGraph,
     a: Iterable[str],
@@ -87,25 +120,48 @@ def c_separated(
     given: Iterable[str] = (),
 ) -> bool:
     """Decide whether ``a`` and ``b`` are c-separated given ``given``."""
-    q = SeparationQuery.of(a, b, given)
-    _require_cmg(g)
-    _check_query(g.node_set, q)
-    if not q.a or not q.b:
-        return True
-    index, ln, pa, ch, sp, table = _mask_tables(g)
-    return kernel.separated(
-        table,
-        ln,
-        pa,
-        ch,
-        sp,
-        mask_of(index, q.a),
-        mask_of(index, q.b),
-        mask_of(index, q.given),
-    )
+    masks, amask, bmask, cmask = _query_masks(g, a, b, given)
+    _, ln, pa, ch, sp, table = masks
+    return kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask)
 
 
-# -- edge-stepping simulation (oracle and witness construction) -----------
+def c_connecting_witness(
+    g: MixedGraph,
+    a: Iterable[str],
+    b: Iterable[str],
+    given: Iterable[str] = (),
+) -> Optional[Walk]:
+    """A c-connecting walk between ``a`` and ``b`` given ``given``, or None.
+
+    The walk of ``kernel.connecting_walk``, from the search that decides
+    :func:`c_separated`.  Each of its sections is a shortest line path,
+    but the walk need not be shortest in edges.
+    """
+    masks, amask, bmask, cmask = _query_masks(g, a, b, given)
+    return _walk(g, masks, amask, bmask, cmask)
+
+
+def _walk(
+    g: MixedGraph, masks: tuple, amask: int, bmask: int, cmask: int
+) -> Optional[Walk]:
+    """``kernel.connecting_walk`` on ``g.masks``, as a labelled :class:`Walk`."""
+    _, ln, pa, ch, sp, table = masks
+    found = kernel.connecting_walk(table, ln, pa, ch, sp, amask, bmask, cmask)
+    if found is None:
+        return None
+    positions, steps = found
+    nodes = g.nodes
+    edges = []
+    for kind, x, y in steps:
+        x, y = nodes[x], nodes[y]
+        if kind == 1:
+            edges.append((ARROW, x, y))
+        else:
+            edges.append((ARC if kind else LINE, min(x, y), max(x, y)))
+    return Walk(tuple(nodes[k] for k in positions), tuple(edges))
+
+
+# -- edge-stepping simulation (ground-truth oracle) ------------------------
 
 
 def bounded_walk_oracle(
@@ -183,58 +239,6 @@ def bounded_walk_oracle(
         if v in q.b and clean:
             return False
     return True
-
-
-def c_connecting_witness(
-    g: MixedGraph,
-    a: Iterable[str],
-    b: Iterable[str],
-    given: Iterable[str] = (),
-) -> Optional[Walk]:
-    """A c-connecting walk between ``a`` and ``b`` given ``given``, or None."""
-    q = SeparationQuery.of(a, b, given)
-    _require_cmg(g)
-    _check_query(g.node_set, q)
-    if not q.a or not q.b:
-        return None
-    steps = g.incidences
-    c = q.given
-    start = [(v, False, v in c) for v in sorted(q.a)]
-    parent: dict[tuple, tuple | None] = {s: None for s in start}
-    frontier = list(start)
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for state in frontier:
-            v, head, touched = state
-            if v in q.b and not touched:
-                goal = state
-                break
-            for w, head_here, head_there, edge in steps[v]:
-                if edge[0] == LINE:
-                    new = (w, head, touched or w in c)
-                else:
-                    collider = head and head_here
-                    if collider != touched:
-                        continue  # collider needs C, non-collider forbids it
-                    new = (w, head_there, w in c)
-                if new not in parent:
-                    parent[new] = (state, edge)
-                    nxt.append(new)
-        frontier = nxt
-    if goal is None:
-        return None
-    nodes = [goal[0]]
-    edges = []
-    cur = goal
-    while parent[cur] is not None:
-        prev, edge = parent[cur]
-        edges.append(edge)
-        nodes.append(prev[0])
-        cur = prev
-    nodes.reverse()
-    edges.reverse()
-    return Walk(tuple(nodes), tuple(edges))
 
 
 def moral_separated(
@@ -403,6 +407,5 @@ def non_maximality_witness(g: MixedGraph) -> Optional[NonMaximalityWitness]:
     if found is None:
         return None
     i, j, d = found
-    x, y = g.nodes[i], g.nodes[j]
-    given = [v for k, v in enumerate(g.nodes) if d >> k & 1]
-    return NonMaximalityWitness((x, y), c_connecting_witness(g, [x], [y], given))
+    walk = _walk(g, _mask_tables(g), 1 << i, 1 << j, d)
+    return NonMaximalityWitness((g.nodes[i], g.nodes[j]), walk)

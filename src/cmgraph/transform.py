@@ -95,7 +95,6 @@ from .graph import (
     ARROW,
     LINE,
     MixedGraph,
-    anteriors,
     classify,
     label_set,
     mask_of,
@@ -377,11 +376,20 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
     g.require_nodes(c)
     w = _Work(g)
     cmask = mask_of(w.index, c)
-    s = cmask | mask_of(w.index, anteriors(g, c))
+    s = _s_mask(g, c)
     _condition_arc_flank_stage(w, s)
     made = _condition_collider_stage(w, s)
     w.ln = [a | b for a, b in zip(w.ln, made)]
     return w.to_graph(s, cmask)
+
+
+def _s_mask(g: MixedGraph, c: Iterable[str]) -> int:
+    """The mask of S, the nodes of ``c`` together with their anteriors."""
+    index, ant = g.masks[0], g.anterior_masks
+    s = 0
+    for v in c:
+        s |= 1 << index[v] | ant[v]
+    return s
 
 
 def marginalize_and_condition(
@@ -614,10 +622,10 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     _require_oracle_endpoints(i, j, c, "conditioning")
     if g.adjacent(i, j):
         return True
-    s_set = c | anteriors(g, c)
+    index, s = g.masks[0], _s_mask(g, c)
 
     def arc_into_s(v: str) -> bool:
-        return any(x in s_set for x in g.spouses[v])
+        return any(s >> index[x] & 1 for x in g.spouses[v])
 
     def entries_from(v: str, wide: bool):
         # singleton start section, plus the widened section when allowed
@@ -649,7 +657,7 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
             return True
         if j_wide and mark and j in g.line_reachable(v):
             return True
-        if not mark or v not in s_set:
+        if not mark or not s >> index[v] & 1:
             continue  # inner sections are colliders inside S
         for far in sorted(g.line_reachable(v)):
             for x in sorted(g.parents[far]):
@@ -670,33 +678,29 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
     sections whose inner sections are all colliders lying inside the
     anteriors of i (i itself allowed).  Direct edges count.  Adjacency in
     :func:`anterialize` equals this test in one direction or the other.
+
+    A search over mask frontiers: a head state at a node anterior to i
+    (or at i) moves, over the line reach of that node, to tail states at
+    its parents and head states at its spouses; a tail state never moves.
     """
     _require_cmg(h)
     h.require_nodes({i, j})
     if i == j:
         return False
-    if h.adjacent(i, j):
-        return True
-    allowed = anteriors(h, [i]) | {i}
-
-    # (node, entered with an arrowhead); the search is exhaustive, so the
-    # order in which states are taken does not change the answer
-    frontier = [(x, True) for x in h.children[j] | h.spouses[j]]
-    frontier += [(x, False) for x in h.parents[j]]
-    seen = set(frontier)
-    while frontier:
-        v, mark = frontier.pop()
-        if v == i:
-            return True
-        if not mark or v not in allowed:
-            continue
-        for far in h.line_reachable(v) & allowed:
-            for x in h.parents[far]:
-                if (x, False) not in seen:
-                    seen.add((x, False))
-                    frontier.append((x, False))
-            for x in h.spouses[far]:
-                if (x, True) not in seen:
-                    seen.add((x, True))
-                    frontier.append((x, True))
-    return False
+    index, ln, pa, ch, sp, _ = h.masks
+    at_j, target = index[j], 1 << index[i]
+    allowed = h.anterior_masks[i] | target
+    reached = ln[at_j] | pa[at_j] | ch[at_j] | sp[at_j]
+    heads = done = 0
+    frontier = ch[at_j] | sp[at_j]
+    while frontier and not reached & target:
+        heads |= frontier
+        far = line_reach(ln, frontier & allowed & ~done, ~allowed)
+        done |= far
+        entered = 0
+        for w in _bits(far):
+            reached |= pa[w]
+            entered |= sp[w]
+        reached |= entered
+        frontier = entered & ~heads
+    return bool(reached & target)

@@ -27,7 +27,7 @@ from cmgraph.propcheck import (
     inseparable_pairs,
     random_graph,
 )
-from cmgraph.separation import _mask_tables
+from cmgraph.separation import _mask_tables, _walk
 from cmgraph.walks import COLLIDER, is_c_connecting, section_decomposition
 
 from conftest import G, _large_cmg, _with_parallel_arcs
@@ -167,6 +167,37 @@ def test_bare_string_node_set_rejected(call):
     # "ab" is an iterable of the labels a and b, and would query {a, b}
     with pytest.raises(MalformedQueryError, match="the string 'ab'"):
         call(G(_STR_GRAPH))
+
+
+# a graph with a semi-directed cycle through an arrow, and queries whose
+# faults pile up; each is raised before the ones after it
+_CYCLE = "a -> b; b -- c; c -> a"
+
+
+@pytest.mark.parametrize("check", [cm.c_separated, cm.c_connecting_witness])
+@pytest.mark.parametrize(
+    "a, b, given, error, message",
+    [
+        (["a"], ["a", "zz"], "ab", MalformedQueryError, "the string 'ab'"),
+        ("ab", ["a"], ["zz"], MalformedQueryError, "the string 'ab'"),
+        (["a", "zz"], ["zz"], [], MalformedQueryError, "pairwise disjoint"),
+        (["a"], ["b"], ["a", "zz"], MalformedQueryError, "pairwise disjoint"),
+        (["a"], ["zz"], [], NotACMGError, "semi-directed cycle"),
+        ([], [], ["zz"], NotACMGError, "semi-directed cycle"),
+    ],
+)
+def test_query_faults_raise_in_order(check, a, b, given, error, message):
+    with pytest.raises(error, match=message):
+        check(G(_CYCLE), a, b, given)
+
+
+@pytest.mark.parametrize("check", [cm.c_separated, cm.c_connecting_witness])
+@pytest.mark.parametrize(
+    "a, b, given", [(["zz"], ["a"], []), (["a"], [], ["zz"]), ([], ["zz"], ["b"])]
+)
+def test_unknown_node_named(check, a, b, given):
+    with pytest.raises(MalformedQueryError, match="query mentions unknown node 'zz'"):
+        check(G("a -> b; b -- c"), a, b, given)
 
 
 class TestWitness:
@@ -693,6 +724,100 @@ def test_kernel_on_large_graphs(seed, n, parallel):
     if parallel:
         g = _with_parallel_arcs(g)
     _assert_kernel_matches_states(g, _cutting_queries(g, seed, 100))
+
+
+# -- the kernel walk against the string search -----------------------------------
+
+
+def _witness_by_states(g, a, b, c):
+    """A shortest c-connecting walk in edges, or None: a breadth-first search
+    over string-labelled (node, entered with a head, section met C) states
+    through ``g.incidences``."""
+    start = [(v, False, v in c) for v in sorted(a)]
+    parent = {s: None for s in start}
+    frontier = list(start)
+    goal = None
+    while frontier and goal is None:
+        nxt = []
+        for state in frontier:
+            v, head, touched = state
+            if v in b and not touched:
+                goal = state
+                break
+            for w, head_here, head_there, edge in g.incidences[v]:
+                if edge[0] == cm.LINE:
+                    new = (w, head, touched or w in c)
+                else:
+                    collider = head and head_here
+                    if collider != touched:
+                        continue  # collider needs C, non-collider forbids it
+                    new = (w, head_there, w in c)
+                if new not in parent:
+                    parent[new] = (state, edge)
+                    nxt.append(new)
+        frontier = nxt
+    if goal is None:
+        return None
+    nodes, edges = [goal[0]], []
+    while parent[goal] is not None:
+        goal, edge = parent[goal]
+        edges.append(edge)
+        nodes.append(goal[0])
+    return cm.Walk(tuple(reversed(nodes)), tuple(reversed(edges)))
+
+
+def _assert_walks_match_states(g, queries):
+    """``kernel.connecting_walk`` finds a walk iff the string search does,
+    and every walk it finds passes the audit."""
+    masks = _mask_tables(g)
+    for amask, bmask, cmask in queries:
+        a, b, c = (frozenset(g.nodes[k] for k in _bits(m)) for m in (amask, bmask, cmask))
+        walk = _walk(g, masks, amask, bmask, cmask)
+        want = _witness_by_states(g, a, b, c)
+        assert (walk is None) == (want is None), (render(g), a, b, c)
+        if walk is not None:
+            assert walk.exists_in(g) and is_c_connecting(walk, a, b, c), (
+                render(g), a, b, c, walk.render()
+            )
+
+
+def test_walk_on_every_three_node_query():
+    queries = list(_role_queries(product(range(4), repeat=3)))
+    for g in enumerate_mixed_graphs(("a", "b", "c")):
+        _assert_walks_match_states(g, queries)
+
+
+@pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_walk_on_random_graphs(graph_class, n):
+    rng = random.Random(f"walk-queries:{graph_class}:{n}")
+    for g in _seeded_graphs(graph_class, n):
+        roles = [[rng.randrange(4) for _ in range(n)] for _ in range(60)]
+        _assert_walks_match_states(g, _role_queries(roles))
+
+
+@pytest.mark.parametrize(
+    "seed,n", [(0, 32), (1, 48), (2, 64), (3, 128), (4, 192), (5, 256)]
+)
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_walk_on_large_graphs(seed, n, parallel):
+    g = _large_cmg(seed, n)[0]
+    if parallel:
+        g = _with_parallel_arcs(g)
+    _assert_walks_match_states(g, _cutting_queries(g, seed, 60))
+
+
+def test_walk_detours_through_c_on_a_collider():
+    # the collider section at b meets C only through the detour b -- c -- b
+    g = G("a -> b; b -- c; d -> b")
+    walk = cm.c_connecting_witness(g, ["a"], ["d"], ["c"])
+    assert walk.render() == "a -> b -- c -- b <- d"
+
+
+def test_walk_sections_are_shortest_line_paths():
+    # b reaches f in the component {b, c, e, f} by b -- e -- f, not b -- c -- f -- ...
+    g = G("a -> b; b -- c; c -- d; d -- f; b -- e; e -- f")
+    assert cm.c_connecting_witness(g, ["a"], ["f"]).render() == "a -> b -- e -- f"
 
 
 @pytest.mark.parametrize("seed,n", [(0, 32), (1, 64), (3, 256)])

@@ -607,6 +607,59 @@ def test_inducing_oracle_matches_anterialize_on_large_graphs(seed, n):
         ), (i, j)
 
 
+def _subprimitive_by_strings(h, j, i):
+    """``subprimitive_walk_exists`` as a search over string-labelled states."""
+    if i == j:
+        return False
+    if h.adjacent(i, j):
+        return True
+    allowed = cm.anteriors(h, [i]) | {i}
+    # (node, entered with an arrowhead)
+    frontier = [(x, True) for x in h.children[j] | h.spouses[j]]
+    frontier += [(x, False) for x in h.parents[j]]
+    seen = set(frontier)
+    while frontier:
+        v, mark = frontier.pop()
+        if v == i:
+            return True
+        if not mark or v not in allowed:
+            continue
+        for far in h.line_reachable(v) & allowed:
+            for x in h.parents[far]:
+                if (x, False) not in seen:
+                    seen.add((x, False))
+                    frontier.append((x, False))
+            for x in h.spouses[far]:
+                if (x, True) not in seen:
+                    seen.add((x, True))
+                    frontier.append((x, True))
+    return False
+
+
+def test_inducing_oracle_matches_strings_on_three_nodes():
+    for g in _three_node_cmgs():
+        for i in g.nodes:
+            for j in g.nodes:
+                assert cm.subprimitive_walk_exists(g, j, i) == (
+                    _subprimitive_by_strings(g, j, i)
+                ), (render(g), j, i)
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_inducing_oracle_matches_strings_on_large_graphs(parallel):
+    rng = random.Random("inducing-oracle-strings")
+    hits = 0
+    for g in _large_cmgs():
+        if parallel:
+            g = _with_parallel_arcs(g)
+        for _ in range(1500):
+            j, i = rng.sample(g.nodes, 2)
+            got = cm.subprimitive_walk_exists(g, j, i)
+            assert got == _subprimitive_by_strings(g, j, i), (j, i)
+            hits += got and not g.adjacent(i, j)
+    assert hits > 20  # walks through collider sections, not only edges
+
+
 # -- anterial closure against the plain fixpoint loop ----------------------------
 
 
