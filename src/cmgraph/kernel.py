@@ -23,13 +23,19 @@ not always shortest in edges.
 
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
-shifted by a set ``base``; it enumerates one conditioning set at a time
-and shares each search among all pairs.
+shifted by a set ``base``, deciding all ``2^|keep|`` conditioning sets
+at once, bit-sliced: bit ``c`` of an integer stands for one set.  Every
+move of the search above depends on C only through whether one node, or
+one line component, meets C.  So each move maps the walks given set
+``c`` to walks given the same set, and a per-node mask of the sets that
+contain (avoid) the node gates it bitwise.  One fixpoint over vectors
+of such bits per source node therefore computes, in each bit, exactly
+the states that the search given that set reaches.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import lru_cache
 
 
 def backend_name() -> str:
@@ -313,59 +319,16 @@ def _line_path(ln, start: int, goal: int, inside: int, via: int) -> list[int]:
     return path
 
 
-def _states_given(
-    ln: list[int],
-    pa: list[int],
-    ch: list[int],
-    sp: list[int],
-    component: tuple[int, int, int, int],
-    sub: int,
-) -> list[tuple[int, tuple[int, int, int, int, int]]]:
-    """(v, entry) for every node v of a line component, given C.
+@lru_cache(maxsize=None)
+def _patterns(k: int) -> tuple[int, tuple[int, ...]]:
+    """The 2^k-bit vector of all ones and the k subset patterns.
 
-    ``component`` is the component's :func:`components` tuple and ``sub``
-    is C & comp; nothing else of C changes an entry.  An entry is
-    ``(group, tail_t, tail_h, head_t, head_h)``: a tail state at v moves
-    to tail states at ``tail_t`` and head states at ``tail_h``, a head
-    state to ``head_t`` and ``head_h``.  The states at the nodes of
-    ``group`` move alike, so one visit settles them all.  For v outside C
-    the group is ``r[v]``, v's line reach avoiding C; for v in C it is
-    the nodes of C in ``comp`` (only its head states move).
+    Pattern t has bit c set iff bit t of c is, that is iff the t-th kept
+    node is in the conditioning set numbered c.
     """
-    comp, cpa, _, csp = component
-    out = []
-    left = comp & ~sub
-    while left:
-        r = frontier = left & -left
-        p = c = s = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            w = low.bit_length() - 1
-            p |= pa[w]
-            c |= ch[w]
-            s |= sp[w]
-            fresh = ln[w] & left & ~r
-            r |= fresh
-            frontier |= fresh
-        left &= ~r
-        # as a non-collider a tail state leaves r by any edge and a head
-        # state only by an arrow out of r; as a collider a head state
-        # leaves comp by an arrowhead, when comp meets C
-        if sub:
-            entry = (r, p, c | s, cpa, c | csp)
-        else:
-            entry = (r, p, c | s, 0, c)
-        while r:
-            low = r & -r
-            r ^= low
-            out.append((low.bit_length() - 1, entry))
-    entry = (sub, 0, 0, cpa, csp)
-    while sub:
-        low = sub & -sub
-        sub ^= low
-        out.append((low.bit_length() - 1, entry))
-    return out
+    full = (1 << (1 << k)) - 1
+    # 2^t clear bits then 2^t set ones, repeated
+    return full, tuple(full // ((1 << (1 << t)) + 1) << (1 << t) for t in range(k))
 
 
 def all_pair_separations(
@@ -392,97 +355,145 @@ def pair_separations(
     ``base`` must not meet ``keep``.  Nodes outside both are walked
     through but never reported.
 
-    Works one conditioning set C at a time, which is exact for this
-    reason.  ``separated(table, ..., 1 << i, 1 << j, cmask)`` explores the
-    same states whatever ``j`` is.  It returns False exactly when a state
-    ``v`` outside C that it pops has ``reach(v, avoiding C)`` containing
-    ``j``.  A state's moves depend on ``v`` only through that reach,
-    ``r[v]`` (the line component of ``v`` in the graph with C removed),
-    and through ``v``'s full line component.  So one closure over the
-    (node, mark) states from a tail state at ``i`` collects ``conn``, the
-    union of ``r[v]`` over the states it reaches, and ``i`` is separated
-    given C from every ``j > i`` outside C and outside ``conn``.  Sources
-    with the same ``r`` share that closure; only the nodes of ``keep``
-    outside C are reported as sources and targets.
+    Decides all ``2^k`` sets at once, for ``k`` kept nodes.  Set number
+    ``c`` is ``base`` plus the kept nodes at the set bits of ``c``, so
+    sets in increasing ``c`` have increasing cmasks.  ``IN[v]`` has bit
+    ``c`` set iff ``v`` is in set ``c``, and ``OUT[v]`` is its complement;
+    a node outside ``keep`` is in all sets or in none.
+
+    Exactness.  Given one set C, the search of :func:`separated` from
+    ``i`` moves a state at ``v`` outside C along a line to ``w`` outside
+    C, out of a tail state by any edge and out of a head state by an
+    arrow; and a head state anywhere in a line component that meets C
+    leaves it by an arrowhead into the component (the collider exit).
+    These moves test C only by ``v in C``, ``w in C`` and ``comp & C``.
+    So, with one vector per (node, mark) state, the same moves applied to
+    whole vectors, gated by ``OUT[v] & OUT[w]``, ``OUT[v]`` and the OR of
+    ``IN`` over the component, compute in bit ``c`` exactly the states
+    reached given set ``c``: no move mixes bits.  The fixpoint starts
+    from the tail state at ``i`` with ``OUT[i]``; a state moves only the
+    bits it has not moved before, and a component's collider exit only
+    its new bits.  ``j`` is reached given set ``c`` iff a state at ``j``
+    holds bit ``c`` while ``j`` is outside the set, so the pair is
+    separated given every set of ``OUT[i] & OUT[j] & ~(T[j] | H[j])``.
+    The triples come out in (i, j, increasing cmask) order.
     """
-    # (line component, {C & component: its nodes' entries}); the loops
-    # here and in _states_given are inlined, not _bits/line_reach calls,
-    # because most calls are on graphs of 2-4 nodes, where they would
-    # dominate the fixed cost
-    comps = []
+    k = bin(keep).count("1")
+    if k < 2:
+        return []
+    full, pats = _patterns(k)
+    # IN per node, then OUT
+    into = [full if base >> v & 1 else 0 for v in range(n)]
+    cmasks = [base]  # by c: base plus the kept nodes at the set bits of c
+    rest = keep
+    for t in range(k):
+        low = rest & -rest
+        rest ^= low
+        into[low.bit_length() - 1] = pats[t]
+        cmasks += [cm | low for cm in cmasks]
+    out = [full ^ m for m in into]
+    lines = [list(_bits(m)) for m in ln]
+    parents = [list(_bits(m)) for m in pa]
+    children = [list(_bits(m)) for m in ch]
+    heads = [list(_bits(c | s)) for c, s in zip(ch, sp)]
+    # per node, of its line component: the lowest node, the OR of IN, the
+    # parents and the spouses
+    colliders: list = [None] * n
     rest = (1 << n) - 1
     while rest:
-        comp = table[(rest & -rest).bit_length() - 1][0]
+        comp, cpa, _, csp = table[(rest & -rest).bit_length() - 1]
         rest &= ~comp
-        comps.append((comp, {}))
-    state = [None] * n
-    found = [[] for _ in range(n * n)]  # at i * n + j, in cmask order
-    # subsets of keep in increasing order; keep itself leaves no pair
-    sub = 0
-    while sub != keep:
-        outside = keep & ~sub
-        cmask = base | sub
-        sub = (sub - keep) & keep
-        if outside & (outside - 1) == 0:
-            continue
-        for comp, known in comps:
-            entries = known.get(cmask & comp)
-            if entries is None:
-                component = table[(comp & -comp).bit_length() - 1]
-                entries = known[cmask & comp] = _states_given(
-                    ln, pa, ch, sp, component, cmask & comp
-                )
-            for v, entry in entries:
-                state[v] = entry
-        sources = outside
-        while sources:
-            low = sources & -sources
-            src, pend_t, pend_h, _, _ = state[low.bit_length() - 1]
-            sources &= ~src
-            above = outside & ~src & -(low << 1)
-            if not above:
+        nodes = list(_bits(comp))
+        meet = 0
+        for v in nodes:
+            meet |= into[v]
+        entry = (nodes[0], meet, list(_bits(cpa)), list(_bits(csp)))
+        for v in nodes:
+            colliders[v] = entry
+    found = []
+    sources = keep
+    while sources & (sources - 1):
+        low = sources & -sources
+        sources ^= low
+        i = low.bit_length() - 1
+        tail = [0] * n
+        head = [0] * n
+        sent_t = [0] * n  # the bits of each state already moved on
+        sent_h = [0] * n
+        collided = [0] * n  # by lowest node: the bits whose collider exit is taken
+        tail[i] = out[i]
+        pend_t = low
+        pend_h = 0
+        while pend_t or pend_h:
+            if pend_t:
+                bit = pend_t & -pend_t
+                pend_t ^= bit
+                v = bit.bit_length() - 1
+                d = tail[v] & ~sent_t[v] & out[v]
+                sent_t[v] = tail[v]
+                if not d:
+                    continue
+                # as a non-collider a tail state moves along lines
+                # avoiding C and leaves by any edge
+                for w in lines[v]:
+                    x = d & out[w]
+                    if x & ~tail[w]:
+                        tail[w] |= x
+                        pend_t |= 1 << w
+                for w in parents[v]:
+                    if d & ~tail[w]:
+                        tail[w] |= d
+                        pend_t |= 1 << w
+                for w in heads[v]:
+                    if d & ~head[w]:
+                        head[w] |= d
+                        pend_h |= 1 << w
                 continue
-            # nodes of C in conn are never targets, and a tail state in C
-            # has no moves, so it starts out seen
-            conn = src
-            seen_t = src | cmask
-            pend_t &= ~seen_t
-            seen_t |= pend_t
-            seen_h = pend_h
-            while pend_t or pend_h:
-                if pend_t:
-                    group, add_t, add_h, _, _ = state[
-                        (pend_t & -pend_t).bit_length() - 1
-                    ]
-                    seen_t |= group
-                    pend_t &= ~group
-                else:
-                    group, _, _, add_t, add_h = state[
-                        (pend_h & -pend_h).bit_length() - 1
-                    ]
-                    seen_h |= group
-                    pend_h &= ~group
-                conn |= group
-                add_t &= ~seen_t
-                add_h &= ~seen_h
-                seen_t |= add_t
-                seen_h |= add_h
-                pend_t |= add_t
-                pend_h |= add_h
-            targets = above & ~conn
-            src &= outside
-            while targets and src:
-                a = src & -src
-                src ^= a
-                i = a.bit_length() - 1
-                row = i * n
-                t = targets & -(a << 1)
-                while t:
-                    b = t & -t
-                    t ^= b
-                    j = b.bit_length() - 1
-                    found[row + j].append((i, j, cmask))
-    return list(chain.from_iterable(found))
+            bit = pend_h & -pend_h
+            pend_h ^= bit
+            v = bit.bit_length() - 1
+            new = head[v] & ~sent_h[v]
+            sent_h[v] = head[v]
+            # as a non-collider a head state moves along lines avoiding C
+            # and leaves only by an arrow
+            d = new & out[v]
+            if d:
+                for w in lines[v]:
+                    x = d & out[w]
+                    if x & ~head[w]:
+                        head[w] |= x
+                        pend_h |= 1 << w
+                for w in children[v]:
+                    if d & ~head[w]:
+                        head[w] |= d
+                        pend_h |= 1 << w
+            # as a collider it leaves its component by an arrowhead where
+            # the component meets C, once per component and set
+            r, meet, cpa, csp = colliders[v]
+            d = new & meet & ~collided[r]
+            if d:
+                collided[r] |= d
+                for w in cpa:
+                    if d & ~tail[w]:
+                        tail[w] |= d
+                        pend_t |= 1 << w
+                for w in csp:
+                    if d & ~head[w]:
+                        head[w] |= d
+                        pend_h |= 1 << w
+        # the verdict: i and j outside the set, neither state at j reached
+        gate = out[i]
+        targets = sources
+        while targets:
+            bit = targets & -targets
+            targets ^= bit
+            j = bit.bit_length() - 1
+            sep = gate & out[j] & ~(tail[j] | head[j])
+            while sep:
+                c = sep & -sep
+                sep ^= c
+                found.append((i, j, cmasks[c.bit_length() - 1]))
+    return found
 
 
 def exists_separator(

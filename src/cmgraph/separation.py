@@ -331,21 +331,21 @@ def labelled_statements(
 
     ``strip`` is a mask inside every cmask; it is left out of each C.
     """
-    # each conditioning set is built once, from the one a node smaller
-    csets: dict[int, frozenset[str]] = {strip: frozenset()}
-
-    def cset(cmask: int) -> frozenset[str]:
-        got = csets.get(cmask)
-        if got is None:
-            rest = cmask ^ strip
-            low = rest & -rest
-            got = csets[cmask] = cset(cmask ^ low) | {nodes[low.bit_length() - 1]}
-        return got
-
+    # each conditioning set is built once, on its first triple
+    csets: dict[int, frozenset[str]] = {}
     stmts = set()
     for i, j, cmask in found:
+        got = csets.get(cmask)
+        if got is None:
+            rest = cmask & ~strip
+            got = []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                got.append(nodes[low.bit_length() - 1])
+            got = csets[cmask] = frozenset(got)
         x, y = nodes[i], nodes[j]
-        stmts.add((min(x, y), max(x, y), cset(cmask)))
+        stmts.add((x, y, got) if x < y else (y, x, got))
     return frozenset(stmts)
 
 

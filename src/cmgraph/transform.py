@@ -615,60 +615,39 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     sections unless the endpoint has an arc into S and the flanking edge
     points into its section.  Direct edges always survive.  Must agree
     with :func:`condition`.
+
+    A search over mask frontiers in node-index order: a head state at a
+    node of S moves, over that node's line component, to tail states at
+    the component's parents and head states at its spouses; a tail state
+    never moves.  The search reaches j at any state at j, and at a head
+    state anywhere in j's line component when j has an arc into S.
     """
     c = label_set(c, TransformSpecError)
     _require_cmg(g)
     g.require_nodes({i, j} | c)
     _require_oracle_endpoints(i, j, c, "conditioning")
-    if g.adjacent(i, j):
+    index, ln, pa, ch, sp, table = g.masks
+    s = _s_mask(g, c)
+    at_i, at_j = index[i], index[j]
+    target = 1 << at_j
+    if (ln[at_i] | pa[at_i] | ch[at_i] | sp[at_i]) & target:
         return True
-    index, s = g.masks[0], _s_mask(g, c)
-
-    def arc_into_s(v: str) -> bool:
-        return any(s >> index[x] & 1 for x in g.spouses[v])
-
-    def entries_from(v: str, wide: bool):
-        # singleton start section, plus the widened section when allowed
-        for x in sorted(g.children[v]):
-            yield x, True
-        for x in sorted(g.parents[v]):
-            yield x, False
-        for x in sorted(g.spouses[v]):
-            yield x, True
-        if wide:
-            for far in sorted(g.line_reachable(v)):
-                if far == v:
-                    continue
-                for x in sorted(g.parents[far]):
-                    yield x, False
-                for x in sorted(g.spouses[far]):
-                    yield x, True
-
-    seen: set[tuple[str, bool]] = set()
-    frontier: list[tuple[str, bool]] = []
-    for x, mark in entries_from(i, arc_into_s(i)):
-        if (x, mark) not in seen:
-            seen.add((x, mark))
-            frontier.append((x, mark))
-    j_wide = arc_into_s(j)
-    while frontier:
-        v, mark = frontier.pop()
-        if v == j:
-            return True
-        if j_wide and mark and j in g.line_reachable(v):
-            return True
-        if not mark or not s >> index[v] & 1:
-            continue  # inner sections are colliders inside S
-        for far in sorted(g.line_reachable(v)):
-            for x in sorted(g.parents[far]):
-                if (x, False) not in seen:
-                    seen.add((x, False))
-                    frontier.append((x, False))
-            for x in sorted(g.spouses[far]):
-                if (x, True) not in seen:
-                    seen.add((x, True))
-                    frontier.append((x, True))
-    return False
+    # the start section is i, or i's line component when i has an arc into S
+    if sp[at_i] & s:
+        _, tails, _, heads = table[at_i]
+    else:
+        tails, heads = pa[at_i], sp[at_i]
+    heads |= ch[at_i]
+    goal = table[at_j][0] if sp[at_j] & s else target
+    done = 0
+    frontier = heads & s
+    while frontier and not (tails & target or heads & goal):
+        comp, cpa, _, csp = table[(frontier & -frontier).bit_length() - 1]
+        done |= comp
+        tails |= cpa
+        heads |= csp
+        frontier = heads & s & ~done
+    return bool(tails & target or heads & goal)
 
 
 def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:

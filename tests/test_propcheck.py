@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -30,6 +31,10 @@ from cmgraph.propcheck import (
 )
 
 from conftest import G
+
+
+# sha256 of the models in test_models_keep_their_pinned_digest
+MODELS_DIGEST = "92712153c584b9409bc8b244df749889349058db569de686c0ac8345c471f754"
 
 
 def _shifted_model_by_queries(g, base, keep):
@@ -240,6 +245,41 @@ class TestChecks:
     def test_shifted_model_requires_cmg(self):
         with pytest.raises(NotACMGError):
             _shifted_model(G("a -> b; b -- c; c -> a"), frozenset(), frozenset("a"))
+
+    def test_models_keep_their_pinned_digest(self):
+        # pairwise_model and _shifted_model on 7-8-node graphs of every
+        # class; each conditioning set is rendered sorted, so the digest
+        # does not depend on the hash seed
+        text = []
+        for k in range(42):
+            graph_class = ("CG", "CMG", "AnG")[k % 3]
+            g = random_graph(
+                GeneratorConfig(7 + k % 2, 0.15 + 0.05 * (k % 5), 9000 + k, graph_class)
+            )
+            rng = random.Random(k)
+            roles = [rng.choice((0, 0, 1, 2)) for _ in g.nodes]
+            base = frozenset(v for v, r in zip(g.nodes, roles) if r == 1)
+            keep = frozenset(v for v, r in zip(g.nodes, roles) if r == 0)
+            for model in (cm.pairwise_model(g), _shifted_model(g, base, keep)):
+                text.append(f"# {render(g)!r} {sorted(model.ground)}")
+                text += [
+                    f"{x} {y} | {' '.join(sorted(c))}"
+                    for x, y, c in model.sorted_statements()
+                ]
+        digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
+        assert digest == MODELS_DIGEST
+
+    def test_models_label_pairs_in_order_on_unsorted_nodes(self):
+        g = G("d -> b; b -- c; a <-> c; e -> a; e -- d")
+        h = cm.MixedGraph(("e", "c", "a", "d", "b"), g.edges)
+        model = cm.pairwise_model(h)
+        assert all(x < y for x, y, _ in model.statements)
+        assert model == cm.pairwise_model(g)
+        base, keep = frozenset("c"), frozenset("abe")
+        shifted = _shifted_model(h, base, keep)
+        assert all(x < y for x, y, _ in shifted.statements)
+        assert shifted == _shifted_model(g, base, keep)
+        assert shifted == _shifted_model_by_queries(g, base, keep)
 
     def test_commutativity_returns_both_verdicts(self):
         models_ok, graphs_ok = check_commutativity(

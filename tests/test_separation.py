@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -491,11 +492,14 @@ def _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base):
         pair = 1 << i | 1 << j
         if keep & pair != pair:
             continue
-        for sub in range(1 << n):
-            if sub & ~(keep & ~pair) == 0 and kernel.separated(
-                table, ln, pa, ch, sp, 1 << i, 1 << j, base | sub
-            ):
+        rest = keep & ~pair
+        sub = 0
+        while True:  # the subsets of rest in increasing order
+            if kernel.separated(table, ln, pa, ch, sp, 1 << i, 1 << j, base | sub):
                 out.append((i, j, base | sub))
+            if sub == rest:
+                break
+            sub = (sub - rest) & rest
     return out
 
 
@@ -608,6 +612,30 @@ def test_pair_separations_on_sparse_graphs(n):
             _assert_pair_separations_match_definition(
                 n, empty, empty, empty, one, keep, base
             )
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_pair_separations_on_large_graphs(n, parallel):
+    # 2-5 kept nodes and a base of 0-2: the vectors are 2^|keep| bits wide
+    # whatever n is
+    rng = random.Random(f"large-pair-separations:{n}")
+    mixed = 0
+    for seed in range(3):
+        g = _large_cmg(seed, n)[0]
+        if parallel:
+            g = _with_parallel_arcs(g)
+        _, ln, pa, ch, sp, table = _mask_tables(g)
+        for _ in range(6):
+            k = rng.randint(2, 5)
+            picked = rng.sample(range(n), k + rng.randint(0, 2))
+            keep = sum(1 << v for v in picked[:k])
+            base = sum(1 << v for v in picked[k:])
+            _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base)
+            found = kernel.pair_separations(n, table, ln, pa, ch, sp, keep, base)
+            counts = Counter((i, j) for i, j, _ in found)
+            mixed += sum(0 < c < 1 << (k - 2) for c in counts.values())
+    assert mixed > 0  # some pair is separated given some of the sets only
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -660,6 +660,78 @@ def test_inducing_oracle_matches_strings_on_large_graphs(parallel):
     assert hits > 20  # walks through collider sections, not only edges
 
 
+
+def _conditional_by_strings(g, c, i, j):
+    """``conditional_edge_oracle`` as a search over string-labelled states."""
+    if g.adjacent(i, j):
+        return True
+    s = set(c) | cm.anteriors(g, c)
+
+    def arc_into_s(v):
+        return bool(g.spouses[v] & s)
+
+    def entries_from(v, wide):
+        # singleton start section, plus the widened section when allowed
+        yield from ((x, True) for x in g.children[v])
+        yield from ((x, False) for x in g.parents[v])
+        yield from ((x, True) for x in g.spouses[v])
+        if wide:
+            for far in g.line_reachable(v) - {v}:
+                yield from ((x, False) for x in g.parents[far])
+                yield from ((x, True) for x in g.spouses[far])
+
+    frontier = list(set(entries_from(i, arc_into_s(i))))
+    seen = set(frontier)
+    j_wide = arc_into_s(j)
+    while frontier:
+        v, mark = frontier.pop()
+        if v == j:
+            return True
+        if j_wide and mark and j in g.line_reachable(v):
+            return True
+        if not mark or v not in s:
+            continue  # inner sections are colliders inside S
+        for far in g.line_reachable(v):
+            for x, state in [(x, False) for x in g.parents[far]] + [
+                (x, True) for x in g.spouses[far]
+            ]:
+                if (x, state) not in seen:
+                    seen.add((x, state))
+                    frontier.append((x, state))
+    return False
+
+
+def test_conditional_oracle_matches_strings_on_three_nodes():
+    for g in _three_node_cmgs():
+        for r in range(len(g.nodes) + 1):
+            for c in combinations(g.nodes, r):
+                rest = [v for v in g.nodes if v not in c]
+                for i in rest:
+                    for j in rest:
+                        if i != j:
+                            assert cm.conditional_edge_oracle(g, c, i, j) == (
+                                _conditional_by_strings(g, c, i, j)
+                            ), (render(g), c, i, j)
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_conditional_oracle_matches_strings_on_large_graphs(parallel):
+    rng = random.Random("conditional-oracle-strings")
+    hits = 0
+    for g in _large_cmgs():
+        if parallel:
+            g = _with_parallel_arcs(g)
+        for _ in range(6):
+            c = rng.sample(g.nodes, rng.randint(1, 4))
+            rest = [v for v in g.nodes if v not in c]
+            for _ in range(100):
+                i, j = rng.sample(rest, 2)
+                got = cm.conditional_edge_oracle(g, c, i, j)
+                assert got == _conditional_by_strings(g, c, i, j), (c, i, j)
+                hits += got and not g.adjacent(i, j)
+    assert hits > 100  # walks through collider sections, not only edges
+
+
 # -- anterial closure against the plain fixpoint loop ----------------------------
 
 
