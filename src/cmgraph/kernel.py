@@ -23,14 +23,19 @@ not always shortest in edges.
 
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
-shifted by a set ``base``, deciding all ``2^|keep|`` conditioning sets
-at once, bit-sliced: bit ``c`` of an integer stands for one set.  Every
-move of the search above depends on C only through whether one node, or
-one line component, meets C.  So each move maps the walks given set
-``c`` to walks given the same set, and a per-node mask of the sets that
-contain (avoid) the node gates it bitwise.  One fixpoint over vectors
-of such bits per source node therefore computes, in each bit, exactly
-the states that the search given that set reaches.
+shifted by a set ``base``, deciding all pairs and all ``2^k``
+conditioning sets (``k = |keep|``) in one fixpoint, bit-sliced: bit
+``q * 2^k + c`` of an integer stands for the search from the q-th kept
+node given set ``c``, so the integers are ``(k - 1) * 2^k`` bits wide.
+Every move of the search above depends on C only through whether one
+node, or one line component, meets C, and never on the source.  So each
+move maps the walks from one source given set ``c`` to walks from the
+same source given the same set, and a per-node mask of the sets that
+contain (avoid) the node, repeated over the source blocks, gates it
+bitwise.  The fixpoint therefore computes, in each bit, exactly the
+states that the search from that source given that set reaches.  The
+callers keep ``k`` at 8 or less: ``separation.MODEL_NODE_CAP`` and the
+property harness's graph sizes.
 """
 
 from __future__ import annotations
@@ -320,21 +325,33 @@ def _line_path(ln, start: int, goal: int, inside: int, via: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _patterns(k: int) -> tuple[int, tuple[int, ...]]:
-    """The 2^k-bit vector of all ones and the k subset patterns.
+def _patterns(k: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The slicing constants for ``k`` kept nodes.
 
-    Pattern t has bit c set iff bit t of c is, that is iff the t-th kept
-    node is in the conditioning set numbered c.
+    ``(full, wide, pats, wide_pats)``: ``full`` is the ``2^k``-bit block
+    of ones and pattern t has bit c set iff bit t of c is, that is iff
+    the t-th kept node is in the conditioning set numbered c.  ``wide``
+    and ``wide_pats`` repeat them in each of the ``k - 1`` source blocks.
     """
-    full = (1 << (1 << k)) - 1
+    size = 1 << k
+    full = (1 << size) - 1
     # 2^t clear bits then 2^t set ones, repeated
-    return full, tuple(full // ((1 << (1 << t)) + 1) << (1 << t) for t in range(k))
+    pats = tuple(full // ((1 << (1 << t)) + 1) << (1 << t) for t in range(k))
+    # bit q * 2^k set for each source q: one multiplication repeats a block
+    rep = ((1 << ((k - 1) << k)) - 1) // full
+    return full, full * rep, pats, tuple(p * rep for p in pats)
+
+
+@lru_cache(maxsize=1 << 12)
+def _members(mask: int) -> tuple[int, ...]:
+    """The nodes of ``mask`` in increasing order."""
+    return tuple(_bits(mask))
 
 
 def all_pair_separations(
     n: int, table: list, ln: list[int], pa: list[int], ch: list[int], sp: list[int]
 ) -> list[tuple[int, int, int]]:
-    """All (i, j, cmask) with i < j separated given cmask, sorted: the full model."""
+    """One (i, j, sepmask) per pair i < j, as :func:`pair_separations`: the model."""
     return pair_separations(n, table, ln, pa, ch, sp, (1 << n) - 1, 0)
 
 
@@ -348,54 +365,55 @@ def pair_separations(
     keep: int,
     base: int,
 ) -> list[tuple[int, int, int]]:
-    """All (i, j, cmask) with i < j in ``keep`` separated given cmask, sorted.
+    """One ``(i, j, sepmask)`` per pair ``i < j`` of ``keep``, in order.
 
-    ``table`` is :func:`components` of the graph.  ``cmask`` ranges over
-    ``base | sub`` for the subsets ``sub`` of ``keep`` without i and j;
+    ``table`` is :func:`components` of the graph.  Bit ``c`` of
+    ``sepmask`` is set iff ``i`` and ``j`` are separated given set number
+    ``c``: ``base`` plus the kept nodes at the set bits of ``c``, the t-th
+    kept node at bit t.  Only sets without ``i`` and ``j`` are asked.
     ``base`` must not meet ``keep``.  Nodes outside both are walked
     through but never reported.
 
-    Decides all ``2^k`` sets at once, for ``k`` kept nodes.  Set number
-    ``c`` is ``base`` plus the kept nodes at the set bits of ``c``, so
-    sets in increasing ``c`` have increasing cmasks.  ``IN[v]`` has bit
-    ``c`` set iff ``v`` is in set ``c``, and ``OUT[v]`` is its complement;
-    a node outside ``keep`` is in all sets or in none.
+    Decides all pairs and all ``2^k`` sets, for ``k`` kept nodes, in one
+    fixpoint, bit-sliced.  Bit ``q * 2^k + c`` of a state's integer
+    stands for the search from source ``q`` (the q-th kept node; the last
+    needs no search) given set ``c``, so the integers are ``(k - 1) * 2^k``
+    bits wide.  ``IN[v]`` has bit ``c`` of every block set iff ``v`` is in
+    set ``c``, and ``OUT[v]`` is its complement; a node outside ``keep``
+    is in all sets or in none.
 
     Exactness.  Given one set C, the search of :func:`separated` from
     ``i`` moves a state at ``v`` outside C along a line to ``w`` outside
     C, out of a tail state by any edge and out of a head state by an
     arrow; and a head state anywhere in a line component that meets C
     leaves it by an arrowhead into the component (the collider exit).
-    These moves test C only by ``v in C``, ``w in C`` and ``comp & C``.
-    So, with one vector per (node, mark) state, the same moves applied to
-    whole vectors, gated by ``OUT[v] & OUT[w]``, ``OUT[v]`` and the OR of
-    ``IN`` over the component, compute in bit ``c`` exactly the states
-    reached given set ``c``: no move mixes bits.  The fixpoint starts
-    from the tail state at ``i`` with ``OUT[i]``; a state moves only the
-    bits it has not moved before, and a component's collider exit only
-    its new bits.  ``j`` is reached given set ``c`` iff a state at ``j``
-    holds bit ``c`` while ``j`` is outside the set, so the pair is
-    separated given every set of ``OUT[i] & OUT[j] & ~(T[j] | H[j])``.
-    The triples come out in (i, j, increasing cmask) order.
+    These moves test C only by ``v in C``, ``w in C`` and ``comp & C``,
+    and never the source.  So, with one integer per (node, mark) state,
+    the same moves applied to whole integers, gated by ``OUT[v] & OUT[w]``,
+    ``OUT[v]`` and the OR of ``IN`` over the component, compute in bit
+    ``q * 2^k + c`` exactly the states that the search from source ``q``
+    given set ``c`` reaches: no move mixes bits.  The fixpoint starts from
+    the tail state at each source ``q`` with its ``OUT`` in block ``q``; a
+    state moves only the bits it has not moved before, and a component's
+    collider exit only its new bits.  ``j`` is reached from ``i`` given
+    set ``c`` iff a state at ``j`` holds the bit while ``j`` is outside
+    the set, so the pair is separated given every set of ``OUT[i] &
+    OUT[j]`` whose bit no state at ``j`` holds in ``i``'s block.
     """
-    k = bin(keep).count("1")
+    kept = _members(keep)
+    k = len(kept)
     if k < 2:
         return []
-    full, pats = _patterns(k)
-    # IN per node, then OUT
-    into = [full if base >> v & 1 else 0 for v in range(n)]
-    cmasks = [base]  # by c: base plus the kept nodes at the set bits of c
-    rest = keep
-    for t in range(k):
-        low = rest & -rest
-        rest ^= low
-        into[low.bit_length() - 1] = pats[t]
-        cmasks += [cm | low for cm in cmasks]
-    out = [full ^ m for m in into]
-    lines = [list(_bits(m)) for m in ln]
-    parents = [list(_bits(m)) for m in pa]
-    children = [list(_bits(m)) for m in ch]
-    heads = [list(_bits(c | s)) for c, s in zip(ch, sp)]
+    full, wide, pats, wide_pats = _patterns(k)
+    # IN per node, repeated over the source blocks, then OUT
+    into = [wide if base >> v & 1 else 0 for v in range(n)]
+    for v, p in zip(kept, wide_pats):
+        into[v] = p
+    out = [wide ^ m for m in into]
+    lines = list(map(_members, ln))
+    parents = list(map(_members, pa))
+    children = list(map(_members, ch))
+    heads = [_members(c | s) for c, s in zip(ch, sp)]
     # per node, of its line component: the lowest node, the OR of IN, the
     # parents and the spouses
     colliders: list = [None] * n
@@ -403,96 +421,100 @@ def pair_separations(
     while rest:
         comp, cpa, _, csp = table[(rest & -rest).bit_length() - 1]
         rest &= ~comp
-        nodes = list(_bits(comp))
+        nodes = _members(comp)
         meet = 0
         for v in nodes:
             meet |= into[v]
-        entry = (nodes[0], meet, list(_bits(cpa)), list(_bits(csp)))
+        entry = (nodes[0], meet, _members(cpa), _members(csp))
         for v in nodes:
             colliders[v] = entry
-    found = []
-    sources = keep
-    while sources & (sources - 1):
-        low = sources & -sources
-        sources ^= low
-        i = low.bit_length() - 1
-        tail = [0] * n
-        head = [0] * n
-        sent_t = [0] * n  # the bits of each state already moved on
-        sent_h = [0] * n
-        collided = [0] * n  # by lowest node: the bits whose collider exit is taken
-        tail[i] = out[i]
-        pend_t = low
-        pend_h = 0
-        while pend_t or pend_h:
-            if pend_t:
-                bit = pend_t & -pend_t
-                pend_t ^= bit
-                v = bit.bit_length() - 1
-                d = tail[v] & ~sent_t[v] & out[v]
-                sent_t[v] = tail[v]
-                if not d:
-                    continue
-                # as a non-collider a tail state moves along lines
-                # avoiding C and leaves by any edge
-                for w in lines[v]:
-                    x = d & out[w]
-                    if x & ~tail[w]:
-                        tail[w] |= x
-                        pend_t |= 1 << w
-                for w in parents[v]:
-                    if d & ~tail[w]:
-                        tail[w] |= d
-                        pend_t |= 1 << w
-                for w in heads[v]:
-                    if d & ~head[w]:
-                        head[w] |= d
-                        pend_h |= 1 << w
-                continue
-            bit = pend_h & -pend_h
-            pend_h ^= bit
+    tail = [0] * n
+    head = [0] * n
+    sent_t = [0] * n  # the bits of each state already moved on
+    sent_h = [0] * n
+    collided = [0] * n  # by lowest node: the bits whose collider exit is taken
+    pend_t = pend_h = 0
+    for q in range(k - 1):
+        tail[kept[q]] = (full ^ pats[q]) << (q << k)
+        pend_t |= 1 << kept[q]
+    while pend_t or pend_h:
+        if pend_t:
+            bit = pend_t & -pend_t
+            pend_t ^= bit
             v = bit.bit_length() - 1
-            new = head[v] & ~sent_h[v]
-            sent_h[v] = head[v]
-            # as a non-collider a head state moves along lines avoiding C
-            # and leaves only by an arrow
-            d = new & out[v]
-            if d:
-                for w in lines[v]:
-                    x = d & out[w]
-                    if x & ~head[w]:
-                        head[w] |= x
-                        pend_h |= 1 << w
-                for w in children[v]:
-                    if d & ~head[w]:
-                        head[w] |= d
-                        pend_h |= 1 << w
-            # as a collider it leaves its component by an arrowhead where
-            # the component meets C, once per component and set
-            r, meet, cpa, csp = colliders[v]
-            d = new & meet & ~collided[r]
-            if d:
-                collided[r] |= d
-                for w in cpa:
-                    if d & ~tail[w]:
-                        tail[w] |= d
-                        pend_t |= 1 << w
-                for w in csp:
-                    if d & ~head[w]:
-                        head[w] |= d
-                        pend_h |= 1 << w
-        # the verdict: i and j outside the set, neither state at j reached
-        gate = out[i]
-        targets = sources
-        while targets:
-            bit = targets & -targets
-            targets ^= bit
-            j = bit.bit_length() - 1
-            sep = gate & out[j] & ~(tail[j] | head[j])
-            while sep:
-                c = sep & -sep
-                sep ^= c
-                found.append((i, j, cmasks[c.bit_length() - 1]))
+            d = (tail[v] ^ sent_t[v]) & out[v]
+            sent_t[v] = tail[v]
+            if not d:
+                continue
+            # as a non-collider a tail state moves along lines avoiding C
+            # and leaves by any edge
+            for w in lines[v]:
+                t = tail[w]
+                x = t | d & out[w]
+                if x != t:
+                    tail[w] = x
+                    pend_t |= 1 << w
+            for w in parents[v]:
+                t = tail[w]
+                x = t | d
+                if x != t:
+                    tail[w] = x
+                    pend_t |= 1 << w
+            for w in heads[v]:
+                t = head[w]
+                x = t | d
+                if x != t:
+                    head[w] = x
+                    pend_h |= 1 << w
+            continue
+        bit = pend_h & -pend_h
+        pend_h ^= bit
+        v = bit.bit_length() - 1
+        new = head[v] ^ sent_h[v]
+        sent_h[v] = head[v]
+        # as a non-collider a head state moves along lines avoiding C and
+        # leaves only by an arrow
+        d = new & out[v]
+        if d:
+            for w in lines[v]:
+                t = head[w]
+                x = t | d & out[w]
+                if x != t:
+                    head[w] = x
+                    pend_h |= 1 << w
+            for w in children[v]:
+                t = head[w]
+                x = t | d
+                if x != t:
+                    head[w] = x
+                    pend_h |= 1 << w
+        # as a collider it leaves its component by an arrowhead where the
+        # component meets C, once per component and set
+        r, meet, cpa, csp = colliders[v]
+        d = new & meet & ~collided[r]
+        if d:
+            collided[r] |= d
+            for w in cpa:
+                t = tail[w]
+                x = t | d
+                if x != t:
+                    tail[w] = x
+                    pend_t |= 1 << w
+            for w in csp:
+                t = head[w]
+                x = t | d
+                if x != t:
+                    head[w] = x
+                    pend_h |= 1 << w
+    # the verdict: i and j outside the set, neither state at j reached
+    found = []
+    for q in range(k - 1):
+        i = kept[q]
+        gate = full ^ pats[q]
+        for t in range(q + 1, k):
+            j = kept[t]
+            reached = (tail[j] | head[j]) >> (q << k)
+            found.append((i, j, gate & ~pats[t] & ~reached))
     return found
 
 

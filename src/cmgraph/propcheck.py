@@ -105,15 +105,14 @@ def random_graph(cfg: GeneratorConfig) -> MixedGraph:
             for head in blocks[lo_idx]:
                 if rng.random() < cfg.edge_density:
                     edges.append((tail, head, ARROW))
-    g = build_graph(names, edges)
     if cfg.graph_class == "CG":
-        return g
+        return build_graph(names, edges)
     arc_edges = [
         (x, y, ARC)
         for x, y in combinations(names, 2)
         if rng.random() < cfg.edge_density
     ]
-    g = build_graph(names, list(g.edges_as_triples()) + arc_edges)
+    g = build_graph(names, edges + arc_edges)
     if cfg.graph_class == "AnG":
         return anterialize(g)
     return g
@@ -237,11 +236,11 @@ def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
     if not g.is_cmg:
         raise NotACMGError("graph has a semi-directed cycle with an arrow")
     index, ln, pa, ch, sp, table = g.masks
-    base_mask = mask_of(index, base)
+    keep_mask = mask_of(index, keep)
     found = kernel.pair_separations(
-        len(g.nodes), table, ln, pa, ch, sp, mask_of(index, keep), base_mask
+        len(g.nodes), table, ln, pa, ch, sp, keep_mask, mask_of(index, base)
     )
-    stmts = labelled_statements(g.nodes, found, base_mask)
+    stmts = labelled_statements(g.nodes, keep_mask, found)
     return IndependenceModel(frozenset(keep), stmts)
 
 

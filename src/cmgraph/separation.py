@@ -320,32 +320,34 @@ def pairwise_model(g: MixedGraph) -> IndependenceModel:
             f"{len(g.nodes)} nodes exceeds enumeration cap {MODEL_NODE_CAP}"
         )
     _, ln, pa, ch, sp, table = _mask_tables(g)
-    found = kernel.all_pair_separations(len(g.nodes), table, ln, pa, ch, sp)
-    return IndependenceModel(g.node_set, labelled_statements(g.nodes, found))
+    n = len(g.nodes)
+    found = kernel.all_pair_separations(n, table, ln, pa, ch, sp)
+    stmts = labelled_statements(g.nodes, (1 << n) - 1, found)
+    return IndependenceModel(g.node_set, stmts)
 
 
 def labelled_statements(
-    nodes: tuple[str, ...], found: Iterable[tuple[int, int, int]], strip: int = 0
+    nodes: tuple[str, ...], keep: int, found: Iterable[tuple[int, int, int]]
 ) -> frozenset[Statement]:
-    """Statements of the kernel's ``(i, j, cmask)`` triples.
+    """Statements of the kernel's ``(i, j, sepmask)`` pairs over ``keep``.
 
-    ``strip`` is a mask inside every cmask; it is left out of each C.
+    Set number ``c`` is the set of the kept nodes at the set bits of
+    ``c``; the kernel's ``base`` is in none of them.
     """
-    # each conditioning set is built once, on its first triple
-    csets: dict[int, frozenset[str]] = {}
-    stmts = set()
-    for i, j, cmask in found:
-        got = csets.get(cmask)
-        if got is None:
-            rest = cmask & ~strip
-            got = []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                got.append(nodes[low.bit_length() - 1])
-            got = csets[cmask] = frozenset(got)
+    # the sets by number: each kept node doubles the table
+    sets = [frozenset()]
+    for v in kernel._bits(keep):
+        one = frozenset((nodes[v],))
+        sets += [s | one for s in sets]
+    stmts = []
+    for i, j, sep in found:
         x, y = nodes[i], nodes[j]
-        stmts.add((x, y, got) if x < y else (y, x, got))
+        if y < x:
+            x, y = y, x
+        while sep:
+            low = sep & -sep
+            sep ^= low
+            stmts.append((x, y, sets[low.bit_length() - 1]))
     return frozenset(stmts)
 
 

@@ -358,8 +358,8 @@ def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
 def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
     """The intermediate graph after the collider-flank stage only.
 
-    Exposed for the marginal edge oracle, which is stated over this
-    graph rather than the input.
+    The marginal edge oracle is stated over this graph rather than the
+    input; it searches the same stage's masks without building it.
     """
     return _marginal_flank_work(g, m)[0].to_graph()
 
@@ -550,60 +550,50 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     True iff the post-flank-stage graph contains a walk from i to j whose
     inner nodes all lie in the marginalized set and whose inner sections
     are all non-colliders.  Must agree with :func:`marginalize`.
+
+    A search over mask frontiers in node-index order on the flank stage's
+    masks.  A section is its entry node's line reach through M; an entry
+    state of the same mark at a node of a popped section has its section
+    inside it, so one pop settles them all.  The start section at i and a section entered by a tail
+    leave by any edge, a section entered by an arrowhead only by an arrow
+    out of it; the search reaches j at any edge into j, lines included,
+    and moves on to the states at the nodes of M that the exits enter.
     """
     m = label_set(m, TransformSpecError)
     g.require_nodes({i, j} | m)
     _require_oracle_endpoints(i, j, m, "marginalized")
-    h = marginalize_flank_closure(g, m)
-
-    def m_section(v: str) -> set[str]:
-        # v plus line-reachable nodes staying inside the marginalized set
-        reach = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for nxt in h.neighbours[u]:
-                if nxt in m and nxt not in reach:
-                    reach.add(nxt)
-                    stack.append(nxt)
-        return reach
-
-    def lands_on_j(section: set[str]) -> bool:
-        return any(j in h.neighbours[u] for u in section) or j in section
-
-    def exits(section: set[str]):
-        for u in sorted(section):
-            for x in sorted(h.children[u]):
-                yield x, False, True
-            for x in sorted(h.parents[u]):
-                yield x, True, False
-            for x in sorted(h.spouses[u]):
-                yield x, True, True
-
-    first = m_section(i)
-    if lands_on_j(first):
-        return True
-    seen: set[tuple[str, bool]] = set()
-    frontier: list[tuple[str, bool]] = []
-    for x, head_here, head_there in exits(first):
-        if x == j:
+    w, mmask = _marginal_flank_work(g, m)
+    ln, pa, ch, sp = w.ln, w.pa, w.ch, w.sp
+    target = 1 << w.index[j]
+    outside = ~mmask
+    pend_t = seen_t = 1 << w.index[i]
+    pend_h = seen_h = 0
+    while pend_t or pend_h:
+        head = not pend_t
+        low = pend_h & -pend_h if head else pend_t & -pend_t
+        section = line_reach(ln, low, outside)
+        # the line neighbours, and the exits' far ends by their entry mark
+        near = tails = heads = 0
+        for u in _bits(section):
+            near |= ln[u]
+            heads |= ch[u]
+            if not head:
+                tails |= pa[u]
+                heads |= sp[u]
+        if (near | tails | heads) & target:
             return True
-        if x in m and (x, head_there) not in seen:
-            seen.add((x, head_there))
-            frontier.append((x, head_there))
-    while frontier:
-        v, mark = frontier.pop()
-        section = m_section(v)
-        if lands_on_j(section):
-            return True
-        for x, head_here, head_there in exits(section):
-            if mark and head_here:
-                continue  # inner sections must be non-colliders
-            if x == j:
-                return True
-            if x in m and (x, head_there) not in seen:
-                seen.add((x, head_there))
-                frontier.append((x, head_there))
+        if head:
+            seen_h |= section
+            pend_h &= ~section
+        else:
+            seen_t |= section
+            pend_t &= ~section
+        tails &= mmask & ~seen_t
+        heads &= mmask & ~seen_h
+        seen_t |= tails
+        seen_h |= heads
+        pend_t |= tails
+        pend_h |= heads
     return False
 
 

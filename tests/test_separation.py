@@ -1,7 +1,6 @@
 import hashlib
 import inspect
 import random
-from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -503,18 +502,37 @@ def _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base):
     return out
 
 
+def _as_triples(found, keep, base):
+    """The kernel's ``(i, j, sepmask)`` pairs as ``(i, j, cmask)`` triples.
+
+    Checks that the pairs are those of ``keep`` in order, one each.  Set
+    number ``c`` is ``base`` plus the kept nodes at the set bits of
+    ``c``, so the triples of a pair come in increasing cmask.
+    """
+    kept = list(_bits(keep))
+    assert [(i, j) for i, j, _ in found] == list(combinations(kept, 2))
+    cmasks = [base]  # by set number
+    for v in kept:
+        cmasks += [cm | 1 << v for cm in cmasks]
+    return [(i, j, cmasks[c]) for i, j, sep in found for c in _bits(sep)]
+
+
 def _assert_all_pairs_match_definition(n, ln, pa, ch, sp):
     table = kernel.components(ln, pa, ch, sp)
-    assert kernel.all_pair_separations(n, table, ln, pa, ch, sp) == (
-        _all_pairs_by_definition(n, ln, pa, ch, sp, (1 << n) - 1, 0)
+    full = (1 << n) - 1
+    found = kernel.all_pair_separations(n, table, ln, pa, ch, sp)
+    assert _as_triples(found, full, 0) == (
+        _all_pairs_by_definition(n, ln, pa, ch, sp, full, 0)
     )
 
 
 def _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base):
     table = kernel.components(ln, pa, ch, sp)
-    assert kernel.pair_separations(n, table, ln, pa, ch, sp, keep, base) == (
+    found = kernel.pair_separations(n, table, ln, pa, ch, sp, keep, base)
+    assert _as_triples(found, keep, base) == (
         _all_pairs_by_definition(n, ln, pa, ch, sp, keep, base)
     ), (keep, base)
+    return found
 
 
 def _split(roles):
@@ -617,24 +635,24 @@ def test_pair_separations_on_sparse_graphs(n):
 @pytest.mark.parametrize("n", [32, 64, 128])
 @pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
 def test_pair_separations_on_large_graphs(n, parallel):
-    # 2-5 kept nodes and a base of 0-2: the vectors are 2^|keep| bits wide
-    # whatever n is
+    # 2-5 kept nodes, then 6-8, and a base of 0-2: the vectors are
+    # (|keep| - 1) * 2^|keep| bits wide whatever n is, up to 7 * 2^8
     rng = random.Random(f"large-pair-separations:{n}")
     mixed = 0
     for seed in range(3):
         g = _large_cmg(seed, n)[0]
         if parallel:
             g = _with_parallel_arcs(g)
-        _, ln, pa, ch, sp, table = _mask_tables(g)
-        for _ in range(6):
-            k = rng.randint(2, 5)
+        _, ln, pa, ch, sp, _ = _mask_tables(g)
+        for draw in range(7):
+            k = rng.randint(2, 5) if draw < 6 else rng.randint(6, 8)
             picked = rng.sample(range(n), k + rng.randint(0, 2))
             keep = sum(1 << v for v in picked[:k])
             base = sum(1 << v for v in picked[k:])
-            _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base)
-            found = kernel.pair_separations(n, table, ln, pa, ch, sp, keep, base)
-            counts = Counter((i, j) for i, j, _ in found)
-            mixed += sum(0 < c < 1 << (k - 2) for c in counts.values())
+            found = _assert_pair_separations_match_definition(
+                n, ln, pa, ch, sp, keep, base
+            )
+            mixed += sum(0 < sep.bit_count() < 1 << (k - 2) for _, _, sep in found)
     assert mixed > 0  # some pair is separated given some of the sets only
 
 

@@ -661,6 +661,92 @@ def test_inducing_oracle_matches_strings_on_large_graphs(parallel):
 
 
 
+def _marginal_by_strings(g, m, i, j):
+    """``marginal_edge_oracle`` as a search over string-labelled states."""
+    h = marginalize_flank_closure(g, m)
+
+    def m_section(v: str) -> set[str]:
+        # v plus line-reachable nodes staying inside the marginalized set
+        reach = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for nxt in h.neighbours[u]:
+                if nxt in m and nxt not in reach:
+                    reach.add(nxt)
+                    stack.append(nxt)
+        return reach
+
+    def lands_on_j(section: set[str]) -> bool:
+        return any(j in h.neighbours[u] for u in section) or j in section
+
+    def exits(section: set[str]):
+        for u in sorted(section):
+            for x in sorted(h.children[u]):
+                yield x, False, True
+            for x in sorted(h.parents[u]):
+                yield x, True, False
+            for x in sorted(h.spouses[u]):
+                yield x, True, True
+
+    first = m_section(i)
+    if lands_on_j(first):
+        return True
+    seen: set[tuple[str, bool]] = set()
+    frontier: list[tuple[str, bool]] = []
+    for x, head_here, head_there in exits(first):
+        if x == j:
+            return True
+        if x in m and (x, head_there) not in seen:
+            seen.add((x, head_there))
+            frontier.append((x, head_there))
+    while frontier:
+        v, mark = frontier.pop()
+        section = m_section(v)
+        if lands_on_j(section):
+            return True
+        for x, head_here, head_there in exits(section):
+            if mark and head_here:
+                continue  # inner sections must be non-colliders
+            if x == j:
+                return True
+            if x in m and (x, head_there) not in seen:
+                seen.add((x, head_there))
+                frontier.append((x, head_there))
+    return False
+
+
+def test_marginal_oracle_matches_strings_on_three_nodes():
+    for g in _three_node_cmgs():
+        for r in range(len(g.nodes) + 1):
+            for m in combinations(g.nodes, r):
+                rest = [v for v in g.nodes if v not in m]
+                for i in rest:
+                    for j in rest:
+                        if i != j:
+                            assert cm.marginal_edge_oracle(g, m, i, j) == (
+                                _marginal_by_strings(g, m, i, j)
+                            ), (render(g), m, i, j)
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_marginal_oracle_matches_strings_on_large_graphs(parallel):
+    rng = random.Random("marginal-oracle-strings")
+    hits = 0
+    for g in _large_cmgs():
+        if parallel:
+            g = _with_parallel_arcs(g)
+        for _ in range(6):
+            m = rng.sample(g.nodes, rng.randint(1, len(g.nodes) // 4))
+            rest = [v for v in g.nodes if v not in m]
+            for _ in range(100):
+                i, j = rng.sample(rest, 2)
+                got = cm.marginal_edge_oracle(g, m, i, j)
+                assert got == _marginal_by_strings(g, m, i, j), (m, i, j)
+                hits += got and not g.adjacent(i, j)
+    assert hits > 60  # walks through sections of M, not only edges
+
+
 def _conditional_by_strings(g, c, i, j):
     """``conditional_edge_oracle`` as a search over string-labelled states."""
     if g.adjacent(i, j):
