@@ -11,6 +11,13 @@ pair are allowed, duplicates of the same type collapse.  Graphs are
 immutable values: every transformation returns a new graph, and equality
 is structural (same node set, same typed edge set).
 
+Every structural query reads one adjacency representation, the mask core
+:attr:`MixedGraph.masks`, built once per graph: per node, the bit masks
+of its line neighbours, parents, children and spouses, plus the table of
+line components that ``kernel`` builds from them.  ``edges`` and
+:attr:`MixedGraph.incidences` are the labelled views, for output and
+for the walk-simulating oracle.
+
 The classifier recognises the nested families used throughout the
 package: undirected graphs (UG), DAGs, chain graphs (CG, lines+arrows
 with no semi-directed cycle containing an arrow), chain mixed graphs
@@ -81,41 +88,6 @@ class MixedGraph:
     def node_set(self) -> frozenset[str]:
         return frozenset(self.nodes)
 
-    @cached_property
-    def neighbours(self) -> Mapping[str, frozenset[str]]:
-        """Line neighbours per node."""
-        return self._index(LINE)
-
-    @cached_property
-    def parents(self) -> Mapping[str, frozenset[str]]:
-        """Arrow tails per head: ``x in parents[v]`` iff ``x -> v``."""
-        out = {v: set() for v in self.nodes}
-        for kind, x, y in self.edges:
-            if kind == ARROW:
-                out[y].add(x)
-        return {v: frozenset(s) for v, s in out.items()}
-
-    @cached_property
-    def children(self) -> Mapping[str, frozenset[str]]:
-        out = {v: set() for v in self.nodes}
-        for kind, x, y in self.edges:
-            if kind == ARROW:
-                out[x].add(y)
-        return {v: frozenset(s) for v, s in out.items()}
-
-    @cached_property
-    def spouses(self) -> Mapping[str, frozenset[str]]:
-        """Arc partners per node."""
-        return self._index(ARC)
-
-    def _index(self, kind: str) -> Mapping[str, frozenset[str]]:
-        out = {v: set() for v in self.nodes}
-        for k, x, y in self.edges:
-            if k == kind:
-                out[x].add(y)
-                out[y].add(x)
-        return {v: frozenset(s) for v, s in out.items()}
-
     # -- basic queries -----------------------------------------------------
 
     def has_node(self, v: str) -> bool:
@@ -130,14 +102,12 @@ class MixedGraph:
         return _canonical_edge(x, y, kind) in self.edges
 
     def adjacent(self, x: str, y: str) -> bool:
-        if x == y or x not in self.node_set:
+        """True iff some edge joins ``x`` and ``y``; False for unknown labels."""
+        index, ln, pa, ch, sp = self.masks[:5]
+        k = index.get(x)
+        if k is None or y not in index:
             return False
-        return (
-            y in self.neighbours[x]
-            or y in self.parents[x]
-            or y in self.children[x]
-            or y in self.spouses[x]
-        )
+        return bool((ln[k] | pa[k] | ch[k] | sp[k]) >> index[y] & 1)
 
     @cached_property
     def is_simple(self) -> bool:
@@ -172,11 +142,6 @@ class MixedGraph:
     def is_cmg(self) -> bool:
         """True iff no semi-directed cycle contains an arrow."""
         return not has_semidirected_cycle_with_arrow(self)
-
-    @cached_property
-    def node_bits(self) -> Mapping[str, int]:
-        """Per node, its bit in a node mask: bit ``k`` stands for ``nodes[k]``."""
-        return {v: 1 << k for k, v in enumerate(self.nodes)}
 
     @cached_property
     def masks(self) -> tuple:
@@ -231,12 +196,12 @@ class MixedGraph:
 
     @cached_property
     def anterior_masks(self) -> Mapping[str, int]:
-        """Per node, the mask (see :attr:`node_bits`) of ``anteriors(self, [v])``.
+        """Per node, the node mask of ``anteriors(self, [v])``.
 
-        Read from the component pass that also gives :attr:`is_cmg`: a
-        node's anteriors are its component and everything anterior to
-        it, less the node.  So ``anterior_masks[v] & node_bits[u]`` tests
-        whether ``u`` is anterior of ``v``.
+        Bit ``k`` stands for ``nodes[k]``, as in :attr:`masks`.  Read from
+        the component pass that also gives :attr:`is_cmg`: a node's
+        anteriors are its component and everything anterior to it, less
+        the node.
         Raises :class:`NotACMGError` when a semi-directed cycle contains
         an arrow, because then no such order exists.
         """
@@ -360,39 +325,30 @@ def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
 
     Walks consist of lines and forward arrows only; arcs never
     contribute.  Members of ``a`` are excluded from the result, and a
-    node is never its own anterior.
+    node is never its own anterior.  One line reach over each node's
+    line neighbours and parents, so any mixed graph is accepted.
     """
     a = label_set(a, MalformedQueryError)
     g.require_nodes(a)
-    reach = set(a)
-    stack = list(a)
-    while stack:
-        u = stack.pop()
-        for w in g.neighbours[u] | g.parents[u]:
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    return frozenset(reach - a)
+    index, ln, pa = g.masks[:3]
+    start = mask_of(index, a)
+    reach = kernel.line_reach([l | p for l, p in zip(ln, pa)], start, 0)
+    return frozenset(g.nodes[k] for k in kernel._bits(reach & ~start))
 
 
 def ancestors(g: MixedGraph, i: str) -> frozenset[str]:
     """All nodes with a directed (all-arrow) walk to ``i``, excluding ``i``."""
     g.require_nodes([i])
-    reach: set[str] = set()
-    stack = list(g.parents[i])
-    while stack:
-        u = stack.pop()
-        if u not in reach:
-            reach.add(u)
-            stack.extend(g.parents[u])
-    return frozenset(reach - {i})
+    index, _, pa = g.masks[:3]
+    k = index[i]
+    reach = kernel.line_reach(pa, pa[k], 0)
+    return frozenset(g.nodes[v] for v in kernel._bits(reach & ~(1 << k)))
 
 
 def classify(g: MixedGraph) -> frozenset[str]:
     """Class flags for ``g``: subset of {UG, DAG, CG, CMG, AnG}."""
-    has_line = any(k == LINE for k, _, _ in g.edges)
-    has_arrow = any(k == ARROW for k, _, _ in g.edges)
-    has_arc = any(k == ARC for k, _, _ in g.edges)
+    _, ln, pa, _, sp = g.masks[:5]
+    has_line, has_arrow, has_arc = any(ln), any(pa), any(sp)
     flags = set()
     if not has_arrow and not has_arc:
         flags.add(UG)
@@ -408,11 +364,8 @@ def classify(g: MixedGraph) -> frozenset[str]:
 
 
 def _arcs_respect_anteriority(g: MixedGraph) -> bool:
-    ant, bits = g.anterior_masks, g.node_bits
-    for kind, x, y in g.edges:
-        if kind == ARC and (ant[y] & bits[x] or ant[x] & bits[y]):
-            return False
-    return True
+    ant, sp = g.anterior_masks, g.masks[4]
+    return not any(ant[v] & sp[k] for k, v in enumerate(g.nodes))
 
 
 def format_classes(flags: frozenset[str]) -> str:
@@ -432,9 +385,9 @@ def moral_graph(g: MixedGraph) -> MixedGraph:
     if CG not in classify(g):
         raise NotAChainGraphError("moralization requires a chain graph")
     lines = {_canonical_edge(x, y, LINE) for _, x, y in g.edges}
-    for comp in chain_components(g):
-        comp_parents = sorted(set().union(*(g.parents[t] for t in comp)))
-        for i, x in enumerate(comp_parents):
-            for y in comp_parents[i + 1 :]:
+    for _, comp_parents, _, _ in set(g.masks[5]):
+        names = [g.nodes[k] for k in kernel._bits(comp_parents)]
+        for i, x in enumerate(names):
+            for y in names[i + 1 :]:
                 lines.add(_canonical_edge(x, y, LINE))
     return MixedGraph(g.nodes, frozenset(lines))

@@ -35,6 +35,7 @@ from .graph import (
     anteriors,
     classify,
     label_set,
+    mask_of,
     moral_graph,
 )
 from .walks import Walk
@@ -262,19 +263,10 @@ def moral_separated(
     base = q.a | q.b | q.given
     keep = base | anteriors(g, base)
     moral = moral_graph(g.induced_subgraph(keep))
-    reach = set(q.a)
-    stack = list(q.a)
-    while stack:
-        u = stack.pop()
-        if u in q.given:
-            continue  # blocked: paths may not pass through the conditioning set
-        for w in moral.neighbours[u]:
-            if w not in reach:
-                if w in q.b:
-                    return False
-                reach.add(w)
-                stack.append(w)
-    return True
+    index, ln = moral.masks[:2]
+    # paths may not pass through the conditioning set
+    reach = kernel.line_reach(ln, mask_of(index, q.a), mask_of(index, q.given))
+    return not reach & mask_of(index, q.b)
 
 
 # -- independence models ---------------------------------------------------

@@ -355,15 +355,6 @@ def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
     return w.to_graph(0, mmask)
 
 
-def marginalize_flank_closure(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
-    """The intermediate graph after the collider-flank stage only.
-
-    The marginal edge oracle is stated over this graph rather than the
-    input; it searches the same stage's masks without building it.
-    """
-    return _marginal_flank_work(g, m)[0].to_graph()
-
-
 def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
     """Condition a chain mixed graph on the nodes of ``c``.
 
@@ -412,8 +403,29 @@ def marginalize_and_condition(
 
 
 def _ang_generate(w: _Work, down: list[int]) -> None:
-    # The rules and the reuse rule are in the module docstring; ``down[t]``
-    # is the mask of t and its anteriors.  Rescans until a round adds nothing.
+    """Run the generate rules; ``down[t]`` is the mask of t and its anteriors.
+
+    The rules and the reuse rule are in the module docstring.  Rescans
+    until a round adds no edge, even if ``free`` grew in it: after such
+    a round R no later round would add one.  Say one did, first an arc
+    ``j <-> t`` (arrows never read ``free``), with ``j`` outside
+    ``down[t]``.  Call ``g`` a far node for ``(t, j)`` when a section
+    from ``a`` avoiding ``b`` and ``j`` reaches it, for an arc
+    ``a <-> b`` with target ``t`` and ``j`` not in it; such ``g`` are in
+    ``down[t]``.  Take the first-added ``j in free[g]`` over them.  Round
+    R would have linked ``j <-> t`` from it, so it came after, with no
+    new edge, for target ``g`` of an arc ``u <-> i``, ``g`` in ``{u, i}``:
+    ``j in free[g1]`` at a far node ``g1`` of the section from ``u``
+    avoiding ``i`` and ``j`` (``j`` in ``down[g]`` would put it in
+    ``down[t]``).  If ``u`` is on the section from ``a`` or is ``a`` or
+    ``b``, the line walk from ``a`` via ``u`` to ``g1``, cut after its
+    last visit to ``a`` or ``b``, makes ``g1`` an earlier far node for
+    ``(t, j)``.  Else ``g = i``, ``u`` is anterior of ``g`` and an arc
+    end at ``g`` for that section, so round R left ``u <-> t``, an arc
+    with target ``t``; the walk from ``u`` to ``g1`` cut after its last
+    visit to ``u`` or ``t`` makes ``g1`` an earlier far node for
+    ``(t, j)`` again.  Both contradict the choice of ``g``.
+    """
     reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     free = sp[:]  # j in free[o]: j <-> o is an input arc or was generated for o
     free_t = sp[:]  # o in free_t[j] iff j in free[o]
@@ -434,8 +446,8 @@ def _ang_generate(w: _Work, down: list[int]) -> None:
                 for t in targets:
                     changed |= _link(t, tails, pa, ch)
                     usable = arcs & down[t] | free_arcs
-                    _link(t, usable, sp, sp)  # an arc new to sp is new to free
-                    changed |= _link(t, usable, free, free_t)
+                    changed |= _link(t, usable, sp, sp)
+                    _link(t, usable, free, free_t)
 
 
 def _ang_resolve_arcs(w: _Work, ant: list[int]) -> None:
@@ -489,6 +501,16 @@ def _in_projection_class(g: MixedGraph, ij_kind: str) -> bool:
     ``ij_kind`` is the edge (``ARC`` or ``LINE``) that the double-arc
     trislide needs between ``i`` and ``j``.  The sections are those of
     the flank stages, searched from ``i`` avoiding ``k``.
+
+    The arc ``i <-> l`` that ``k <-> i --..-- j <-> l`` needs is not
+    tested here: the reversed trislide forces it.  An arc flank ``l``
+    at ``j == i`` is a spouse of ``i`` already.  Otherwise a line walk
+    from ``i`` reaches ``j`` avoiding ``k`` and ``l``.  Read backwards
+    it is a section from ``j`` avoiding ``l`` (and ``k``) that reaches
+    ``i``, where ``k`` is an arc flank; ``k`` is neither ``j`` nor
+    ``l``.  So the search from ``j`` avoiding ``l`` meets the trislide
+    ``l <-> j --..-- i <-> k`` with ``i != j``, and returns False unless
+    ``i`` is a spouse of ``l``.
     """
     w = _Work(g)
     reach, ln, pa, ch, sp = w.line_reach, w.ln, w.pa, w.ch, w.sp
@@ -497,8 +519,8 @@ def _in_projection_class(g: MixedGraph, ij_kind: str) -> bool:
         for k in _bits(sp[i]):  # k <-> i
             kbit = 1 << k
             tails, arcs = _section_flanks(reach, pa, ch, sp, i, kbit)
-            # ... j <- l needs l -> i; ... j <-> l needs i <-> l
-            if tails & ~pa[i] or arcs & ~sp[i]:
+            # ... j <- l needs l -> i
+            if tails & ~pa[i]:
                 return False
             # ... j <-> l with j != i also needs k <-> j and i <-> j (i -- j)
             r = reach(i, kbit)

@@ -12,6 +12,23 @@ def G(text: str):
     return parse(text.replace(";", "\n"))
 
 
+def adjacency_sets(g):
+    """``(ne, pa, ch, sp)``: per node, its line neighbours, parents, children
+    and spouses as label sets, read from ``g.edges`` by definition."""
+    ne, pa, ch, sp = ({v: set() for v in g.nodes} for _ in range(4))
+    for kind, x, y in g.edges:
+        if kind == cm.LINE:
+            ne[x].add(y)
+            ne[y].add(x)
+        elif kind == cm.ARROW:
+            ch[x].add(y)
+            pa[y].add(x)
+        else:
+            sp[x].add(y)
+            sp[y].add(x)
+    return ne, pa, ch, sp
+
+
 @pytest.fixture
 def g_ex():
     """Six-node chain graph used by the worked separation examples."""

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,10 @@ from cmgraph.errors import (
     NotAChainGraphError,
     UnknownNodeError,
 )
+from cmgraph.graphio import render
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 
-from conftest import G
+from conftest import G, adjacency_sets
 from test_transform import _large_cmgs
 
 
@@ -139,13 +141,14 @@ class TestCycles:
 
 def per_arrow_cycle(g):
     """Reference: some arrow's head reaches its tail along lines and forward arrows."""
+    ne, _, ch, _ = adjacency_sets(g)
     for kind, u, v in g.edges:
         if kind != cm.ARROW:
             continue
         reach, stack = {v}, [v]
         while stack:
             x = stack.pop()
-            for w in g.neighbours[x] | g.children[x]:
+            for w in ne[x] | ch[x]:
                 if w not in reach:
                     reach.add(w)
                     stack.append(w)
@@ -376,6 +379,129 @@ class TestMoralGraph:
     def test_idempotent(self, g):
         moral = cm.moral_graph(g)
         assert cm.moral_graph(moral) == moral
+
+
+# -- mask queries against the string searches they replaced ---------------------
+
+
+def _anteriors_by_strings(g, a):
+    """``anteriors`` as a search over label sets along lines and arrows."""
+    ne, pa, _, _ = adjacency_sets(g)
+    reach, stack = set(a), list(a)
+    while stack:
+        u = stack.pop()
+        for w in ne[u] | pa[u]:
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return frozenset(reach - set(a))
+
+
+def _ancestors_by_strings(g, i):
+    """``ancestors`` as a search over label sets along arrows."""
+    pa = adjacency_sets(g)[1]
+    reach, stack = set(), list(pa[i])
+    while stack:
+        u = stack.pop()
+        if u not in reach:
+            reach.add(u)
+            stack.extend(pa[u])
+    return frozenset(reach - {i})
+
+
+def _moral_by_strings(g):
+    """``moral_graph`` from the label-set parents of each chain component."""
+    pa = adjacency_sets(g)[1]
+    lines = [(x, y, cm.LINE) for _, x, y in g.edges]
+    for comp in cm.chain_components(g):
+        comp_parents = sorted(set().union(*(pa[t] for t in comp)))
+        for k, x in enumerate(comp_parents):
+            lines += [(x, y, cm.LINE) for y in comp_parents[k + 1 :]]
+    return cm.build_graph(g.nodes, lines)
+
+
+def _moral_separated_by_strings(g, a, b, given):
+    """``moral_separated`` as a label search on :func:`_moral_by_strings`."""
+    base = set(a) | set(b) | set(given)
+    moral = _moral_by_strings(g.induced_subgraph(base | _anteriors_by_strings(g, base)))
+    ne = adjacency_sets(moral)[0]
+    reach, stack = set(a), list(a)
+    while stack:
+        u = stack.pop()
+        if u in given:
+            continue
+        for w in ne[u]:
+            if w not in reach:
+                if w in b:
+                    return False
+                reach.add(w)
+                stack.append(w)
+    return True
+
+
+def _label_queries(nodes):
+    """Every ``(a, b, given)`` of disjoint sets with ``a`` and ``b`` not empty."""
+    for roles in product(range(4), repeat=len(nodes)):
+        a, b, given = ({v for v, r in zip(nodes, roles) if r == k} for k in (1, 2, 3))
+        if a and b:
+            yield a, b, given
+
+
+def _arc_free(g):
+    return cm.build_graph(g.nodes, [e for e in g.edges_as_triples() if e[2] != cm.ARC])
+
+
+class TestMaskQueriesAgainstStrings:
+    def test_three_node_mixed_graphs(self):
+        graphs = list(enumerate_mixed_graphs(("a", "b", "c")))
+        assert len(graphs) == 4096
+        chain_graphs = 0
+        for g in graphs:
+            ne, pa, ch, sp = adjacency_sets(g)
+            for x in g.nodes + ("z",):
+                for y in g.nodes + ("z",):
+                    want = x in g.nodes and y in ne[x] | pa[x] | ch[x] | sp[x]
+                    assert g.adjacent(x, y) == want, (render(g), x, y)
+            for a in (c for r in (1, 2, 3) for c in combinations(g.nodes, r)):
+                assert cm.anteriors(g, a) == _anteriors_by_strings(g, a), (render(g), a)
+            for v in g.nodes:
+                assert cm.ancestors(g, v) == _ancestors_by_strings(g, v), (render(g), v)
+            if cm.CG not in cm.classify(g):
+                continue
+            chain_graphs += 1
+            assert cm.moral_graph(g) == _moral_by_strings(g), render(g)
+            for a, b, given in _label_queries(g.nodes):
+                assert cm.moral_separated(g, a, b, given) == (
+                    _moral_separated_by_strings(g, a, b, given)
+                ), (render(g), a, b, given)
+        assert chain_graphs == 50  # every labelled three-node chain graph
+
+    def test_large_cmgs(self):
+        rng = random.Random("mask-queries-against-strings")
+        for g in _large_cmgs():
+            ne, pa, ch, sp = adjacency_sets(g)
+            for x in g.nodes:
+                for y in g.nodes:
+                    assert g.adjacent(x, y) == (y in ne[x] | pa[x] | ch[x] | sp[x])
+            for v in g.nodes:
+                assert cm.anteriors(g, [v]) == _anteriors_by_strings(g, [v]), v
+                assert cm.ancestors(g, v) == _ancestors_by_strings(g, v), v
+            for _ in range(20):
+                a = rng.sample(g.nodes, rng.randint(2, 6))
+                assert cm.anteriors(g, a) == _anteriors_by_strings(g, a), a
+
+    def test_large_arc_free_cgs(self):
+        rng = random.Random("moral-against-strings")
+        separated = 0
+        for g in map(_arc_free, _large_cmgs()):
+            assert cm.moral_graph(g) == _moral_by_strings(g)
+            for _ in range(40):
+                picked = rng.sample(g.nodes, rng.randint(2, 8))
+                a, b, given = picked[:1], picked[1:2], picked[2:]
+                got = cm.moral_separated(g, a, b, given)
+                assert got == _moral_separated_by_strings(g, a, b, given), (a, b, given)
+                separated += got
+        assert 0 < separated < 40 * len(_large_cmgs())
 
 
 _STR_GRAPH = cm.build_graph(["a", "b", "ab", "c"], [("a", "c", cm.ARROW), ("ab", "b", cm.LINE)])

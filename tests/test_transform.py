@@ -15,12 +15,12 @@ from cmgraph.kernel import line_reach
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 from cmgraph.transform import (
     _in_projection_class,
+    _marginal_flank_work,
     _section_flanks,
     _Work,
-    marginalize_flank_closure,
 )
 
-from conftest import G, _large_cmg, _with_parallel_arcs
+from conftest import G, _large_cmg, _with_parallel_arcs, adjacency_sets
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -160,7 +160,6 @@ class TestCombined:
     [
         lambda g: cm.TransformSpec.of(c="ab"),
         lambda g: cm.marginalize(g, "ab"),
-        lambda g: marginalize_flank_closure(g, "ab"),
         lambda g: cm.condition(g, "ab"),
         lambda g: cm.marginal_edge_oracle(g, "ab", "c", "d"),
         lambda g: cm.conditional_edge_oracle(g, "ab", "c", "d"),
@@ -168,7 +167,6 @@ class TestCombined:
     ids=[
         "TransformSpec.of",
         "marginalize",
-        "marginalize_flank_closure",
         "condition",
         "marginal_edge_oracle",
         "conditional_edge_oracle",
@@ -614,9 +612,10 @@ def _subprimitive_by_strings(h, j, i):
     if h.adjacent(i, j):
         return True
     allowed = cm.anteriors(h, [i]) | {i}
+    _, pa, ch, sp = adjacency_sets(h)
     # (node, entered with an arrowhead)
-    frontier = [(x, True) for x in h.children[j] | h.spouses[j]]
-    frontier += [(x, False) for x in h.parents[j]]
+    frontier = [(x, True) for x in ch[j] | sp[j]]
+    frontier += [(x, False) for x in pa[j]]
     seen = set(frontier)
     while frontier:
         v, mark = frontier.pop()
@@ -625,11 +624,11 @@ def _subprimitive_by_strings(h, j, i):
         if not mark or v not in allowed:
             continue
         for far in h.line_reachable(v) & allowed:
-            for x in h.parents[far]:
+            for x in pa[far]:
                 if (x, False) not in seen:
                     seen.add((x, False))
                     frontier.append((x, False))
-            for x in h.spouses[far]:
+            for x in sp[far]:
                 if (x, True) not in seen:
                     seen.add((x, True))
                     frontier.append((x, True))
@@ -661,9 +660,19 @@ def test_inducing_oracle_matches_strings_on_large_graphs(parallel):
 
 
 
+def _marginal_flank_closure(g, m):
+    """The intermediate graph after marginalization's collider-flank stage only.
+
+    The marginal edge oracle is stated over this graph rather than the
+    input; it searches the same stage's masks without building it.
+    """
+    return _marginal_flank_work(g, m)[0].to_graph()
+
+
 def _marginal_by_strings(g, m, i, j):
     """``marginal_edge_oracle`` as a search over string-labelled states."""
-    h = marginalize_flank_closure(g, m)
+    h = _marginal_flank_closure(g, m)
+    ne, pa, ch, sp = adjacency_sets(h)
 
     def m_section(v: str) -> set[str]:
         # v plus line-reachable nodes staying inside the marginalized set
@@ -671,22 +680,22 @@ def _marginal_by_strings(g, m, i, j):
         stack = [v]
         while stack:
             u = stack.pop()
-            for nxt in h.neighbours[u]:
+            for nxt in ne[u]:
                 if nxt in m and nxt not in reach:
                     reach.add(nxt)
                     stack.append(nxt)
         return reach
 
     def lands_on_j(section: set[str]) -> bool:
-        return any(j in h.neighbours[u] for u in section) or j in section
+        return any(j in ne[u] for u in section) or j in section
 
     def exits(section: set[str]):
         for u in sorted(section):
-            for x in sorted(h.children[u]):
+            for x in sorted(ch[u]):
                 yield x, False, True
-            for x in sorted(h.parents[u]):
+            for x in sorted(pa[u]):
                 yield x, True, False
-            for x in sorted(h.spouses[u]):
+            for x in sorted(sp[u]):
                 yield x, True, True
 
     first = m_section(i)
@@ -752,19 +761,20 @@ def _conditional_by_strings(g, c, i, j):
     if g.adjacent(i, j):
         return True
     s = set(c) | cm.anteriors(g, c)
+    _, pa, ch, sp = adjacency_sets(g)
 
     def arc_into_s(v):
-        return bool(g.spouses[v] & s)
+        return bool(sp[v] & s)
 
     def entries_from(v, wide):
         # singleton start section, plus the widened section when allowed
-        yield from ((x, True) for x in g.children[v])
-        yield from ((x, False) for x in g.parents[v])
-        yield from ((x, True) for x in g.spouses[v])
+        yield from ((x, True) for x in ch[v])
+        yield from ((x, False) for x in pa[v])
+        yield from ((x, True) for x in sp[v])
         if wide:
             for far in g.line_reachable(v) - {v}:
-                yield from ((x, False) for x in g.parents[far])
-                yield from ((x, True) for x in g.spouses[far])
+                yield from ((x, False) for x in pa[far])
+                yield from ((x, True) for x in sp[far])
 
     frontier = list(set(entries_from(i, arc_into_s(i))))
     seen = set(frontier)
@@ -778,9 +788,7 @@ def _conditional_by_strings(g, c, i, j):
         if not mark or v not in s:
             continue  # inner sections are colliders inside S
         for far in g.line_reachable(v):
-            for x, state in [(x, False) for x in g.parents[far]] + [
-                (x, True) for x in g.spouses[far]
-            ]:
+            for x, state in [(x, False) for x in pa[far]] + [(x, True) for x in sp[far]]:
                 if (x, state) not in seen:
                     seen.add((x, state))
                     frontier.append((x, state))
@@ -830,9 +838,7 @@ def _anterialize_by_rescan(g):
     then resolved by anteriority.
     """
     ant = {v: cm.anteriors(g, [v]) for v in g.nodes}
-    ne = {v: g.neighbours[v] for v in g.nodes}
-    pa = {v: set(g.parents[v]) for v in g.nodes}
-    sp = {v: set(g.spouses[v]) for v in g.nodes}
+    ne, pa, _, sp = adjacency_sets(g)
     scopes = {}
     reach_memo = {}
 
@@ -969,7 +975,7 @@ class TestAnterialClosure:
 
 def _anterior_names(g, v):
     mask = g.anterior_masks[v]
-    return {u for u in g.nodes if mask & g.node_bits[u]}
+    return {u for k, u in enumerate(g.nodes) if mask >> k & 1}
 
 
 class TestAnteriorsTable:
@@ -989,7 +995,7 @@ class TestAnteriorsTable:
 
     def test_bits_follow_node_order(self):
         g = G("b -> c; a <-> c")
-        assert g.node_bits == {"a": 1, "b": 2, "c": 4}
+        assert g.masks[0] == {"a": 0, "b": 1, "c": 2}
         assert g.anterior_masks == {"a": 0, "b": 0, "c": 2}
 
 
@@ -1006,9 +1012,7 @@ def _condition_by_rescan(g, c):
     """
     c = frozenset(c)
     s_set = c | cm.anteriors(g, c)
-    ne = {v: g.neighbours[v] for v in g.nodes}
-    pa = {v: set(g.parents[v]) for v in g.nodes}
-    sp = {v: set(g.spouses[v]) for v in g.nodes}
+    ne, pa, _, sp = adjacency_sets(g)
     made = set()
     reach_memo = {}
 
@@ -1163,10 +1167,7 @@ def _marginalize_by_rescan(g, m):
     until a round adds nothing.  Then M is deleted.
     """
     m = frozenset(m)
-    ne = {v: set(g.neighbours[v]) for v in g.nodes}
-    pa = {v: set(g.parents[v]) for v in g.nodes}
-    ch = {v: set(g.children[v]) for v in g.nodes}
-    sp = {v: set(g.spouses[v]) for v in g.nodes}
+    ne, pa, ch, sp = adjacency_sets(g)
     reach_memo = {}
 
     def reach(start, blocked):  # used by the flank stage only, while lines are fixed
@@ -1261,7 +1262,7 @@ def _large_marginalizations():
 
 def _assert_marginalize_matches_rescan(g, m):
     flanked, final = _marginalize_by_rescan(g, m)
-    assert marginalize_flank_closure(g, m) == flanked, (render(g), m)
+    assert _marginal_flank_closure(g, m) == flanked, (render(g), m)
     assert cm.marginalize(g, m) == final, (render(g), m)
 
 
@@ -1311,8 +1312,9 @@ def _in_projection_class_by_sections(g, ij_kind):
     ``ij_kind`` between ``i`` and ``j``.
     """
     lines = _lines_of(g)
+    spouses = adjacency_sets(g)[3]
     for i in g.nodes:
-        for k in sorted(g.spouses[i]):
+        for k in sorted(spouses[i]):
             for j, l, kind in _sections_by_definition(g, lines, i, k):
                 if j == i:
                     continue
