@@ -90,9 +90,6 @@ class MixedGraph:
 
     # -- basic queries -----------------------------------------------------
 
-    def has_node(self, v: str) -> bool:
-        return v in self.node_set
-
     def require_nodes(self, labels: Iterable[str]) -> None:
         for v in labels:
             if v not in self.node_set:

@@ -39,7 +39,7 @@ from .graph import (
 from .separation import (
     IndependenceModel,
     is_maximal,
-    labelled_statements,
+    kernel_model,
     models_equal,
     non_maximality_witness,
     pairwise_model,
@@ -240,8 +240,7 @@ def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
     found = kernel.pair_separations(
         len(g.nodes), table, ln, pa, ch, sp, keep_mask, mask_of(index, base)
     )
-    stmts = labelled_statements(g.nodes, keep_mask, found)
-    return IndependenceModel(frozenset(keep), stmts)
+    return kernel_model(frozenset(keep), g.nodes, keep_mask, found)
 
 
 # -- single-instance checks --------------------------------------------------
@@ -645,9 +644,9 @@ def find_cg_matching_model(model: IndependenceModel) -> Optional[MixedGraph]:
     exactly the pairs that no statement separates; only their edge states
     are searched, in the order of :func:`enumerate_cgs`.
     """
-    labels = tuple(sorted(model.ground))
-    separable = {(i, j) for i, j, _ in model.statements}
-    skeleton = [p for p in combinations(labels, 2) if p not in separable]
+    labels = model.labels
+    pairs = combinations(labels, 2)  # in the order of model.masks
+    skeleton = [p for p, sep in zip(pairs, model.masks) if not sep]
     for candidate in _cgs_over(labels, skeleton, (1, 2, 3)):
         if models_equal(pairwise_model(candidate), model):
             return candidate

@@ -13,6 +13,7 @@ graphs.  All three must agree on their common domain.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -274,12 +275,82 @@ def moral_separated(
 Statement = tuple[str, str, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class IndependenceModel:
-    """All pairwise separation statements a graph induces."""
+def _pair_index(a: int, b: int, k: int) -> int:
+    """Position of the pair ``a < b`` among the pairs of ``k`` labels in order."""
+    return a * (2 * k - a - 1) // 2 + b - a - 1
 
-    ground: frozenset[str]
-    statements: frozenset[Statement]
+
+def _init(model, ground, labels, masks) -> None:
+    object.__setattr__(model, "ground", ground)
+    object.__setattr__(model, "labels", labels)
+    object.__setattr__(model, "masks", masks)
+
+
+class IndependenceModel:
+    """All pairwise separation statements a graph induces.
+
+    ``labels`` is the ground set in sorted order.  ``masks`` holds one
+    integer per pair ``a < b`` of it, in that order: bit ``c`` is set
+    iff the pair is separated given set number ``c``, the labels at the
+    set bits of ``c`` (bit t for the t-th label).  Equality and hashing
+    read ``(ground, masks)``; :attr:`statements` decodes them on demand.
+    The constructor encodes an iterable of ``(x, y, C)`` statements.
+    """
+
+    __slots__ = ("ground", "labels", "masks")
+
+    def __init__(self, ground: Iterable[str], statements: Iterable[Statement] = ()):
+        ground = frozenset(ground)
+        labels = tuple(sorted(ground))
+        rank = {v: t for t, v in enumerate(labels)}
+        k = len(labels)
+        masks = [0] * (k * (k - 1) // 2)
+        for x, y, given in statements:
+            try:
+                a, b = sorted((rank[x], rank[y]))
+                c = sum(1 << rank[v] for v in given)
+            except KeyError as exc:
+                raise MalformedQueryError(f"statement mentions unknown node {exc}") from None
+            if a == b or c >> a & 1 or c >> b & 1:
+                raise MalformedQueryError(f"statement sets overlap: {(x, y, given)!r}")
+            masks[_pair_index(a, b, k)] |= 1 << c
+        _init(self, ground, labels, tuple(masks))
+
+    @classmethod
+    def _of_masks(cls, ground, labels, masks) -> "IndependenceModel":
+        """The model of ``masks`` over ``labels``, the sorted ``ground``."""
+        model = cls.__new__(cls)
+        _init(model, ground, labels, masks)
+        return model
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return IndependenceModel._of_masks, (self.ground, self.labels, self.masks)
+
+    def __eq__(self, other):
+        if not isinstance(other, IndependenceModel):
+            return NotImplemented
+        return self.ground == other.ground and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.ground, self.masks))
+
+    def __repr__(self):
+        return f"IndependenceModel({sorted(self.ground)!r}, {self.sorted_statements()!r})"
+
+    def _ranks(self) -> dict[str, int]:
+        """Position of each label in :attr:`labels`."""
+        return {v: t for t, v in enumerate(self.labels)}
+
+    @property
+    def statements(self) -> "StatementView":
+        """The statements ``(x, y, C)``, ``x < y``, as a lazy set view."""
+        return StatementView(self)
 
     def holds(self, a: Iterable[str], b: Iterable[str], given: Iterable[str]) -> bool:
         """Set-level statement: every cross pair must be separated.
@@ -288,16 +359,74 @@ class IndependenceModel:
         """
         q = SeparationQuery.of(a, b, given)
         _check_query(self.ground, q)
-        return all(
-            (min(x, y), max(x, y), q.given) in self.statements
-            for x in q.a
-            for y in q.b
-        )
+        rank = self._ranks()
+        k = len(self.labels)
+        c = sum(1 << rank[v] for v in q.given)
+        for x in q.a:
+            for y in q.b:
+                i, j = sorted((rank[x], rank[y]))
+                if not self.masks[_pair_index(i, j, k)] >> c & 1:
+                    return False
+        return True
 
     def sorted_statements(self) -> list[Statement]:
         return sorted(
             self.statements, key=lambda s: (s[0], s[1], len(s[2]), sorted(s[2]))
         )
+
+
+class StatementView(Set):
+    """The statements of an :class:`IndependenceModel`, decoded on demand.
+
+    A read-only ``collections.abc.Set`` that compares and hashes equal to
+    the ``frozenset`` of its statements.  ``len`` counts bits and ``in``
+    tests one; only iteration decodes.
+    """
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: IndependenceModel):
+        self._model = model
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self._model.masks))
+
+    def __contains__(self, stmt) -> bool:
+        model = self._model
+        if not (isinstance(stmt, tuple) and len(stmt) == 3):
+            return False
+        x, y, given = stmt
+        if not isinstance(given, (set, frozenset)):
+            return False
+        rank = model._ranks()
+        try:
+            a, b = rank[x], rank[y]
+            c = sum(1 << rank[v] for v in given)
+        except (KeyError, TypeError):
+            return False
+        return a < b and bool(model.masks[_pair_index(a, b, len(model.labels))] >> c & 1)
+
+    def __iter__(self):
+        labels = self._model.labels
+        # the sets by number: each label doubles the table
+        sets = [frozenset()]
+        for v in labels:
+            one = frozenset((v,))
+            sets += [s | one for s in sets]
+        pairs = ((x, y) for a, x in enumerate(labels) for y in labels[a + 1 :])
+        for (x, y), sep in zip(pairs, self._model.masks):
+            for c in kernel._bits(sep):
+                yield x, y, sets[c]
+
+    def __hash__(self):
+        return self._hash()
+
+    def __repr__(self):
+        return f"StatementView({set(self)!r})"
 
 
 # pairwise_model enumerates 2^(n-2) sets per pair; larger graphs raise
@@ -314,39 +443,51 @@ def pairwise_model(g: MixedGraph) -> IndependenceModel:
     _, ln, pa, ch, sp, table = _mask_tables(g)
     n = len(g.nodes)
     found = kernel.all_pair_separations(n, table, ln, pa, ch, sp)
-    stmts = labelled_statements(g.nodes, (1 << n) - 1, found)
-    return IndependenceModel(g.node_set, stmts)
+    return kernel_model(g.node_set, g.nodes, (1 << n) - 1, found)
 
 
-def labelled_statements(
-    nodes: tuple[str, ...], keep: int, found: Iterable[tuple[int, int, int]]
-) -> frozenset[Statement]:
-    """Statements of the kernel's ``(i, j, sepmask)`` pairs over ``keep``.
+def kernel_model(
+    ground: frozenset[str],
+    nodes: tuple[str, ...],
+    keep: int,
+    found: list[tuple[int, int, int]],
+) -> IndependenceModel:
+    """The model over ``ground`` of the kernel's ``(i, j, sepmask)`` pairs.
 
-    Set number ``c`` is the set of the kept nodes at the set bits of
-    ``c``; the kernel's ``base`` is in none of them.
+    ``found`` is ``kernel.pair_separations`` over the node mask ``keep``
+    of the graph with node tuple ``nodes``; ``ground`` is the labels of
+    ``keep``.  The kernel numbers the kept nodes in the order of
+    ``nodes``, so when their labels are in sorted order its masks are the
+    model's as they are; otherwise every pair and set is renumbered once.
     """
-    # the sets by number: each kept node doubles the table
-    sets = [frozenset()]
-    for v in kernel._bits(keep):
-        one = frozenset((nodes[v],))
-        sets += [s | one for s in sets]
-    stmts = []
+    if keep == (1 << len(nodes)) - 1:
+        kept = nodes
+    else:
+        kept = tuple(nodes[v] for v in kernel._bits(keep))
+    labels = tuple(sorted(kept))
+    if labels == kept:
+        return IndependenceModel._of_masks(ground, kept, tuple([f[2] for f in found]))
+    k = len(kept)
+    rank = [labels.index(v) for v in kept]
+    # renum[c]: the model's number of the kernel's set number c
+    renum = [0]
+    for r in rank:
+        renum += [c | 1 << r for c in renum]
+    at = dict(zip(kernel._bits(keep), rank))
+    masks = [0] * len(found)
     for i, j, sep in found:
-        x, y = nodes[i], nodes[j]
-        if y < x:
-            x, y = y, x
-        while sep:
-            low = sep & -sep
-            sep ^= low
-            stmts.append((x, y, sets[low.bit_length() - 1]))
-    return frozenset(stmts)
+        a, b = sorted((at[i], at[j]))
+        out = 0
+        for c in kernel._bits(sep):
+            out |= 1 << renum[c]
+        masks[_pair_index(a, b, k)] = out
+    return IndependenceModel._of_masks(ground, labels, tuple(masks))
 
 
 def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:
     if m1.ground != m2.ground:
         raise GroundSetMismatchError("models are over different node sets")
-    return m1.statements == m2.statements
+    return m1.masks == m2.masks
 
 
 def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int]]:

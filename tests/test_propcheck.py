@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from itertools import combinations
 
@@ -6,7 +7,7 @@ import pytest
 
 import cmgraph as cm
 from cmgraph import kernel
-from cmgraph.errors import InvalidConfigError, NotACMGError
+from cmgraph.errors import InvalidConfigError, MalformedQueryError, NotACMGError
 from cmgraph.graph import mask_of, mask_tables
 from cmgraph.graphio import render
 from cmgraph.propcheck import (
@@ -53,6 +54,26 @@ def _shifted_model_by_queries(g, base, keep):
                 if kernel.separated(table, ln, pa, ch, sp, ibit, jbit, cmask):
                     stmts.add((i, j, frozenset(extra)))
     return cm.IndependenceModel(frozenset(keep), frozenset(stmts))
+
+
+def labelled_statements(nodes, keep, found):
+    """Reference decoder: the statements of the kernel's ``(i, j, sepmask)``
+    pairs over the node mask ``keep``, as ``(x, y, frozenset)`` tuples.
+
+    Set number ``c`` is the set of the kept nodes at the set bits of
+    ``c``, numbered in the order of ``nodes``; the kernel's ``base`` is
+    in none of them.
+    """
+    # the sets by number: each kept node doubles the table
+    sets = [frozenset()]
+    for v in kernel._bits(keep):
+        one = frozenset((nodes[v],))
+        sets += [s | one for s in sets]
+    stmts = []
+    for i, j, sep in found:
+        x, y = sorted((nodes[i], nodes[j]))
+        stmts += [(x, y, sets[c]) for c in kernel._bits(sep)]
+    return frozenset(stmts)
 
 
 def _restricted(model, keep):
@@ -280,6 +301,17 @@ class TestChecks:
         assert all(x < y for x, y, _ in shifted.statements)
         assert shifted == _shifted_model(g, base, keep)
         assert shifted == _shifted_model_by_queries(g, base, keep)
+        # eight nodes in reverse order: every kept pair and set is renumbered
+        g = random_graph(GeneratorConfig(8, 0.3, 13, "CMG"))
+        assert g.nodes == tuple(sorted(g.nodes))
+        h = cm.MixedGraph(g.nodes[::-1], g.edges)
+        model = cm.pairwise_model(h)
+        assert model.statements and model == cm.pairwise_model(g)
+        assert model.statements == cm.pairwise_model(g).statements
+        base, keep = frozenset("e"), frozenset("abcdfgh")
+        shifted = _shifted_model(h, base, keep)
+        assert shifted.statements and shifted == _shifted_model(g, base, keep)
+        assert shifted == _shifted_model_by_queries(g, base, keep)
 
     def test_commutativity_returns_both_verdicts(self):
         models_ok, graphs_ok = check_commutativity(
@@ -287,6 +319,104 @@ class TestChecks:
         )
         assert models_ok
         assert graphs_ok in (True, None)
+
+
+class TestIndependenceModel:
+    """The mask-keyed model against the reference decoder."""
+
+    @staticmethod
+    def _instances(count):
+        """(graph, base, keep) on 2-8 nodes of every class, nodes shuffled."""
+        rng = random.Random(21)
+        for k in range(count):
+            graph_class = ("CG", "CMG", "AnG")[k % 3]
+            g = random_graph(
+                GeneratorConfig(rng.randint(2, 8), rng.uniform(0.1, 0.7), k, graph_class)
+            )
+            nodes = list(g.nodes)
+            rng.shuffle(nodes)
+            g = cm.MixedGraph(tuple(nodes), g.edges)
+            roles = [rng.choice((0, 0, 1, 2)) for _ in nodes]
+            base = frozenset(v for v, r in zip(nodes, roles) if r == 1)
+            keep = frozenset(v for v, r in zip(nodes, roles) if r == 0)
+            yield g, base, keep
+
+    @staticmethod
+    def _reference(g, base, keep):
+        index, ln, pa, ch, sp, table = g.masks
+        keep_mask = mask_of(index, keep)
+        found = kernel.pair_separations(
+            len(g.nodes), table, ln, pa, ch, sp, keep_mask, mask_of(index, base)
+        )
+        return labelled_statements(g.nodes, keep_mask, found)
+
+    def test_models_match_the_reference_decoder(self):
+        rng = random.Random(5)
+        for g, base, keep in self._instances(300):
+            full = self._reference(g, frozenset(), g.node_set)
+            shifted = self._reference(g, base, keep)
+            for model, want in (
+                (cm.pairwise_model(g), full),
+                (_shifted_model(g, base, keep), shifted),
+            ):
+                got = model.statements
+                assert len(got) == len(want), render(g)
+                assert set(got) == want and frozenset(got) == want
+                assert got == want and want == got and not got != want
+                assert hash(got) == hash(want)
+                assert all(s in got for s in want)
+                # statements the model lacks: each true one with its pair
+                # swapped, and sets from the complement
+                for x, y, c in list(want)[:20]:
+                    assert (y, x, c) not in got
+                ground = sorted(model.ground)
+                for _ in range(20 if len(ground) > 1 else 0):
+                    x, y, *rest = rng.sample(ground, len(ground))
+                    x, y = sorted((x, y))
+                    c = frozenset(rest[: rng.randint(0, len(rest))])
+                    assert ((x, y, c) in got) == ((x, y, c) in want)
+                # the public constructor encodes the same masks
+                built = cm.IndependenceModel(model.ground, want)
+                assert built == model and hash(built) == hash(model)
+                assert cm.models_equal(built, model)
+                assert built.sorted_statements() == model.sorted_statements()
+
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            ("a", "c"),
+            ("a", "c", "b"),
+            ("a", "c", ["b"]),
+            ["a", "c", frozenset("b")],
+            ("c", "a", frozenset("b")),
+            ("a", "z", frozenset("b")),
+            ("a", "c", frozenset("z")),
+            ("a", "c", frozenset("ab")),
+            ("a", "a", frozenset()),
+            ([], "c", frozenset()),
+            None,
+            "acb",
+        ],
+    )
+    def test_malformed_statements_are_absent(self, stmt):
+        model = cm.pairwise_model(G("a -> b; b -> c"))
+        assert ("a", "c", frozenset("b")) in model.statements
+        assert ("a", "c", {"b"}) in model.statements
+        assert stmt not in model.statements
+
+    def test_constructor_rejects_statements_outside_the_ground(self):
+        for stmt in [("a", "z", frozenset()), ("a", "a", frozenset()), ("a", "b", "a")]:
+            with pytest.raises(MalformedQueryError):
+                cm.IndependenceModel(frozenset("ab"), [stmt])
+
+    def test_models_are_immutable_values(self):
+        model = cm.pairwise_model(G("a -> b; b -> c"))
+        with pytest.raises(AttributeError):
+            model.masks = ()
+        with pytest.raises(AttributeError):
+            del model.ground
+        assert pickle.loads(pickle.dumps(model)) == model
+        assert {model: 1}[cm.IndependenceModel("abc", model.statements)] == 1
 
 
 class TestUnrepresentability:
