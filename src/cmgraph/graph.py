@@ -9,14 +9,16 @@ A mixed graph carries three edge types between labelled nodes:
 Loops are rejected; multiple edges of *different* types between the same
 pair are allowed, duplicates of the same type collapse.  Graphs are
 immutable values: every transformation returns a new graph, and equality
-is structural (same node set, same typed edge set).
+is structural (same node tuple, same typed edge set).
 
-Every structural query reads one adjacency representation, the mask core
-:attr:`MixedGraph.masks`, built once per graph: per node, the bit masks
-of its line neighbours, parents, children and spouses, plus the table of
-line components that ``kernel`` builds from them.  ``edges`` and
-:attr:`MixedGraph.incidences` are the labelled views, for output and
-for the walk-simulating oracle.
+A graph stores masks only: per position in ``nodes``, the bit masks of
+the node's line neighbours, parents, children and spouses.
+:func:`build_graph` is the one encoder of labelled edges; rewrites build
+their outputs with :func:`subgraph_of_masks`.  :attr:`MixedGraph.masks`
+adds the label index and the table of line components that ``kernel``
+builds, once per graph.  ``edges`` and :attr:`MixedGraph.incidences` are
+labelled views decoded on first use, for output and for the
+walk-simulating oracle.
 
 The classifier recognises the nested families used throughout the
 package: undirected graphs (UG), DAGs, chain graphs (CG, lines+arrows
@@ -47,8 +49,6 @@ LINE = "--"
 ARROW = "->"
 ARC = "<->"
 
-EDGE_TYPES = (LINE, ARROW, ARC)
-
 #: Canonical display order for class flags.
 UG = "UG"
 DAG = "DAG"
@@ -60,33 +60,58 @@ CLASS_ORDER = (UG, DAG, CG, CMG, ANG)
 Edge = tuple[str, str, str]  # (kind, x, y); ordered (tail, head) for arrows
 
 
-def _canonical_edge(x: str, y: str, kind: str) -> Edge:
-    if kind not in EDGE_TYPES:
-        raise ValueError(f"unknown edge type {kind!r}")
-    if x == y:
-        raise LoopEdgeError(x)
-    if kind == ARROW:
-        return (kind, x, y)
-    a, b = sorted((x, y))
-    return (kind, a, b)
-
-
 @dataclass(frozen=True)
 class MixedGraph:
-    """Immutable loopless mixed graph over string-labelled nodes."""
+    """Immutable loopless mixed graph: ``ln[k]``, ``pa[k]``, ``ch[k]`` and
+    ``sp[k]`` are the masks of the line neighbours, parents, children and
+    spouses of ``nodes[k]``, with bit ``j`` standing for ``nodes[j]``.
+
+    The masks must agree with each other: ``ln`` and ``sp`` symmetric,
+    ``pa`` the mirror of ``ch``, no bit ``k`` in row ``k`` and no bit at or
+    past ``len(nodes)``.  The constructor checks only the lengths; build
+    graphs with :func:`build_graph` or :func:`subgraph_of_masks`, which
+    keep the rest.
+    """
 
     nodes: tuple[str, ...]
-    edges: frozenset[Edge]
+    ln: tuple[int, ...]
+    pa: tuple[int, ...]
+    ch: tuple[int, ...]
+    sp: tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("duplicate node labels")
+        if not len(self.ln) == len(self.pa) == len(self.ch) == len(self.sp) == len(self.nodes):
+            raise ValueError("each mask table needs one entry per node")
 
-    # -- adjacency indexes ------------------------------------------------
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # ch mirrors pa, so it adds nothing to the hash
+        return hash((self.nodes, self.ln, self.pa, self.sp))
+
+    def __reduce__(self):
+        # pickle the fields only: a cached string hash is per process
+        return MixedGraph, (self.nodes, self.ln, self.pa, self.ch, self.sp)
 
     @cached_property
     def node_set(self) -> frozenset[str]:
         return frozenset(self.nodes)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """Labelled edges ``(kind, x, y)`` decoded on first use; ``x < y`` but for arrows."""
+        nodes, out = self.nodes, []
+        for k, x in enumerate(nodes):
+            above = -2 << k  # each line and arc once, from its lower position
+            ln, sp = self.ln[k] & above, self.sp[k] & above
+            for kind, mask in ((LINE, ln), (ARC, sp), (ARROW, self.ch[k])):
+                for y in (nodes[j] for j in kernel._bits(mask)):
+                    out.append((kind, y, x) if kind != ARROW and y < x else (kind, x, y))
+        return frozenset(out)
 
     # -- basic queries -----------------------------------------------------
 
@@ -96,7 +121,10 @@ class MixedGraph:
                 raise UnknownNodeError(v)
 
     def has_edge(self, x: str, y: str, kind: str) -> bool:
-        return _canonical_edge(x, y, kind) in self.edges
+        _check_edge(x, y, kind)
+        index = self.masks[0]
+        at_x = (self.ln, self.pa, self.ch, self.sp)[_END_TABLES[kind][1]]
+        return x in index and y in index and bool(at_x[index[x]] >> index[y] & 1)
 
     def adjacent(self, x: str, y: str) -> bool:
         """True iff some edge joins ``x`` and ``y``; False for unknown labels."""
@@ -108,8 +136,9 @@ class MixedGraph:
 
     @cached_property
     def is_simple(self) -> bool:
-        pairs = [frozenset((a, b)) for _, a, b in self.edges]
-        return len(pairs) == len(set(pairs))
+        """True iff no pair of nodes carries two edges."""
+        tables = zip(self.ln, self.pa, self.ch, self.sp)
+        return not any(l & (p | c | s) | p & (c | s) | c & s for l, p, c, s in tables)
 
     def edge_list(self) -> list[Edge]:
         """Edges in canonical order: lines, then arrows, then arcs."""
@@ -144,14 +173,13 @@ class MixedGraph:
     def masks(self) -> tuple:
         """``(index, ln, pa, ch, sp, table)``: the graph's one mask core.
 
-        The first five are those of :func:`mask_tables`, with the four
-        mask lists kept as tuples because every caller shares them;
-        ``table`` is ``kernel.components(ln, pa, ch, sp)``.  Built once
-        per graph object.
+        ``index[v]`` is the position of ``v`` in ``nodes``, the four masks
+        are the graph's own, and ``table`` is
+        ``kernel.components(ln, pa, ch, sp)``.  Built once per graph object.
         """
-        index, ln, pa, ch, sp = mask_tables(self)
-        table = kernel.components(ln, pa, ch, sp)
-        return index, tuple(ln), tuple(pa), tuple(ch), tuple(sp), tuple(table)
+        ln, pa, ch, sp = self.ln, self.pa, self.ch, self.sp
+        index = {v: k for k, v in enumerate(self.nodes)}
+        return index, ln, pa, ch, sp, tuple(kernel.components(ln, pa, ch, sp))
 
     @cached_property
     def _upward(self) -> tuple[int, ...] | None:
@@ -227,63 +255,72 @@ class MixedGraph:
     def induced_subgraph(self, keep: Iterable[str]) -> "MixedGraph":
         keep = label_set(keep, MalformedQueryError)
         self.require_nodes(keep)
-        edges = frozenset(e for e in self.edges if e[1] in keep and e[2] in keep)
-        return MixedGraph(tuple(sorted(keep)), edges)
+        keep_mask = mask_of(self.masks[0], keep)
+        return subgraph_of_masks(self.nodes, self.ln, self.pa, self.ch, self.sp, keep_mask)
+
+
+#: Per edge type, the tables among (ln, pa, ch, sp) that hold it at its second and first end.
+_END_TABLES = {LINE: (0, 0), ARROW: (1, 2), ARC: (3, 3)}
+
+
+def _check_edge(x: str, y: str, kind: str) -> None:
+    if kind not in _END_TABLES:
+        raise ValueError(f"unknown edge type {kind!r}")
+    if x == y:
+        raise LoopEdgeError(x)
 
 
 def build_graph(
     nodes: Iterable[str], edges: Iterable[tuple[str, str, str]] = ()
 ) -> MixedGraph:
-    """Build a graph from node labels and ``(x, y, kind)`` triples.
+    """Build a graph from node labels and ``(x, y, kind)`` triples, sorting the labels.
 
-    Rejects loops and empty labels; edges mentioning labels outside
-    ``nodes`` raise :class:`UnknownNodeError`.  Duplicate edges of the
-    same type between the same pair collapse to one.
+    The one encoder of labelled edges.  Rejects empty labels, then per edge
+    an unknown label (:class:`UnknownNodeError`), an unknown edge type and
+    a loop.  Duplicate edges of the same type between one pair collapse.
     """
     node_tuple = tuple(sorted(set(nodes)))
     if any(not n for n in node_tuple):
         raise ValueError("node labels must be non-empty")
-    node_set = set(node_tuple)
-    canonical = set()
+    index = {v: k for k, v in enumerate(node_tuple)}
+    tables = [[0] * len(node_tuple) for _ in range(4)]  # ln, pa, ch, sp
     for x, y, kind in edges:
-        if x not in node_set:
-            raise UnknownNodeError(x)
-        if y not in node_set:
-            raise UnknownNodeError(y)
-        canonical.add(_canonical_edge(x, y, kind))
-    return MixedGraph(node_tuple, frozenset(canonical))
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            raise UnknownNodeError(x if i is None else y)
+        ends = _END_TABLES.get(kind)
+        if ends is None or i == j:
+            _check_edge(x, y, kind)  # raises
+        tables[ends[0]][j] |= 1 << i
+        tables[ends[1]][i] |= 1 << j
+    return MixedGraph(node_tuple, *map(tuple, tables))
 
 
-def mask_tables(
-    g: MixedGraph,
-) -> tuple[dict[str, int], list[int], list[int], list[int], list[int]]:
-    """Per-node masks over ``g.nodes``: ``(index, ln, pa, ch, sp)``.
+def subgraph_of_masks(nodes, ln, pa, ch, sp, keep: int) -> MixedGraph:
+    """The graph over the labels at the set bits of ``keep``, in sorted order.
 
-    ``index[v]`` is the bit of ``v`` in a node mask, its position in
-    ``g.nodes``.  ``ln[k]``, ``pa[k]``, ``ch[k]`` and ``sp[k]`` are the
-    masks of the line neighbours, parents, children and spouses of
-    ``g.nodes[k]``.  The one builder of these masks: :attr:`MixedGraph.masks`
-    calls it once per graph and keeps the lists as tuples, which callers
-    that rewrite the masks copy.
+    ``ln``, ``pa``, ``ch`` and ``sp`` are masks over ``nodes``; each kept
+    bit moves to its label's position in the output, each deleted bit goes.
     """
-    index = {v: i for i, v in enumerate(g.nodes)}
-    n = len(g.nodes)
-    ln = [0] * n
-    pa = [0] * n
-    ch = [0] * n
-    sp = [0] * n
-    for kind, x, y in g.edges:
-        xi, yi = index[x], index[y]
-        if kind == LINE:
-            ln[xi] |= 1 << yi
-            ln[yi] |= 1 << xi
-        elif kind == ARROW:
-            ch[xi] |= 1 << yi
-            pa[yi] |= 1 << xi
-        else:
-            sp[xi] |= 1 << yi
-            sp[yi] |= 1 << xi
-    return index, ln, pa, ch, sp
+    order = sorted(kernel._bits(keep), key=nodes.__getitem__)
+    tables = ln, pa, ch, sp
+    if order != list(range(len(nodes))):
+        bit = [0] * len(nodes)  # per old position its new bit, 0 if deleted
+        for t, k in enumerate(order):
+            bit[k] = 1 << t
+        moved = []
+        for m in tables:
+            rows = []
+            for k in order:
+                old, new = m[k], 0
+                while old:
+                    low = old & -old
+                    new |= bit[low.bit_length() - 1]
+                    old ^= low
+                rows.append(new)
+            moved.append(rows)
+        tables = moved
+    return MixedGraph(tuple(nodes[k] for k in order), *map(tuple, tables))
 
 
 def mask_of(index: Mapping[str, int], labels: Iterable[str]) -> int:
@@ -381,10 +418,9 @@ def moral_graph(g: MixedGraph) -> MixedGraph:
     """All-line graph joining adjacent nodes and co-parents of a chain component."""
     if CG not in classify(g):
         raise NotAChainGraphError("moralization requires a chain graph")
-    lines = {_canonical_edge(x, y, LINE) for _, x, y in g.edges}
-    for _, comp_parents, _, _ in set(g.masks[5]):
-        names = [g.nodes[k] for k in kernel._bits(comp_parents)]
-        for i, x in enumerate(names):
-            for y in names[i + 1 :]:
-                lines.add(_canonical_edge(x, y, LINE))
-    return MixedGraph(g.nodes, frozenset(lines))
+    ln = [l | p | c for l, p, c in zip(g.ln, g.pa, g.ch)]  # a CG has no arcs
+    for _, parents, _, _ in set(g.masks[5]):
+        for k in kernel._bits(parents):
+            ln[k] |= parents & ~(1 << k)
+    empty = (0,) * len(ln)
+    return MixedGraph(g.nodes, tuple(ln), empty, empty, empty)

@@ -11,7 +11,9 @@ holds one edge::
 
 Rendering is canonical (nodes sorted, edges sorted by type then
 endpoints), so ``parse(render(g)) == g`` and equal graphs render to
-identical bytes.
+identical bytes.  ``render`` raises :class:`ValueError` for a label that
+``parse`` cannot read back: one that is empty, holds whitespace or
+``#``, starts with ``nodes:`` or is an edge operator.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def parse(text: str) -> MixedGraph:
 
 
 def _check_label(label: str, lineno: int) -> None:
-    if not label or label in _OPS or label.startswith("#"):
+    if not label or label in _OPS or label.startswith(("#", "nodes:")):
         raise ParseError(lineno, f"bad node label {label!r}")
 
 
@@ -68,9 +70,13 @@ def parse_file(path: str) -> MixedGraph:
 
 
 _OP_OF = {LINE: "--", ARROW: "->", ARC: "<->"}
+_DOT_STYLE = {LINE: " [dir=none]", ARROW: "", ARC: " [dir=both]"}
 
 
 def render(g: MixedGraph) -> str:
+    for v in g.nodes:
+        if v.split() != [v] or "#" in v or v in _OPS or v.startswith("nodes:"):
+            raise ValueError(f"node label {v!r} does not survive parse")
     out = []
     if g.nodes:
         out.append("nodes: " + " ".join(g.nodes))
@@ -80,16 +86,15 @@ def render(g: MixedGraph) -> str:
 
 
 def to_dot(g: MixedGraph, name: str = "G") -> str:
-    """DOT digraph: plain edges for lines, double-headed edges for arcs."""
+    """DOT digraph: plain edges for lines, double-headed edges for arcs.
+
+    Labels are quoted with each backslash and double quote escaped.
+    """
     lines = [f"digraph {name} {{"]
+    quoted = {v: v.replace("\\", "\\\\").replace('"', '\\"') for v in g.nodes}
     for v in g.nodes:
-        lines.append(f'  "{v}";')
+        lines.append(f'  "{quoted[v]}";')
     for kind, x, y in g.edge_list():
-        if kind == LINE:
-            lines.append(f'  "{x}" -> "{y}" [dir=none];')
-        elif kind == ARROW:
-            lines.append(f'  "{x}" -> "{y}";')
-        else:
-            lines.append(f'  "{x}" -> "{y}" [dir=both];')
+        lines.append(f'  "{quoted[x]}" -> "{quoted[y]}"{_DOT_STYLE[kind]};')
     lines.append("}")
     return "\n".join(lines) + "\n"

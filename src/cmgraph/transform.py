@@ -71,12 +71,13 @@ anterial generate stages add only arrows and arcs, and the lines that
 the collider stage makes go to a table of their own that no section
 reads.  Section reach is therefore memoized per
 (node, blocked mask).  One emitter, ``_condition_strip_heads``, strips
-the heads at S and deletes C or M while it writes the output edges.
+the heads at S on the masks and deletes C or M by renumbering the kept
+positions; the output graph is those masks, with no labelled edges.
 
 The projection-class tests search the same sections with
 ``_section_flanks``: one search from ``i`` avoiding ``k`` per arc
 ``k <-> i`` finds every collider trislide at that arc.  The edge oracles
-read the immutable graph's own indexes.
+search the same masks: the input's, or those of ``_Work`` after a stage.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ from .errors import (
 from .graph import (
     ANG,
     ARC,
-    ARROW,
     LINE,
     MixedGraph,
     classify,
     label_set,
     mask_of,
+    subgraph_of_masks,
 )
 from .kernel import _bits, line_reach
 
@@ -304,37 +305,21 @@ def _condition_strip_heads(
     an arc with one end in S an arrow out of that end.  Marginalization
     passes ``s = 0`` and M as ``c``: it strips nothing and deletes M.
     """
-    keep = ((1 << len(nodes)) - 1) & ~c
-    edges = []
-    rest = keep
-    while rest:
-        vbit = rest & -rest
-        rest ^= vbit
-        v = vbit.bit_length() - 1
-        if s & vbit:
-            lines = ln[v] | pa[v] | ((ch[v] | sp[v]) & s)
-            arrows = (ch[v] | sp[v]) & ~s
-            arcs = 0
-        else:
-            lines = ln[v] | (ch[v] & s)
-            arrows = ch[v] & ~s
-            arcs = sp[v] & ~s
-        above = keep & -(vbit << 1)  # each symmetric edge once, from its lower end
-        x = nodes[v]
-        for mask, kind in ((lines & above, LINE), (arcs & above, ARC)):
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                y = nodes[low.bit_length() - 1]
-                edges.append((kind, x, y) if x < y else (kind, y, x))
-        arrows &= keep
-        while arrows:
-            low = arrows & -arrows
-            arrows ^= low
-            edges.append((ARROW, x, nodes[low.bit_length() - 1]))
-    kept = sorted(v for k, v in enumerate(nodes) if keep >> k & 1)
-    return MixedGraph(tuple(kept), frozenset(edges))
-
+    if s:
+        ln, pa, ch, sp = list(ln), list(pa), list(ch), list(sp)
+        for v in range(len(nodes)):
+            if s >> v & 1:
+                # parents and spouses in S join the lines, other spouses become children
+                ln[v] |= pa[v] | (ch[v] | sp[v]) & s
+                ch[v] = (ch[v] | sp[v]) & ~s
+                pa[v] = sp[v] = 0
+            else:
+                # children in S join the lines, spouses in S become parents
+                ln[v] |= ch[v] & s
+                pa[v] |= sp[v] & s
+                ch[v] &= ~s
+                sp[v] &= ~s
+    return subgraph_of_masks(nodes, ln, pa, ch, sp, ((1 << len(nodes)) - 1) & ~c)
 
 
 def _marginal_flank_work(g: MixedGraph, m: Iterable[str]) -> tuple[_Work, int]:

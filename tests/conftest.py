@@ -29,6 +29,21 @@ def adjacency_sets(g):
     return ne, pa, ch, sp
 
 
+def masks_by_definition(g, nodes=None):
+    """``(index, ln, pa, ch, sp)``: per-node mask lists over ``nodes``
+    (``g.nodes`` by default), read from :func:`adjacency_sets`."""
+    nodes = g.nodes if nodes is None else nodes
+    index = {v: k for k, v in enumerate(nodes)}
+    tables = [[sum(1 << index[u] for u in table[v]) for v in nodes] for table in adjacency_sets(g)]
+    return (index, *tables)
+
+
+def with_node_order(g, nodes):
+    """``g`` with its node tuple in the order ``nodes``."""
+    _, *tables = masks_by_definition(g, nodes)
+    return cm.MixedGraph(tuple(nodes), *map(tuple, tables))
+
+
 @pytest.fixture
 def g_ex():
     """Six-node chain graph used by the worked separation examples."""

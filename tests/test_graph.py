@@ -1,4 +1,6 @@
+import pickle
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -15,11 +17,11 @@ from cmgraph.errors import (
     NotAChainGraphError,
     UnknownNodeError,
 )
-from cmgraph.graphio import render
+from cmgraph.graphio import parse, render
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 
-from conftest import G, adjacency_sets
-from test_transform import _large_cmgs
+from conftest import G, _large_cmg, adjacency_sets, masks_by_definition, with_node_order
+from test_transform import LARGE_DIGESTS, _large_cmgs
 
 
 @st.composite
@@ -47,6 +49,18 @@ class TestBuild:
     def test_unknown_node_rejected(self):
         with pytest.raises(UnknownNodeError):
             cm.build_graph("ab", [("a", "c", cm.LINE)])
+
+    def test_checks_run_in_order(self):
+        # an unknown label, then an unknown edge type, then a loop
+        with pytest.raises(UnknownNodeError):
+            cm.build_graph("a", [("a", "z", "bogus")])
+        with pytest.raises(ValueError, match="unknown edge type"):
+            cm.build_graph("a", [("a", "a", "bogus")])
+        g = G("a -- b")
+        with pytest.raises(ValueError, match="unknown edge type"):
+            g.has_edge("a", "a", "bogus")
+        with pytest.raises(LoopEdgeError):
+            g.has_edge("a", "a", cm.LINE)
 
     def test_multi_edge_different_types(self):
         g = cm.build_graph("ab", [("a", "b", cm.ARC), ("a", "b", cm.ARROW)])
@@ -314,6 +328,75 @@ class TestReachability:
     def test_line_reachable_blocked_start(self):
         with pytest.raises(BlockedStartError):
             G("a -- b").line_reachable("a", blocked={"a"})
+
+
+def _rewrite_outputs():
+    for seed, n in LARGE_DIGESTS:
+        g, m, c = _large_cmg(seed, n)
+        yield from (cm.marginalize(g, m), cm.condition(g, c), cm.anterialize(g))
+
+
+class TestRepresentation:
+    """The masks against the labelled edges they stand for."""
+
+    def test_round_trips_on_three_nodes_and_rewrite_outputs(self):
+        for g in [*enumerate_mixed_graphs(("a", "b", "c")), *_rewrite_outputs()]:
+            _, *tables = masks_by_definition(g)
+            assert (g.ln, g.pa, g.ch, g.sp) == tuple(map(tuple, tables))
+            built = cm.build_graph(g.nodes, g.edges_as_triples())
+            assert built == g and hash(built) == hash(g)
+            assert parse(render(g)) == g
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g and hash(copy) == hash(g)
+            assert weakref.ref(g)() is g
+            pairs = {frozenset((x, y)) for _, x, y in g.edges}
+            assert g.is_simple == (len(pairs) == len(g.edges))
+
+    def test_has_edge_matches_the_edge_set_on_three_nodes(self):
+        for g in enumerate_mixed_graphs(("a", "b", "c")):
+            for x, y in product("abcz", repeat=2):
+                if x != y:
+                    for kind in (cm.LINE, cm.ARROW, cm.ARC):
+                        want = (kind, x, y) if kind == cm.ARROW else (kind, *sorted((x, y)))
+                        assert g.has_edge(x, y, kind) == (want in g.edges)
+
+    def test_equality_follows_the_edges(self):
+        graphs = list(enumerate_mixed_graphs(("a", "b", "c")))
+        assert len(set(graphs)) == len({g.edges for g in graphs}) == len(graphs) == 4096
+        g = G("a -> b; b -- c")
+        assert g != G("b -> a; b -- c") and g != G("a -> b; b <-> c")
+        # the same edges over another node order: a graph of its own
+        h = with_node_order(g, ("c", "b", "a"))
+        assert h.edges == g.edges and h != g
+
+    def test_constructor_checks_the_table_lengths(self):
+        g = G("a -> b; b -- c")
+        assert cm.MixedGraph(g.nodes, g.ln, g.pa, g.ch, g.sp) == g
+        for short in range(4):
+            tables = [g.ln, g.pa, g.ch, g.sp]
+            tables[short] = tables[short][:2]
+            with pytest.raises(ValueError, match="one entry per node"):
+                cm.MixedGraph(g.nodes, *tables)
+        with pytest.raises(ValueError, match="duplicate"):
+            cm.MixedGraph(("a", "a"), (0, 0), (0, 0), (0, 0), (0, 0))
+
+    def test_pickle_keeps_only_the_fields(self):
+        # a cached string hash holds only in the process that made it
+        g = G("a -> b; b -- c; c <-> a")
+        hash(g), g.masks, g.edges, g.is_cmg
+        assert set(vars(pickle.loads(pickle.dumps(g)))) == {"nodes", "ln", "pa", "ch", "sp"}
+
+    def test_edges_stay_unbuilt_through_rewrites_and_queries(self):
+        for seed, n in list(LARGE_DIGESTS)[:3]:
+            g, m, c = _large_cmg(seed, n)
+            for h in (cm.marginalize(g, m), cm.condition(g, c), cm.anterialize(g)):
+                a, b, *given = sorted(h.nodes)[:6]
+                cm.c_separated(h, [a], [b], given)
+                cm.marginalize(h, given[:1])
+                cm.condition(h, given[1:2])
+                cm.anterialize(h)
+                assert "edges" not in vars(h)
+            assert "edges" not in vars(g)
 
 
 class TestSubgraphs:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,32 @@ class TestParse:
         g = random_graph(GeneratorConfig(n, density, seed, cls))
         assert parse(render(g)) == g
 
+    @pytest.mark.parametrize("label", ["a#b", "c d", "x\ty", "--", "->", "<->", "nodes:", "nodes:x"])
+    def test_render_rejects_labels_parse_cannot_read(self, label):
+        with pytest.raises(ValueError):
+            render(cm.build_graph([label, "z"], [(label, "z", cm.LINE)]))
+
+    def test_render_rejects_isolated_and_empty_labels(self):
+        with pytest.raises(ValueError):
+            render(cm.build_graph(["a#b", "c d"]))  # would read back as the one node a
+        with pytest.raises(ValueError):
+            render(cm.MixedGraph(("",), (0,), (0,), (0,), (0,)))
+
+    def test_render_keeps_labels_parse_reads(self):
+        labels = ['a"b', "x\\", "-", "<-", "a:nodes:", "é"]
+        g = cm.build_graph(labels, [('a"b', "-", cm.ARC), ("<-", "é", cm.ARROW)])
+        assert parse(render(g)) == g
+
+    def test_parse_rejects_labels_render_cannot_write(self):
+        for text in ("a -- nodes:x\n", "nodes: nodes:\n"):
+            with pytest.raises(ParseError):
+                parse(text)
+
+
+# a quoted DOT ID: no bare double quote, a backslash escapes the next character
+_DOT_ID = r'"(?:[^"\\]|\\.)*"'
+_DOT_LINE = re.compile(rf"  {_DOT_ID}( -> {_DOT_ID}( \[dir=(none|both)\])?)?;")
+
 
 class TestDot:
     def test_edge_styles(self):
@@ -59,6 +87,16 @@ class TestDot:
         assert '"a" -> "b" [dir=none];' in dot
         assert '"a" -> "c";' in dot
         assert '"b" -> "c" [dir=both];' in dot
+
+    def test_escapes_quotes_and_backslashes(self):
+        g = parse('a"b -> c\nx\\ -- c\n"q" <-> \\\n')
+        dot = to_dot(g).splitlines()
+        assert dot[0] == "digraph G {" and dot[-1] == "}"
+        for line in dot[1:-1]:
+            assert _DOT_LINE.fullmatch(line), line
+        assert '  "a\\"b" -> "c";' in dot
+        assert '  "c" -> "x\\\\" [dir=none];' in dot
+        assert '  "\\"q\\"" -> "\\\\" [dir=both];' in dot
 
 
 def run_cli(capsys, *argv):

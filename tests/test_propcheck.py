@@ -8,7 +8,7 @@ import pytest
 import cmgraph as cm
 from cmgraph import kernel
 from cmgraph.errors import InvalidConfigError, MalformedQueryError, NotACMGError
-from cmgraph.graph import mask_of, mask_tables
+from cmgraph.graph import mask_of
 from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
@@ -31,7 +31,7 @@ from cmgraph.propcheck import (
     _suites,
 )
 
-from conftest import G
+from conftest import G, masks_by_definition, with_node_order
 
 
 # sha256 of the models in test_models_keep_their_pinned_digest
@@ -40,7 +40,7 @@ MODELS_DIGEST = "92712153c584b9409bc8b244df749889349058db569de686c0ac8345c471f75
 
 def _shifted_model_by_queries(g, base, keep):
     """``_shifted_model`` from one ``kernel.separated`` query per statement."""
-    index, ln, pa, ch, sp = mask_tables(g)
+    index, ln, pa, ch, sp = masks_by_definition(g)
     table = kernel.components(ln, pa, ch, sp)
     base_mask = mask_of(index, base)
     keep_sorted = sorted(keep)
@@ -292,7 +292,7 @@ class TestChecks:
 
     def test_models_label_pairs_in_order_on_unsorted_nodes(self):
         g = G("d -> b; b -- c; a <-> c; e -> a; e -- d")
-        h = cm.MixedGraph(("e", "c", "a", "d", "b"), g.edges)
+        h = with_node_order(g, ("e", "c", "a", "d", "b"))
         model = cm.pairwise_model(h)
         assert all(x < y for x, y, _ in model.statements)
         assert model == cm.pairwise_model(g)
@@ -304,7 +304,7 @@ class TestChecks:
         # eight nodes in reverse order: every kept pair and set is renumbered
         g = random_graph(GeneratorConfig(8, 0.3, 13, "CMG"))
         assert g.nodes == tuple(sorted(g.nodes))
-        h = cm.MixedGraph(g.nodes[::-1], g.edges)
+        h = with_node_order(g, g.nodes[::-1])
         model = cm.pairwise_model(h)
         assert model.statements and model == cm.pairwise_model(g)
         assert model.statements == cm.pairwise_model(g).statements
@@ -335,7 +335,7 @@ class TestIndependenceModel:
             )
             nodes = list(g.nodes)
             rng.shuffle(nodes)
-            g = cm.MixedGraph(tuple(nodes), g.edges)
+            g = with_node_order(g, nodes)
             roles = [rng.choice((0, 0, 1, 2)) for _ in nodes]
             base = frozenset(v for v, r in zip(nodes, roles) if r == 1)
             keep = frozenset(v for v, r in zip(nodes, roles) if r == 0)

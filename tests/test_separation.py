@@ -18,7 +18,6 @@ from cmgraph.errors import (
 )
 from cmgraph import kernel
 from cmgraph.kernel import _bits
-from cmgraph.graph import mask_tables
 from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
@@ -30,7 +29,7 @@ from cmgraph.propcheck import (
 from cmgraph.separation import _mask_tables, _walk
 from cmgraph.walks import COLLIDER, is_c_connecting, section_decomposition
 
-from conftest import G, _large_cmg, _with_parallel_arcs
+from conftest import G, _large_cmg, _with_parallel_arcs, masks_by_definition
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -713,7 +712,7 @@ def _separated_by_states(ln, pa, ch, sp, amask, bmask, cmask):
 
 
 def _assert_kernel_matches_states(g, queries):
-    _, ln, pa, ch, sp = mask_tables(g)
+    _, ln, pa, ch, sp = masks_by_definition(g)
     table = kernel.components(ln, pa, ch, sp)
     for amask, bmask, cmask in queries:
         assert kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask) == (
@@ -733,7 +732,7 @@ def _role_queries(roles_list):
 def _cutting_queries(g, seed, count):
     """Random disjoint queries whose C takes nodes with line neighbours,
     so that it cuts line components."""
-    _, ln, _, _, _ = mask_tables(g)
+    _, ln, _, _, _ = masks_by_definition(g)
     rng = random.Random(seed)
     n = len(g.nodes)
     lined = [v for v in range(n) if ln[v]]
@@ -870,7 +869,7 @@ def test_walk_sections_are_shortest_line_paths():
 def test_components_table(seed, n):
     small = random_graph(GeneratorConfig(8, 0.4, seed, "CMG"))
     for g in [_large_cmg(seed, n)[0], small]:
-        _, ln, pa, ch, sp = mask_tables(g)
+        _, ln, pa, ch, sp = masks_by_definition(g)
         table = kernel.components(ln, pa, ch, sp)
         assert len(table) == len(g.nodes)
         for v, entry in enumerate(table):

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +9,25 @@ from hypothesis import strategies as st
 import cmgraph as cm
 from cmgraph import kernel
 from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
-from cmgraph.graph import mask_tables
 from cmgraph.graphio import render
 from cmgraph.kernel import line_reach
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 from cmgraph.transform import (
+    _condition_strip_heads,
     _in_projection_class,
     _marginal_flank_work,
     _section_flanks,
     _Work,
 )
 
-from conftest import G, _large_cmg, _with_parallel_arcs, adjacency_sets
+from conftest import (
+    G,
+    _large_cmg,
+    _with_parallel_arcs,
+    adjacency_sets,
+    masks_by_definition,
+    with_node_order,
+)
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -471,7 +478,7 @@ def _lines_of(g):
 def _assert_section_flanks_match_definition(g, lines):
     # _section_flanks over the masks of ``lines`` against the union of
     # the sections that _sections_by_definition lists
-    index, _, pa, ch, sp = mask_tables(g)
+    index, _, pa, ch, sp = masks_by_definition(g)
     ln = [0] * len(g.nodes)
     for x, y in lines:
         ln[index[x]] |= 1 << index[y]
@@ -584,15 +591,84 @@ def test_rewrites_leave_the_input_masks_as_built(seed, n):
     # the rule engines change list copies of the masks that the input caches
     g, m, c = _large_cmg(seed, n)
     for g in (g, _with_parallel_arcs(g)):
+        before = g.masks
+        snapshot = (dict(before[0]), *before[1:])
         cm.marginalize(g, m)
         cm.condition(g, c)
         cm.anterialize(g)
-        index, ln, pa, ch, sp = mask_tables(g)
-        assert g.masks == (
+        assert g.masks is before and g.masks == snapshot
+        index, ln, pa, ch, sp = masks_by_definition(g)
+        assert snapshot == (
             index,
             *map(tuple, (ln, pa, ch, sp)),
             tuple(kernel.components(ln, pa, ch, sp)),
         )
+
+
+def _strip_heads_by_strings(nodes, ln, pa, ch, sp, s, c):
+    """``_condition_strip_heads`` as an emitter of labelled edges.
+
+    Writes each output edge as a ``(kind, x, y)`` triple, from the lower
+    position for lines and arcs, and builds the graph from them.
+    """
+    keep = ((1 << len(nodes)) - 1) & ~c
+    edges = []
+    rest = keep
+    while rest:
+        vbit = rest & -rest
+        rest ^= vbit
+        v = vbit.bit_length() - 1
+        if s & vbit:
+            lines = ln[v] | pa[v] | ((ch[v] | sp[v]) & s)
+            arrows = (ch[v] | sp[v]) & ~s
+            arcs = 0
+        else:
+            lines = ln[v] | (ch[v] & s)
+            arrows = ch[v] & ~s
+            arcs = sp[v] & ~s
+        above = keep & -(vbit << 1)  # each symmetric edge once, from its lower end
+        x = nodes[v]
+        for mask, kind in ((lines & above, cm.LINE), (arcs & above, cm.ARC)):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                edges.append((x, nodes[low.bit_length() - 1], kind))
+        arrows &= keep
+        while arrows:
+            low = arrows & -arrows
+            arrows ^= low
+            edges.append((x, nodes[low.bit_length() - 1], cm.ARROW))
+    return cm.build_graph([v for k, v in enumerate(nodes) if keep >> k & 1], edges)
+
+
+class TestStripHeadsEmitter:
+    """The mask emitter against the labelled one."""
+
+    @staticmethod
+    def _check(g, s, c):
+        _, ln, pa, ch, sp, _ = g.masks
+        got = _condition_strip_heads(g.nodes, ln, pa, ch, sp, s, c)
+        assert got == _strip_heads_by_strings(g.nodes, ln, pa, ch, sp, s, c), (render(g), s, c)
+
+    def test_every_s_and_c_on_three_nodes(self):
+        for g in enumerate_mixed_graphs(("a", "b", "c")):
+            for s, c in product(range(8), repeat=2):
+                self._check(g, s, c)
+
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_random_s_and_c_on_large_graphs(self, seed, n):
+        # each graph as built, with parallel arcs, and over shuffled nodes,
+        # whose positions the emitter renumbers one at a time
+        g, m, c = _large_cmg(seed, n)
+        rng = random.Random(f"strip-heads:{seed}")
+        shuffled = rng.sample(g.nodes, n)
+        for h in (g, _with_parallel_arcs(g), with_node_order(g, shuffled)):
+            index = h.masks[0]
+            self._check(h, 0, 0)
+            self._check(h, 0, sum(1 << index[v] for v in m))
+            self._check(h, cm.transform._s_mask(h, c), sum(1 << index[v] for v in c))
+            for _ in range(20):
+                self._check(h, rng.getrandbits(n) & rng.getrandbits(n), rng.getrandbits(n))
 
 
 @pytest.mark.parametrize("seed,n", [(0, 32), (1, 48), (2, 64)])
