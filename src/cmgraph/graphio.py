@@ -53,7 +53,9 @@ def parse(text: str) -> MixedGraph:
 
 
 def _check_label(label: str, lineno: int) -> None:
-    if not label or label in _OPS or label.startswith(("#", "nodes:")):
+    # parse cuts each line at its first '#' and splits it at whitespace,
+    # so a label here is never empty and holds no '#'
+    if label in _OPS or label.startswith("nodes:"):
         raise ParseError(lineno, f"bad node label {label!r}")
 
 

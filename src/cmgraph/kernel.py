@@ -19,7 +19,11 @@ meet C it is its nodes' reach, and the table answers without a search.
 One search loop gives both the verdict (:func:`separated`) and, in walk
 mode, a witness (:func:`connecting_walk`) spelled from a trail of the
 settled groups: each section is a shortest line path, but the walk is
-not always shortest in edges.
+not always shortest in edges.  The search accepts as soon as it adds a
+state at a node of B outside C, without waiting for that state's pop.
+A caller that passes :func:`separated` a trail list and finds the query
+connected can spell the walk later with :func:`spell`, without a
+second search.
 
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
@@ -121,13 +125,16 @@ def separated(
     amask: int,
     bmask: int,
     cmask: int,
+    trail: list | None = None,
 ) -> bool:
     """True iff no c-connecting walk joins ``amask`` and ``bmask`` given ``cmask``.
 
     ``table`` is :func:`components` of the graph.  The verdict of
-    :func:`_search`, which keeps no trail on this path.
+    :func:`_search`, which records its trail in the list ``trail`` when
+    one is given; after a False verdict :func:`spell` turns that trail
+    into the walk of :func:`connecting_walk`.
     """
-    return _search(table, ln, pa, ch, sp, amask, bmask, cmask, None)
+    return _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail)
 
 
 def connecting_walk(
@@ -145,13 +152,13 @@ def connecting_walk(
     The walk is ``(nodes, edges)``: node positions, and per step one
     ``(kind, x, y)`` with kind 0 a line, 1 an arrow ``x -> y`` and 2 an
     arc.  It comes from the same search as :func:`separated`, spelled
-    backward from its trail (see :func:`_spell`); each section is a
+    backward from its trail (see :func:`spell`); each section is a
     shortest line path, but the walk need not be shortest in edges.
     """
     trail: list = []
     if _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
         return None
-    return _spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
+    return spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
 
 
 def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
@@ -165,13 +172,22 @@ def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
     component gives them.  The head states at the nodes of C in one
     component share the collider exit, which is taken once per component.
 
+    The search accepts when a popped group meets B, and as soon as a pop
+    adds a state at a node of B outside C: such a state has its node in
+    its own reach, so its pop would accept.  States are popped lowest bit
+    first, tail states before head states, so waiting for that pop would
+    settle every state pending ahead of it first.
+
     With a ``trail`` list, each pop appends ``(low, head, r, comp, add_t,
     add_h)``: the popped state, its settled group, its line component and
-    the tail and head states it added; an accepting pop adds none.
+    the tail and head states it added.  The last record accepts and adds
+    none: the accepting pop itself, or after a pop that adds a state at a
+    node of B, a closing record for that state with ``r`` its one node.
     """
     if amask == 0 or bmask == 0:
         return True
     free = ~cmask
+    goal = bmask & free
     # a tail state in C has no moves, so it starts out seen
     seen_t = amask | cmask
     seen_h = 0
@@ -227,6 +243,16 @@ def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
             pend_t &= ~r
         add_t &= ~seen_t
         add_h &= ~seen_h
+        if (add_t | add_h) & goal:
+            if trail is not None:
+                trail.append((low, head, r, comp, add_t, add_h))
+                # close on the lowest such state, a tail state first
+                end = add_t & goal
+                head = not end
+                end = end or add_h & goal
+                end &= -end
+                trail.append((end, head, end, table[end.bit_length() - 1][0], 0, 0))
+            return False
         seen_t |= add_t
         seen_h |= add_h
         pend_t |= add_t
@@ -236,8 +262,11 @@ def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
     return True
 
 
-def _spell(ln, pa, ch, sp, amask, bmask, cmask, trail):
+def spell(ln, pa, ch, sp, amask, bmask, cmask, trail):
     """The walk of an accepting :func:`_search` trail, spelled backward.
+
+    ``trail`` must come from a search of this very query that returned
+    False; the walk is that of :func:`connecting_walk`.
 
     The last record accepts: its section runs inside ``r`` to the lowest
     node of B there.  Each earlier step finds the record that added the

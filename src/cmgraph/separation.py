@@ -115,16 +115,30 @@ def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
     return masks, amask, bmask, cmask
 
 
+# the key, in a graph's ``__dict__``, of the last connected query's trail
+_LAST_TRAIL = "_last_connected_trail"
+
+
 def c_separated(
     g: MixedGraph,
     a: Iterable[str],
     b: Iterable[str],
     given: Iterable[str] = (),
 ) -> bool:
-    """Decide whether ``a`` and ``b`` are c-separated given ``given``."""
+    """Decide whether ``a`` and ``b`` are c-separated given ``given``.
+
+    A connected query leaves ``(amask, bmask, cmask, trail)`` in a
+    one-entry slot in ``g.__dict__``, beside the cached properties, so
+    that :func:`c_connecting_witness` on the same query spells its walk
+    without searching again.  Pickles, ``==`` and ``hash`` never read it.
+    """
     masks, amask, bmask, cmask = _query_masks(g, a, b, given)
     _, ln, pa, ch, sp, table = masks
-    return kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask)
+    trail: list = []
+    if kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
+        return True
+    g.__dict__[_LAST_TRAIL] = (amask, bmask, cmask, trail)
+    return False
 
 
 def c_connecting_witness(
@@ -137,18 +151,37 @@ def c_connecting_witness(
 
     The walk of ``kernel.connecting_walk``, from the search that decides
     :func:`c_separated`.  Each of its sections is a shortest line path,
-    but the walk need not be shortest in edges.
+    but the walk need not be shortest in edges.  Right after
+    :func:`c_separated` found the same query connected on ``g``, the
+    walk is spelled from that search's trail, so the query costs one
+    search; otherwise this runs the search.  The query is checked first
+    either way, with the same errors.
     """
     masks, amask, bmask, cmask = _query_masks(g, a, b, given)
+    last = g.__dict__.get(_LAST_TRAIL)
+    if last is not None and last[:3] == (amask, bmask, cmask):
+        return _walk(g, masks, amask, bmask, cmask, last[3])
     return _walk(g, masks, amask, bmask, cmask)
 
 
 def _walk(
-    g: MixedGraph, masks: tuple, amask: int, bmask: int, cmask: int
+    g: MixedGraph,
+    masks: tuple,
+    amask: int,
+    bmask: int,
+    cmask: int,
+    trail: Optional[list] = None,
 ) -> Optional[Walk]:
-    """``kernel.connecting_walk`` on ``g.masks``, as a labelled :class:`Walk`."""
+    """``kernel.connecting_walk`` on ``g.masks``, as a labelled :class:`Walk`.
+
+    With ``trail``, the accepting trail of a search of this query, the
+    walk is spelled from it and nothing is searched.
+    """
     _, ln, pa, ch, sp, table = masks
-    found = kernel.connecting_walk(table, ln, pa, ch, sp, amask, bmask, cmask)
+    if trail is None:
+        found = kernel.connecting_walk(table, ln, pa, ch, sp, amask, bmask, cmask)
+    else:
+        found = kernel.spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
     if found is None:
         return None
     positions, steps = found
@@ -490,24 +523,28 @@ def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:
     return m1.masks == m2.masks
 
 
-def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int]]:
+def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int, list]]:
     """The first non-adjacent pair that its ``D`` leaves connected, or None.
 
-    Returns ``(i, j, D(i, j))``: positions ``i < j`` in ``g.nodes`` and
-    the mask of ``ant({i, j}) \\ {i, j}`` (see :func:`is_maximal`).
+    Returns ``(i, j, D(i, j), trail)``: positions ``i < j`` in
+    ``g.nodes``, the mask of ``ant({i, j}) \\ {i, j}`` (see
+    :func:`is_maximal`) and the trail of the search that found the pair
+    connected, for ``kernel.spell``.
     """
     _require_cmg(g)
     _, ln, pa, ch, sp, table = _mask_tables(g)
     ant = [g.anterior_masks[v] for v in g.nodes]
     n = len(g.nodes)
+    trail: list = []
     for i in range(n):
         adjacent = ln[i] | pa[i] | ch[i] | sp[i]
         for j in range(i + 1, n):
             if adjacent >> j & 1:
                 continue
             d = (ant[i] | ant[j]) & ~(1 << i | 1 << j)
-            if not kernel.separated(table, ln, pa, ch, sp, 1 << i, 1 << j, d):
-                return i, j, d
+            if not kernel.separated(table, ln, pa, ch, sp, 1 << i, 1 << j, d, trail):
+                return i, j, d, trail
+            trail.clear()
     return None
 
 
@@ -541,6 +578,6 @@ def non_maximality_witness(g: MixedGraph) -> Optional[NonMaximalityWitness]:
     found = _unseparated_pair(g)
     if found is None:
         return None
-    i, j, d = found
-    walk = _walk(g, _mask_tables(g), 1 << i, 1 << j, d)
+    i, j, d, trail = found
+    walk = _walk(g, _mask_tables(g), 1 << i, 1 << j, d, trail)
     return NonMaximalityWitness((g.nodes[i], g.nodes[j]), walk)

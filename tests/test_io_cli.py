@@ -39,6 +39,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("a -- b -- c\n")
 
+    def test_hash_inside_a_label_cuts_the_line(self):
+        # the comment starts at '#', so "a#b -- c" reads as the lone word "a"
+        with pytest.raises(ParseError, match="expected 'x OP y'") as err:
+            parse("a#b -- c\n")
+        assert err.value.lineno == 1
+
     def test_round_trip_exact(self):
         text = "nodes: a b c\na -- b\na -> c\nb <-> c\n"
         assert render(parse(text)) == text

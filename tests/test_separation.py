@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import pickle
 import random
 from itertools import combinations, product
 
@@ -26,7 +27,7 @@ from cmgraph.propcheck import (
     inseparable_pairs,
     random_graph,
 )
-from cmgraph.separation import _mask_tables, _walk
+from cmgraph.separation import _LAST_TRAIL, _mask_tables, _walk
 from cmgraph.walks import COLLIDER, is_c_connecting, section_decomposition
 
 from conftest import G, _large_cmg, _with_parallel_arcs, masks_by_definition
@@ -863,6 +864,175 @@ def test_walk_sections_are_shortest_line_paths():
     # b reaches f in the component {b, c, e, f} by b -- e -- f, not b -- c -- f -- ...
     g = G("a -> b; b -- c; c -- d; d -- f; b -- e; e -- f")
     assert cm.c_connecting_witness(g, ["a"], ["f"]).render() == "a -> b -- e -- f"
+
+
+# -- one search per decided-then-explained query ---------------------------------
+
+
+def _rebuilt(g):
+    """A graph equal to ``g`` but built anew, so no query has left a trail on it."""
+    return cm.MixedGraph(g.nodes, g.ln, g.pa, g.ch, g.sp)
+
+
+def _labelled(g, query):
+    return tuple(frozenset(g.nodes[k] for k in _bits(m)) for m in query)
+
+
+def _assert_slot_walks_match_fresh(g, queries, interleave):
+    """The witness asked right after ``c_separated`` on ``g`` is the walk that a
+    fresh search spells on a rebuilt ``g``.  With ``interleave``, another
+    connected query is decided between the two calls and takes the slot."""
+    queries = list(dict.fromkeys(queries))
+    fresh = _rebuilt(g)
+    masks = _mask_tables(fresh)
+    want = {q: _walk(fresh, masks, *q) for q in queries}
+    connected = [q for q in queries if want[q] is not None]
+    for k, q in enumerate(queries):
+        a, b, c = _labelled(g, q)
+        separated = cm.c_separated(g, a, b, c)
+        if interleave and len(connected) > 1:
+            other = connected[k % len(connected)]
+            if other == q:
+                other = connected[(k + 1) % len(connected)]
+            assert not cm.c_separated(g, *_labelled(g, other))
+        walk = cm.c_connecting_witness(g, a, b, c)
+        assert separated == (walk is None) == (want[q] is None)
+        assert walk == want[q], (render(g), a, b, c, walk and walk.render())
+    assert _LAST_TRAIL not in fresh.__dict__
+    _assert_walks_match_states(g, queries)
+
+
+@pytest.mark.parametrize("interleave", [False, True], ids=["direct", "interleaved"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_slot_walk_on_every_small_query(n, interleave):
+    queries = list(_role_queries(product(range(4), repeat=n)))
+    for g in _seeded_graphs("CMG", n):
+        _assert_slot_walks_match_fresh(g, queries, interleave)
+
+
+@pytest.mark.parametrize("interleave", [False, True], ids=["direct", "interleaved"])
+@pytest.mark.parametrize(
+    "seed,n", [(0, 32), (1, 48), (2, 64), (3, 128), (4, 192), (5, 256)]
+)
+def test_slot_walk_on_large_graphs(seed, n, interleave):
+    g = _large_cmg(seed, n)[0]
+    _assert_slot_walks_match_fresh(g, _cutting_queries(g, seed, 60), interleave)
+
+
+def test_slot_stays_out_of_pickles_equality_and_hash():
+    g = G("a -> b; b -- c; d -> b")
+    h = _rebuilt(g)
+    blank = pickle.dumps(g)
+    assert not cm.c_separated(g, ["a"], ["d"], ["c"])
+    assert _LAST_TRAIL in g.__dict__ and _LAST_TRAIL not in h.__dict__
+    assert pickle.dumps(g) == pickle.dumps(h) == blank
+    assert _LAST_TRAIL.encode() not in pickle.dumps(g)
+    assert _LAST_TRAIL not in pickle.loads(pickle.dumps(g)).__dict__
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h}) == 1
+
+
+def test_separated_query_leaves_the_slot_alone():
+    g = G("a -> b; b -- c; d -> b")
+    assert cm.c_separated(g, ["a"], ["d"])
+    assert _LAST_TRAIL not in g.__dict__
+    assert not cm.c_separated(g, ["a"], ["d"], ["c"])
+    last = g.__dict__[_LAST_TRAIL]
+    assert cm.c_separated(g, ["a"], ["d"])
+    assert g.__dict__[_LAST_TRAIL] is last
+
+
+@pytest.mark.parametrize(
+    "a, b, given, error, message",
+    [
+        ("ab", ["d"], ["c"], MalformedQueryError, "the string 'ab'"),
+        (["a"], ["d"], ["a", "c"], MalformedQueryError, "pairwise disjoint"),
+        (["a"], ["d"], ["c", "zz"], MalformedQueryError, "unknown node 'zz'"),
+    ],
+)
+def test_witness_checks_the_query_despite_the_slot(a, b, given, error, message):
+    g = G("a -> b; b -- c; d -> b")
+    assert not cm.c_separated(g, ["a"], ["d"], ["c"])
+    with pytest.raises(error, match=message):
+        cm.c_connecting_witness(g, a, b, given)
+
+
+def test_search_accepts_when_it_adds_a_state_at_b():
+    # the pop at a adds head states at c and z; z is in B, so the search
+    # stops there instead of popping c and d, whose bits come first
+    g = G("a -> c; a -> z; c -> d")
+    _, ln, pa, ch, sp, table = _mask_tables(g)
+    index = g.masks[0]
+    a, z = 1 << index["a"], 1 << index["z"]
+    trail = []
+    assert not kernel.separated(table, ln, pa, ch, sp, a, z, 0, trail)
+    assert [record[:3] for record in trail] == [(a, False, a), (z, True, z)]
+    assert cm.c_connecting_witness(g, ["a"], ["z"]).render() == "a -> z"
+
+
+def _counted_searches(monkeypatch):
+    """The queries ``(amask, bmask, cmask)`` of every ``kernel._search`` run."""
+    runs = []
+    search = kernel._search
+
+    def counting(*args):
+        runs.append(args[5:8])
+        return search(*args)
+
+    monkeypatch.setattr(kernel, "_search", counting)
+    return runs
+
+
+def test_decided_then_explained_query_searches_once(monkeypatch):
+    runs = _counted_searches(monkeypatch)
+    g = G("a -> b; b -- c; d -> b")
+    assert not cm.c_separated(g, ["a"], ["d"], ["c"])
+    walk = cm.c_connecting_witness(g, ["a"], ["d"], ["c"])
+    assert walk.render() == "a -> b -- c -- b <- d"
+    assert len(runs) == 1
+    # a witness with no decision before it searches once too
+    runs.clear()
+    assert cm.c_connecting_witness(_rebuilt(g), ["a"], ["d"], ["c"]) == walk
+    assert len(runs) == 1
+    # another query misses the slot and searches
+    runs.clear()
+    assert cm.c_connecting_witness(g, ["a"], ["c"]).render() == "a -> b -- c"
+    assert len(runs) == 1
+
+
+def test_non_maximality_witness_searches_no_more_than_is_maximal(monkeypatch):
+    runs = _counted_searches(monkeypatch)
+    h = cm.anterialize(_large_cmg(3, 64)[0])
+    assert not cm.is_maximal(h)
+    decided = list(runs)
+    runs.clear()
+    assert cm.non_maximality_witness(h) is not None
+    assert runs == decided
+
+
+def _witness_pairs():
+    yield G("k <-> i; i -- l; q -> l; l -> k")
+    for n in range(3, 9):
+        yield from _seeded_graphs("CMG", n)
+    for seed in (0, 3, 5):
+        yield cm.anterialize(_large_cmg(seed, 64)[0])
+
+
+def test_non_maximality_witness_walk_is_the_searched_one():
+    found = 0
+    for g in _witness_pairs():
+        witness = cm.non_maximality_witness(g)
+        if witness is None:
+            continue
+        found += 1
+        x, y = witness.endpoints
+        fresh = _rebuilt(g)
+        index = fresh.masks[0]
+        d = sum(1 << index[v] for v in cm.anteriors(fresh, {x, y}) - {x, y})
+        query = (1 << index[x], 1 << index[y], d)
+        assert witness.walk == _walk(fresh, _mask_tables(fresh), *query), render(g)
+        _assert_walks_match_states(g, [query])
+    assert found >= 10
 
 
 @pytest.mark.parametrize("seed,n", [(0, 32), (1, 64), (3, 256)])
