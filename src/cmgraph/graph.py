@@ -9,10 +9,12 @@ A mixed graph carries three edge types between labelled nodes:
 Loops are rejected; multiple edges of *different* types between the same
 pair are allowed, duplicates of the same type collapse.  Graphs are
 immutable values: every transformation returns a new graph, and equality
-is structural (same node tuple, same typed edge set).
+is structural (same labels, same typed edge set).
 
 A graph stores masks only: per position in ``nodes``, the bit masks of
-the node's line neighbours, parents, children and spouses.
+the node's line neighbours, parents, children and spouses.  ``nodes`` is
+always in sorted order, so bit order is label order and one set of
+labels and edges has one graph.
 :func:`build_graph` is the one encoder of labelled edges; rewrites build
 their outputs with :func:`subgraph_of_masks`.  :attr:`MixedGraph.masks`
 adds the label index and the table of line components that ``kernel``
@@ -30,6 +32,7 @@ anteriors).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -66,11 +69,12 @@ class MixedGraph:
     ``sp[k]`` are the masks of the line neighbours, parents, children and
     spouses of ``nodes[k]``, with bit ``j`` standing for ``nodes[j]``.
 
-    The masks must agree with each other: ``ln`` and ``sp`` symmetric,
-    ``pa`` the mirror of ``ch``, no bit ``k`` in row ``k`` and no bit at or
-    past ``len(nodes)``.  The constructor checks only the lengths; build
-    graphs with :func:`build_graph` or :func:`subgraph_of_masks`, which
-    keep the rest.
+    The labels in ``nodes`` must be distinct and in sorted order, and the
+    masks must agree with each other: ``ln`` and ``sp`` symmetric, ``pa``
+    the mirror of ``ch``, no bit ``k`` in row ``k`` and no bit at or past
+    ``len(nodes)``.  The constructor checks the order and the lengths;
+    build graphs with :func:`build_graph` or :func:`subgraph_of_masks`,
+    which keep the rest.
     """
 
     nodes: tuple[str, ...]
@@ -80,8 +84,8 @@ class MixedGraph:
     sp: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("duplicate node labels")
+        if not all(map(operator.lt, self.nodes, self.nodes[1:])):
+            raise ValueError("node labels must be distinct and in sorted order")
         if not len(self.ln) == len(self.pa) == len(self.ch) == len(self.sp) == len(self.nodes):
             raise ValueError("each mask table needs one entry per node")
 
@@ -104,14 +108,7 @@ class MixedGraph:
     @cached_property
     def edges(self) -> frozenset[Edge]:
         """Labelled edges ``(kind, x, y)`` decoded on first use; ``x < y`` but for arrows."""
-        nodes, out = self.nodes, []
-        for k, x in enumerate(nodes):
-            above = -2 << k  # each line and arc once, from its lower position
-            ln, sp = self.ln[k] & above, self.sp[k] & above
-            for kind, mask in ((LINE, ln), (ARC, sp), (ARROW, self.ch[k])):
-                for y in (nodes[j] for j in kernel._bits(mask)):
-                    out.append((kind, y, x) if kind != ARROW and y < x else (kind, x, y))
-        return frozenset(out)
+        return frozenset(self.edge_list())
 
     # -- basic queries -----------------------------------------------------
 
@@ -141,9 +138,15 @@ class MixedGraph:
         return not any(l & (p | c | s) | p & (c | s) | c & s for l, p, c, s in tables)
 
     def edge_list(self) -> list[Edge]:
-        """Edges in canonical order: lines, then arrows, then arcs."""
-        rank = {LINE: 0, ARROW: 1, ARC: 2}
-        return sorted(self.edges, key=lambda e: (rank[e[0]], e[1], e[2]))
+        """Edges in canonical order: lines, then arrows, then arcs, each in increasing ``(x, y)``."""
+        nodes, out = self.nodes, []
+        for kind, table in ((LINE, self.ln), (ARROW, self.ch), (ARC, self.sp)):
+            for k, m in enumerate(table):
+                if kind != ARROW:
+                    m &= -2 << k  # each line and arc once, from its lower end
+                x = nodes[k]
+                out += [(kind, x, nodes[j]) for j in kernel._bits(m)]
+        return out
 
     def edges_as_triples(self) -> list[tuple[str, str, str]]:
         """Edges as (x, y, kind) triples accepted by :func:`build_graph`."""
@@ -240,15 +243,17 @@ class MixedGraph:
     def line_reachable(self, v: str, blocked: Iterable[str] = ()) -> frozenset[str]:
         """Nodes reachable from ``v`` along lines avoiding ``blocked``.
 
-        ``v`` itself is included.  Raises :class:`BlockedStartError` if
-        ``v`` is blocked.
+        ``v`` itself is included.  Raises :class:`UnknownNodeError` for an
+        unknown label in ``v`` or ``blocked``, and :class:`BlockedStartError`
+        if ``v`` is blocked.
         """
         self.require_nodes([v])
         blocked = label_set(blocked, MalformedQueryError)
         if v in blocked:
             raise BlockedStartError(f"start node {v!r} is blocked")
+        self.require_nodes(blocked)
         index, ln = self.masks[:2]
-        stop = mask_of(index, blocked & self.node_set)
+        stop = mask_of(index, blocked)
         reach = kernel.line_reach(ln, 1 << index[v], stop)
         return frozenset(self.nodes[k] for k in kernel._bits(reach))
 
@@ -297,14 +302,15 @@ def build_graph(
 
 
 def subgraph_of_masks(nodes, ln, pa, ch, sp, keep: int) -> MixedGraph:
-    """The graph over the labels at the set bits of ``keep``, in sorted order.
+    """The graph over the labels at the set bits of ``keep``.
 
-    ``ln``, ``pa``, ``ch`` and ``sp`` are masks over ``nodes``; each kept
-    bit moves to its label's position in the output, each deleted bit goes.
+    ``nodes`` is a graph's sorted node tuple and ``ln``, ``pa``, ``ch`` and
+    ``sp`` are masks over it; each kept bit moves down past the deleted
+    ones below it, so the kept labels stay in sorted order.
     """
-    order = sorted(kernel._bits(keep), key=nodes.__getitem__)
+    order = list(kernel._bits(keep))
     tables = ln, pa, ch, sp
-    if order != list(range(len(nodes))):
+    if keep != (1 << len(nodes)) - 1:
         bit = [0] * len(nodes)  # per old position its new bit, 0 if deleted
         for t, k in enumerate(order):
             bit[k] = 1 << t
@@ -411,7 +417,7 @@ def chain_components(g: MixedGraph) -> list[tuple[str, ...]]:
     if CG not in classify(g):
         raise NotAChainGraphError("chain components require a chain graph")
     comps = {entry[0] for entry in g.masks[5]}
-    return sorted(tuple(sorted(g.nodes[k] for k in kernel._bits(c))) for c in comps)
+    return sorted(tuple(g.nodes[k] for k in kernel._bits(c)) for c in comps)
 
 
 def moral_graph(g: MixedGraph) -> MixedGraph:

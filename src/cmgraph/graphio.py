@@ -9,11 +9,12 @@ holds one edge::
     a -> c      # arrow with the head at c
     b <-> d     # arc
 
-Rendering is canonical (nodes sorted, edges sorted by type then
-endpoints), so ``parse(render(g)) == g`` and equal graphs render to
-identical bytes.  ``render`` raises :class:`ValueError` for a label that
-``parse`` cannot read back: one that is empty, holds whitespace or
-``#``, starts with ``nodes:`` or is an edge operator.
+Rendering is canonical for every graph: ``nodes`` is always sorted, and
+``edge_list`` gives the edges by type then endpoints.  So
+``parse(render(g)) == g`` and equal graphs render to identical bytes.
+``render`` raises :class:`ValueError` for a label that ``parse`` cannot
+read back: one that is empty, holds whitespace or ``#``, starts with
+``nodes:`` or is an edge operator.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
     found = kernel.pair_separations(
         len(g.nodes), table, ln, pa, ch, sp, keep_mask, mask_of(index, base)
     )
-    return kernel_model(frozenset(keep), g.nodes, keep_mask, found)
+    return kernel_model(g.nodes, keep_mask, found)
 
 
 # -- single-instance checks --------------------------------------------------

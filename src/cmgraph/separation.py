@@ -476,45 +476,24 @@ def pairwise_model(g: MixedGraph) -> IndependenceModel:
     _, ln, pa, ch, sp, table = _mask_tables(g)
     n = len(g.nodes)
     found = kernel.all_pair_separations(n, table, ln, pa, ch, sp)
-    return kernel_model(g.node_set, g.nodes, (1 << n) - 1, found)
+    return kernel_model(g.nodes, (1 << n) - 1, found)
 
 
 def kernel_model(
-    ground: frozenset[str],
-    nodes: tuple[str, ...],
-    keep: int,
-    found: list[tuple[int, int, int]],
+    nodes: tuple[str, ...], keep: int, found: list[tuple[int, int, int]]
 ) -> IndependenceModel:
-    """The model over ``ground`` of the kernel's ``(i, j, sepmask)`` pairs.
+    """The model over the labels of ``keep`` of the kernel's ``(i, j, sepmask)`` pairs.
 
     ``found`` is ``kernel.pair_separations`` over the node mask ``keep``
-    of the graph with node tuple ``nodes``; ``ground`` is the labels of
-    ``keep``.  The kernel numbers the kept nodes in the order of
-    ``nodes``, so when their labels are in sorted order its masks are the
-    model's as they are; otherwise every pair and set is renumbered once.
+    of the graph with node tuple ``nodes``.  The kernel numbers the kept
+    nodes in the order of ``nodes``, which is sorted, so its masks are the
+    model's as they are.
     """
     if keep == (1 << len(nodes)) - 1:
-        kept = nodes
+        labels = nodes
     else:
-        kept = tuple(nodes[v] for v in kernel._bits(keep))
-    labels = tuple(sorted(kept))
-    if labels == kept:
-        return IndependenceModel._of_masks(ground, kept, tuple([f[2] for f in found]))
-    k = len(kept)
-    rank = [labels.index(v) for v in kept]
-    # renum[c]: the model's number of the kernel's set number c
-    renum = [0]
-    for r in rank:
-        renum += [c | 1 << r for c in renum]
-    at = dict(zip(kernel._bits(keep), rank))
-    masks = [0] * len(found)
-    for i, j, sep in found:
-        a, b = sorted((at[i], at[j]))
-        out = 0
-        for c in kernel._bits(sep):
-            out |= 1 << renum[c]
-        masks[_pair_index(a, b, k)] = out
-    return IndependenceModel._of_masks(ground, labels, tuple(masks))
+        labels = tuple(nodes[v] for v in kernel._bits(keep))
+    return IndependenceModel._of_masks(frozenset(labels), labels, tuple([f[2] for f in found]))
 
 
 def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:
@@ -526,10 +505,10 @@ def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:
 def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int, list]]:
     """The first non-adjacent pair that its ``D`` leaves connected, or None.
 
-    Returns ``(i, j, D(i, j), trail)``: positions ``i < j`` in
-    ``g.nodes``, the mask of ``ant({i, j}) \\ {i, j}`` (see
-    :func:`is_maximal`) and the trail of the search that found the pair
-    connected, for ``kernel.spell``.
+    Returns ``(i, j, D(i, j), trail)``: positions ``i < j`` in the
+    sorted ``g.nodes``, so ``g.nodes[i] < g.nodes[j]``; the mask of
+    ``ant({i, j}) \\ {i, j}`` (see :func:`is_maximal`); and the trail of
+    the search that found the pair connected, for ``kernel.spell``.
     """
     _require_cmg(g)
     _, ln, pa, ch, sp, table = _mask_tables(g)
@@ -569,7 +548,7 @@ class NonMaximalityWitness:
     c-connects it given ``D(i, j)`` (see :func:`is_maximal`).
     """
 
-    endpoints: tuple[str, str]  # in the order of g.nodes
+    endpoints: tuple[str, str]  # in sorted order
     walk: Walk
 
 

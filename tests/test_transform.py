@@ -26,7 +26,6 @@ from conftest import (
     _with_parallel_arcs,
     adjacency_sets,
     masks_by_definition,
-    with_node_order,
 )
 
 HYP = settings(max_examples=60, deadline=None)
@@ -657,12 +656,11 @@ class TestStripHeadsEmitter:
 
     @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
     def test_random_s_and_c_on_large_graphs(self, seed, n):
-        # each graph as built, with parallel arcs, and over shuffled nodes,
-        # whose positions the emitter renumbers one at a time
+        # each graph as built and with parallel arcs; the random c masks
+        # delete interior positions, whose kept bits the emitter moves down
         g, m, c = _large_cmg(seed, n)
         rng = random.Random(f"strip-heads:{seed}")
-        shuffled = rng.sample(g.nodes, n)
-        for h in (g, _with_parallel_arcs(g), with_node_order(g, shuffled)):
+        for h in (g, _with_parallel_arcs(g)):
             index = h.masks[0]
             self._check(h, 0, 0)
             self._check(h, 0, sum(1 << index[v] for v in m))
