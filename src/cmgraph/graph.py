@@ -16,11 +16,12 @@ the node's line neighbours, parents, children and spouses.  ``nodes`` is
 always in sorted order, so bit order is label order and one set of
 labels and edges has one graph.
 :func:`build_graph` is the one encoder of labelled edges; rewrites build
-their outputs with :func:`subgraph_of_masks`.  :attr:`MixedGraph.masks`
-adds the label index and the table of line components that ``kernel``
-builds, once per graph.  ``edges`` and :attr:`MixedGraph.incidences` are
-labelled views decoded on first use, for output and for the
-walk-simulating oracle.
+their outputs with :func:`subgraph_of_masks`.  Each table is read by
+its own name: :attr:`MixedGraph.index` maps labels to positions and
+:attr:`MixedGraph.components` is the table of line components that
+``kernel`` builds, each once per graph and only when first read.
+``edges`` and :attr:`MixedGraph.incidences` are labelled views decoded
+on first use, for output and for the walk-simulating oracle.
 
 The classifier recognises the nested families used throughout the
 package: undirected graphs (UG), DAGs, chain graphs (CG, lines+arrows
@@ -119,17 +120,17 @@ class MixedGraph:
 
     def has_edge(self, x: str, y: str, kind: str) -> bool:
         _check_edge(x, y, kind)
-        index = self.masks[0]
+        index = self.index
         at_x = (self.ln, self.pa, self.ch, self.sp)[_END_TABLES[kind][1]]
         return x in index and y in index and bool(at_x[index[x]] >> index[y] & 1)
 
     def adjacent(self, x: str, y: str) -> bool:
         """True iff some edge joins ``x`` and ``y``; False for unknown labels."""
-        index, ln, pa, ch, sp = self.masks[:5]
+        index = self.index
         k = index.get(x)
         if k is None or y not in index:
             return False
-        return bool((ln[k] | pa[k] | ch[k] | sp[k]) >> index[y] & 1)
+        return bool((self.ln[k] | self.pa[k] | self.ch[k] | self.sp[k]) >> index[y] & 1)
 
     @cached_property
     def is_simple(self) -> bool:
@@ -173,27 +174,25 @@ class MixedGraph:
         return not has_semidirected_cycle_with_arrow(self)
 
     @cached_property
-    def masks(self) -> tuple:
-        """``(index, ln, pa, ch, sp, table)``: the graph's one mask core.
+    def index(self) -> Mapping[str, int]:
+        """Per label, its position in ``nodes``: the bit that stands for it."""
+        return {v: k for k, v in enumerate(self.nodes)}
 
-        ``index[v]`` is the position of ``v`` in ``nodes``, the four masks
-        are the graph's own, and ``table`` is
-        ``kernel.components(ln, pa, ch, sp)``.  Built once per graph object.
-        """
-        ln, pa, ch, sp = self.ln, self.pa, self.ch, self.sp
-        index = {v: k for k, v in enumerate(self.nodes)}
-        return index, ln, pa, ch, sp, tuple(kernel.components(ln, pa, ch, sp))
+    @cached_property
+    def components(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per node position, ``kernel.components`` of the graph's masks."""
+        return tuple(kernel.components(self.ln, self.pa, self.ch, self.sp))
 
     @cached_property
     def _upward(self) -> tuple[int, ...] | None:
         """Per node position, its line component and everything anterior to
         it; None when no CMG.
 
-        One depth-first pass over the components of :attr:`masks` along
-        their parent unions.  An arrow inside a component, or a directed
+        One depth-first pass over :attr:`components` along their parent
+        unions.  An arrow inside a component, or a directed
         cycle of components, leads back to a component still on the stack.
         """
-        table = self.masks[5]
+        table = self.components
         up: dict[int, int] = {}  # per finished component, its mask
         done = 0
         for entry in table:
@@ -223,10 +222,10 @@ class MixedGraph:
         return tuple(up[entry[0]] for entry in table)
 
     @cached_property
-    def anterior_masks(self) -> Mapping[str, int]:
-        """Per node, the node mask of ``anteriors(self, [v])``.
+    def anterior_masks(self) -> tuple[int, ...]:
+        """Per node position ``k``, the node mask of ``anteriors(self, [nodes[k]])``.
 
-        Bit ``k`` stands for ``nodes[k]``, as in :attr:`masks`.  Read from
+        Bit ``j`` stands for ``nodes[j]``, as in ``ln``.  Read from
         the component pass that also gives :attr:`is_cmg`: a node's
         anteriors are its component and everything anterior to it, less
         the node.
@@ -236,7 +235,7 @@ class MixedGraph:
         upward = self._upward
         if upward is None:
             raise NotACMGError("anteriors table requires a chain mixed graph")
-        return {v: upward[k] & ~(1 << k) for k, v in enumerate(self.nodes)}
+        return tuple(u & ~(1 << k) for k, u in enumerate(upward))
 
     # -- reachability ------------------------------------------------------
 
@@ -252,15 +251,15 @@ class MixedGraph:
         if v in blocked:
             raise BlockedStartError(f"start node {v!r} is blocked")
         self.require_nodes(blocked)
-        index, ln = self.masks[:2]
+        index = self.index
         stop = mask_of(index, blocked)
-        reach = kernel.line_reach(ln, 1 << index[v], stop)
+        reach = kernel.line_reach(self.ln, 1 << index[v], stop)
         return frozenset(self.nodes[k] for k in kernel._bits(reach))
 
     def induced_subgraph(self, keep: Iterable[str]) -> "MixedGraph":
         keep = label_set(keep, MalformedQueryError)
         self.require_nodes(keep)
-        keep_mask = mask_of(self.masks[0], keep)
+        keep_mask = mask_of(self.index, keep)
         return subgraph_of_masks(self.nodes, self.ln, self.pa, self.ch, self.sp, keep_mask)
 
 
@@ -353,8 +352,8 @@ def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
     Contract each line component to one node.  An arrow inside a
     component closes such a cycle with a line path back to its tail;
     otherwise every such cycle is a directed cycle among the components.
-    So the answer is whether the components of ``g.masks``' table have no
-    order in which every arrow runs forward.  One pass per graph decides
+    So the answer is whether :attr:`MixedGraph.components` have no order
+    in which every arrow runs forward.  One pass per graph decides
     it and gives the anteriors (:attr:`MixedGraph.anterior_masks`).
     """
     return g._upward is None
@@ -370,25 +369,22 @@ def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
     """
     a = label_set(a, MalformedQueryError)
     g.require_nodes(a)
-    index, ln, pa = g.masks[:3]
-    start = mask_of(index, a)
-    reach = kernel.line_reach([l | p for l, p in zip(ln, pa)], start, 0)
+    start = mask_of(g.index, a)
+    reach = kernel.line_reach([l | p for l, p in zip(g.ln, g.pa)], start, 0)
     return frozenset(g.nodes[k] for k in kernel._bits(reach & ~start))
 
 
 def ancestors(g: MixedGraph, i: str) -> frozenset[str]:
     """All nodes with a directed (all-arrow) walk to ``i``, excluding ``i``."""
     g.require_nodes([i])
-    index, _, pa = g.masks[:3]
-    k = index[i]
+    pa, k = g.pa, g.index[i]
     reach = kernel.line_reach(pa, pa[k], 0)
     return frozenset(g.nodes[v] for v in kernel._bits(reach & ~(1 << k)))
 
 
 def classify(g: MixedGraph) -> frozenset[str]:
     """Class flags for ``g``: subset of {UG, DAG, CG, CMG, AnG}."""
-    _, ln, pa, _, sp = g.masks[:5]
-    has_line, has_arrow, has_arc = any(ln), any(pa), any(sp)
+    has_line, has_arrow, has_arc = any(g.ln), any(g.pa), any(g.sp)
     flags = set()
     if not has_arrow and not has_arc:
         flags.add(UG)
@@ -404,8 +400,7 @@ def classify(g: MixedGraph) -> frozenset[str]:
 
 
 def _arcs_respect_anteriority(g: MixedGraph) -> bool:
-    ant, sp = g.anterior_masks, g.masks[4]
-    return not any(ant[v] & sp[k] for k, v in enumerate(g.nodes))
+    return not any(map(operator.and_, g.anterior_masks, g.sp))
 
 
 def format_classes(flags: frozenset[str]) -> str:
@@ -416,7 +411,7 @@ def chain_components(g: MixedGraph) -> list[tuple[str, ...]]:
     """Connected components of the line-only subgraph of a chain graph."""
     if CG not in classify(g):
         raise NotAChainGraphError("chain components require a chain graph")
-    comps = {entry[0] for entry in g.masks[5]}
+    comps = {entry[0] for entry in g.components}
     return sorted(tuple(g.nodes[k] for k in kernel._bits(c)) for c in comps)
 
 
@@ -425,7 +420,7 @@ def moral_graph(g: MixedGraph) -> MixedGraph:
     if CG not in classify(g):
         raise NotAChainGraphError("moralization requires a chain graph")
     ln = [l | p | c for l, p, c in zip(g.ln, g.pa, g.ch)]  # a CG has no arcs
-    for _, parents, _, _ in set(g.masks[5]):
+    for _, parents, _, _ in set(g.components):
         for k in kernel._bits(parents):
             ln[k] |= parents & ~(1 << k)
     empty = (0,) * len(ln)

@@ -16,14 +16,13 @@ mark at the nodes of one such reach move alike: the searches settle a
 whole reach group per visit.  :func:`components` is the per-graph table
 of line components and their flank unions; where a component does not
 meet C it is its nodes' reach, and the table answers without a search.
-One search loop gives both the verdict (:func:`separated`) and, in walk
-mode, a witness (:func:`connecting_walk`) spelled from a trail of the
-settled groups: each section is a shortest line path, but the walk is
-not always shortest in edges.  The search accepts as soon as it adds a
-state at a node of B outside C, without waiting for that state's pop.
-A caller that passes :func:`separated` a trail list and finds the query
-connected can spell the walk later with :func:`spell`, without a
-second search.
+One search, :func:`separated`, gives the verdict and, when the caller
+passes it a trail list, a trail of the settled groups.  The search
+accepts as soon as it adds a state at a node of B outside C, without
+waiting for that state's pop.  After a connected verdict :func:`spell`
+turns the trail into a witness walk, without a second search: each
+section is a shortest line path, but the walk is not always shortest
+in edges.
 
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
@@ -85,8 +84,8 @@ def components(
     ``comp`` is the node's full line component and the other three are
     the ORs of ``pa``, ``ch`` and ``sp`` over it.  The nodes of one
     component share one tuple.  One pass over the graph; the table does
-    not depend on any query, so ``MixedGraph.masks`` builds it once per
-    graph and every search here takes it as its ``table`` argument.
+    not depend on any query, so ``MixedGraph.components`` builds it once
+    per graph and every search here takes it as its ``table`` argument.
     """
     table: list = [None] * len(ln)
     for v, entry in enumerate(table):
@@ -129,48 +128,14 @@ def separated(
 ) -> bool:
     """True iff no c-connecting walk joins ``amask`` and ``bmask`` given ``cmask``.
 
-    ``table`` is :func:`components` of the graph.  The verdict of
-    :func:`_search`, which records its trail in the list ``trail`` when
-    one is given; after a False verdict :func:`spell` turns that trail
-    into the walk of :func:`connecting_walk`.
-    """
-    return _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail)
-
-
-def connecting_walk(
-    table: list[tuple[int, int, int, int]],
-    ln: list[int],
-    pa: list[int],
-    ch: list[int],
-    sp: list[int],
-    amask: int,
-    bmask: int,
-    cmask: int,
-) -> tuple[list[int], list[tuple[int, int, int]]] | None:
-    """A c-connecting walk from ``amask`` to ``bmask`` given ``cmask``, or None.
-
-    The walk is ``(nodes, edges)``: node positions, and per step one
-    ``(kind, x, y)`` with kind 0 a line, 1 an arrow ``x -> y`` and 2 an
-    arc.  It comes from the same search as :func:`separated`, spelled
-    backward from its trail (see :func:`spell`); each section is a
-    shortest line path, but the walk need not be shortest in edges.
-    """
-    trail: list = []
-    if _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
-        return None
-    return spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
-
-
-def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
-    """The one search behind :func:`separated` and :func:`connecting_walk`.
-
-    A state at ``v`` outside C moves only through ``r``, ``v``'s line
-    reach avoiding C, and through ``v``'s line component, so the states of
-    one mark at the nodes of ``r`` move alike and one pop settles them
-    all.  When the component does not meet C, ``r`` is the component and
-    its flank unions come from the table; otherwise one search inside the
-    component gives them.  The head states at the nodes of C in one
-    component share the collider exit, which is taken once per component.
+    ``table`` is :func:`components` of the graph.  A state at ``v``
+    outside C moves only through ``r``, ``v``'s line reach avoiding C, and
+    through ``v``'s line component, so the states of one mark at the nodes
+    of ``r`` move alike and one pop settles them all.  When the component
+    does not meet C, ``r`` is the component and its flank unions come from
+    the table; otherwise one search inside the component gives them.  The
+    head states at the nodes of C in one component share the collider
+    exit, which is taken once per component.
 
     The search accepts when a popped group meets B, and as soon as a pop
     adds a state at a node of B outside C: such a state has its node in
@@ -183,6 +148,7 @@ def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
     the tail and head states it added.  The last record accepts and adds
     none: the accepting pop itself, or after a pop that adds a state at a
     node of B, a closing record for that state with ``r`` its one node.
+    After a False verdict :func:`spell` turns the trail into the walk.
     """
     if amask == 0 or bmask == 0:
         return True
@@ -263,10 +229,12 @@ def _search(table, ln, pa, ch, sp, amask, bmask, cmask, trail) -> bool:
 
 
 def spell(ln, pa, ch, sp, amask, bmask, cmask, trail):
-    """The walk of an accepting :func:`_search` trail, spelled backward.
+    """The walk of an accepting :func:`separated` trail, spelled backward.
 
     ``trail`` must come from a search of this very query that returned
-    False; the walk is that of :func:`connecting_walk`.
+    False.  The walk is ``(nodes, edges)``: node positions, and per step
+    one ``(kind, x, y)`` with kind 0 a line, 1 an arrow ``x -> y`` and 2
+    an arc.
 
     The last record accepts: its section runs inside ``r`` to the lowest
     node of B there.  Each earlier step finds the record that added the

@@ -235,10 +235,10 @@ def _shifted_model(g: MixedGraph, base: frozenset[str], keep: frozenset[str]):
     """
     if not g.is_cmg:
         raise NotACMGError("graph has a semi-directed cycle with an arrow")
-    index, ln, pa, ch, sp, table = g.masks
+    index = g.index
     keep_mask = mask_of(index, keep)
     found = kernel.pair_separations(
-        len(g.nodes), table, ln, pa, ch, sp, keep_mask, mask_of(index, base)
+        len(g.nodes), g.components, g.ln, g.pa, g.ch, g.sp, keep_mask, mask_of(index, base)
     )
     return kernel_model(g.nodes, keep_mask, found)
 
@@ -386,7 +386,7 @@ def check_inducing_walks(g: MixedGraph) -> bool:
 
 def inseparable_pairs(g: MixedGraph) -> list[tuple[str, str]]:
     """Non-adjacent pairs that no set separates, by ``kernel.exists_separator``."""
-    index, ln, pa, ch, sp, table = g.masks
+    index, table, ln, pa, ch, sp = g.index, g.components, g.ln, g.pa, g.ch, g.sp
     n = len(g.nodes)
     return [
         (x, y)
@@ -595,9 +595,11 @@ SUITE_IDS = tuple(_suites().keys()) + ("cg-unrepresentability",)
 def run_suite(
     suite_id: str, *, seed: int = 0, count: int = 500, max_nodes: int = 7
 ) -> PropertyReport:
-    """Run one named suite over ``count`` seeded instances."""
+    """Run one named suite over ``count`` seeded instances of 3 to ``max_nodes`` nodes."""
     if count < 0:
         raise InvalidConfigError(f"count must be non-negative, got {count}")
+    if not 3 <= max_nodes <= len(_LABELS):
+        raise InvalidConfigError(f"max_nodes must be in 3..{len(_LABELS)}, got {max_nodes}")
     if suite_id == "cg-unrepresentability":
         return cg_unrepresentability_demo()
     suite = _suites().get(suite_id)

@@ -78,13 +78,13 @@ def _check_query(nodes: frozenset[str], q: SeparationQuery) -> None:
 
 
 @lru_cache(maxsize=512)
-def _mask_tables(g: MixedGraph):
-    """``(index, ln, pa, ch, sp, table)``: the graph's cached ``g.masks``."""
-    return g.masks
+def _mask_tables(g: MixedGraph) -> tuple[tuple[int, int, int, int], ...]:
+    """The graph's cached ``g.components``, the table every search takes."""
+    return g.components
 
 
 def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
-    """``(g.masks, amask, bmask, cmask)`` of a query, checked in one pass.
+    """``(g.components, amask, bmask, cmask)`` of a query, checked in one pass.
 
     Raises what :meth:`SeparationQuery.of`, :func:`_require_cmg` and
     :func:`_check_query` raise, in that order: a bare ``str``, overlapping
@@ -94,8 +94,8 @@ def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
     for labels in (a, b, given):
         if isinstance(labels, str):
             label_set(labels, MalformedQueryError)  # raises
-    masks = _mask_tables(g)
-    index = masks[0]
+    table = _mask_tables(g)
+    index = g.index
     unknown: dict = {}
     out = []
     for labels in (a, b, given):
@@ -112,7 +112,7 @@ def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
     _require_cmg(g)
     if unknown:
         raise MalformedQueryError(f"query mentions unknown node {next(iter(unknown))!r}")
-    return masks, amask, bmask, cmask
+    return table, amask, bmask, cmask
 
 
 # the key, in a graph's ``__dict__``, of the last connected query's trail
@@ -132,10 +132,9 @@ def c_separated(
     that :func:`c_connecting_witness` on the same query spells its walk
     without searching again.  Pickles, ``==`` and ``hash`` never read it.
     """
-    masks, amask, bmask, cmask = _query_masks(g, a, b, given)
-    _, ln, pa, ch, sp, table = masks
+    table, amask, bmask, cmask = _query_masks(g, a, b, given)
     trail: list = []
-    if kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
+    if kernel.separated(table, g.ln, g.pa, g.ch, g.sp, amask, bmask, cmask, trail):
         return True
     g.__dict__[_LAST_TRAIL] = (amask, bmask, cmask, trail)
     return False
@@ -149,42 +148,41 @@ def c_connecting_witness(
 ) -> Optional[Walk]:
     """A c-connecting walk between ``a`` and ``b`` given ``given``, or None.
 
-    The walk of ``kernel.connecting_walk``, from the search that decides
-    :func:`c_separated`.  Each of its sections is a shortest line path,
-    but the walk need not be shortest in edges.  Right after
+    The walk that ``kernel.spell`` reads off the trail of the search
+    that decides :func:`c_separated`.  Each of its sections is a shortest
+    line path, but the walk need not be shortest in edges.  Right after
     :func:`c_separated` found the same query connected on ``g``, the
     walk is spelled from that search's trail, so the query costs one
     search; otherwise this runs the search.  The query is checked first
     either way, with the same errors.
     """
-    masks, amask, bmask, cmask = _query_masks(g, a, b, given)
+    table, amask, bmask, cmask = _query_masks(g, a, b, given)
     last = g.__dict__.get(_LAST_TRAIL)
     if last is not None and last[:3] == (amask, bmask, cmask):
-        return _walk(g, masks, amask, bmask, cmask, last[3])
-    return _walk(g, masks, amask, bmask, cmask)
+        return _walk(g, table, amask, bmask, cmask, last[3])
+    return _walk(g, table, amask, bmask, cmask)
 
 
 def _walk(
     g: MixedGraph,
-    masks: tuple,
+    table: tuple,
     amask: int,
     bmask: int,
     cmask: int,
     trail: Optional[list] = None,
 ) -> Optional[Walk]:
-    """``kernel.connecting_walk`` on ``g.masks``, as a labelled :class:`Walk`.
+    """The query's c-connecting walk on ``g`` as a labelled :class:`Walk`, or None.
 
-    With ``trail``, the accepting trail of a search of this query, the
-    walk is spelled from it and nothing is searched.
+    ``table`` is ``g.components``.  Without ``trail``, ``kernel.separated``
+    searches and records one; with the accepting trail of a search of this
+    query, nothing is searched.  ``kernel.spell`` reads the walk off it.
     """
-    _, ln, pa, ch, sp, table = masks
+    ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
     if trail is None:
-        found = kernel.connecting_walk(table, ln, pa, ch, sp, amask, bmask, cmask)
-    else:
-        found = kernel.spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
-    if found is None:
-        return None
-    positions, steps = found
+        trail = []
+        if kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
+            return None
+    positions, steps = kernel.spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
     nodes = g.nodes
     edges = []
     for kind, x, y in steps:
@@ -297,9 +295,9 @@ def moral_separated(
     base = q.a | q.b | q.given
     keep = base | anteriors(g, base)
     moral = moral_graph(g.induced_subgraph(keep))
-    index, ln = moral.masks[:2]
+    index = moral.index
     # paths may not pass through the conditioning set
-    reach = kernel.line_reach(ln, mask_of(index, q.a), mask_of(index, q.given))
+    reach = kernel.line_reach(moral.ln, mask_of(index, q.a), mask_of(index, q.given))
     return not reach & mask_of(index, q.b)
 
 
@@ -473,9 +471,8 @@ def pairwise_model(g: MixedGraph) -> IndependenceModel:
         raise TooLargeError(
             f"{len(g.nodes)} nodes exceeds enumeration cap {MODEL_NODE_CAP}"
         )
-    _, ln, pa, ch, sp, table = _mask_tables(g)
     n = len(g.nodes)
-    found = kernel.all_pair_separations(n, table, ln, pa, ch, sp)
+    found = kernel.all_pair_separations(n, _mask_tables(g), g.ln, g.pa, g.ch, g.sp)
     return kernel_model(g.nodes, (1 << n) - 1, found)
 
 
@@ -502,19 +499,22 @@ def models_equal(m1: IndependenceModel, m2: IndependenceModel) -> bool:
     return m1.masks == m2.masks
 
 
-def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int, list]]:
+def _unseparated_pair(
+    g: MixedGraph, trail: Optional[list] = None
+) -> Optional[tuple[int, int, int]]:
     """The first non-adjacent pair that its ``D`` leaves connected, or None.
 
-    Returns ``(i, j, D(i, j), trail)``: positions ``i < j`` in the
-    sorted ``g.nodes``, so ``g.nodes[i] < g.nodes[j]``; the mask of
-    ``ant({i, j}) \\ {i, j}`` (see :func:`is_maximal`); and the trail of
-    the search that found the pair connected, for ``kernel.spell``.
+    Returns ``(i, j, D(i, j))``: positions ``i < j`` in the sorted
+    ``g.nodes``, so ``g.nodes[i] < g.nodes[j]``, and the mask of
+    ``ant({i, j}) \\ {i, j}`` (see :func:`is_maximal`).  With a ``trail``
+    list, as in ``kernel.separated``, the searches record their trails in
+    it, and it ends as that of the search that found the pair connected,
+    for ``kernel.spell``.
     """
     _require_cmg(g)
-    _, ln, pa, ch, sp, table = _mask_tables(g)
-    ant = [g.anterior_masks[v] for v in g.nodes]
+    table = _mask_tables(g)
+    ln, pa, ch, sp, ant = g.ln, g.pa, g.ch, g.sp, g.anterior_masks
     n = len(g.nodes)
-    trail: list = []
     for i in range(n):
         adjacent = ln[i] | pa[i] | ch[i] | sp[i]
         for j in range(i + 1, n):
@@ -522,8 +522,9 @@ def _unseparated_pair(g: MixedGraph) -> Optional[tuple[int, int, int, list]]:
                 continue
             d = (ant[i] | ant[j]) & ~(1 << i | 1 << j)
             if not kernel.separated(table, ln, pa, ch, sp, 1 << i, 1 << j, d, trail):
-                return i, j, d, trail
-            trail.clear()
+                return i, j, d
+            if trail is not None:
+                trail.clear()
     return None
 
 
@@ -554,9 +555,10 @@ class NonMaximalityWitness:
 
 def non_maximality_witness(g: MixedGraph) -> Optional[NonMaximalityWitness]:
     """The first pair that breaks maximality, with its walk; None iff maximal."""
-    found = _unseparated_pair(g)
+    trail: list = []
+    found = _unseparated_pair(g, trail)
     if found is None:
         return None
-    i, j, d, trail = found
+    i, j, d = found
     walk = _walk(g, _mask_tables(g), 1 << i, 1 << j, d, trail)
     return NonMaximalityWitness((g.nodes[i], g.nodes[j]), walk)

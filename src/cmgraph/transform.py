@@ -59,10 +59,9 @@ Afterwards an arc with one end anterior to the other becomes an arrow
 out of that end, and an arc with each end anterior to the other becomes
 a line.
 
-Every rule engine runs on ``_Work``: list copies of the per-node int
-masks ``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes`` that the input
-graph caches once (``MixedGraph.masks``), with M, S and every other
-node set as one mask.  The far flanks of the sections from a node are
+Every rule engine runs on ``_Work``: list copies of the input graph's
+per-node int masks ``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes``,
+with M, S and every other node set as one mask.  The far flanks of the sections from a node are
 the OR of ``pa`` and ``sp`` over its line reach, and a rule adds all
 the edges of one flank with one mask operation (``_link``).  Every
 rule stage rescans in index order until a round adds nothing.  Lines
@@ -126,16 +125,15 @@ def _require_cmg(g: MixedGraph) -> None:
 class _Work:
     """Node masks of a graph under rewrite, with a line-reach memo.
 
-    ``index``, ``ln``, ``pa``, ``ch`` and ``sp`` start as the input's
-    cached ``g.masks``: ``index`` is shared, and the four masks are
-    copied into lists that the rule stages change in place, so the
-    input's own masks stay as they are.
+    ``index`` is the input's ``g.index``, shared.  ``ln``, ``pa``,
+    ``ch`` and ``sp`` are list copies of the input's masks that the rule
+    stages change in place, so the input's own masks stay as they are.
     """
 
     def __init__(self, g: MixedGraph):
         self.nodes = g.nodes
-        self.index, ln, pa, ch, sp, _ = g.masks
-        self.ln, self.pa, self.ch, self.sp = list(ln), list(pa), list(ch), list(sp)
+        self.index = g.index
+        self.ln, self.pa, self.ch, self.sp = list(g.ln), list(g.pa), list(g.ch), list(g.sp)
         self._reach: dict[tuple[int, int], int] = {}
 
     def line_reach(self, v: int, blocked: int) -> int:
@@ -361,10 +359,11 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
 
 def _s_mask(g: MixedGraph, c: Iterable[str]) -> int:
     """The mask of S, the nodes of ``c`` together with their anteriors."""
-    index, ant = g.masks[0], g.anterior_masks
+    index, ant = g.index, g.anterior_masks
     s = 0
     for v in c:
-        s |= 1 << index[v] | ant[v]
+        k = index[v]
+        s |= 1 << k | ant[k]
     return s
 
 
@@ -435,7 +434,7 @@ def _ang_generate(w: _Work, down: list[int]) -> None:
                     _link(t, usable, free, free_t)
 
 
-def _ang_resolve_arcs(w: _Work, ant: list[int]) -> None:
+def _ang_resolve_arcs(w: _Work, ant: tuple[int, ...]) -> None:
     # x <-> v with x anterior of v becomes x -> v, or x -- v when v is
     # anterior of x as well
     ln, pa, ch, sp = w.ln, w.pa, w.ch, w.sp
@@ -464,8 +463,7 @@ def anterialize(h: MixedGraph) -> MixedGraph:
     _require_cmg(h)
     w = _Work(h)
     if any(w.sp):  # both stages start from arcs: an arc-free CMG is anterial
-        masks = h.anterior_masks
-        ant = [masks[v] for v in h.nodes]
+        ant = h.anterior_masks
         _ang_generate(w, [a | 1 << k for k, a in enumerate(ant)])
         _ang_resolve_arcs(w, ant)
     return w.to_graph()
@@ -623,7 +621,8 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     _require_cmg(g)
     g.require_nodes({i, j} | c)
     _require_oracle_endpoints(i, j, c, "conditioning")
-    index, ln, pa, ch, sp, table = g.masks
+    index, table = g.index, g.components
+    ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
     s = _s_mask(g, c)
     at_i, at_j = index[i], index[j]
     target = 1 << at_j
@@ -663,9 +662,9 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
     h.require_nodes({i, j})
     if i == j:
         return False
-    index, ln, pa, ch, sp, _ = h.masks
+    index, ln, pa, ch, sp = h.index, h.ln, h.pa, h.ch, h.sp
     at_j, target = index[j], 1 << index[i]
-    allowed = h.anterior_masks[i] | target
+    allowed = h.anterior_masks[index[i]] | target
     reached = ln[at_j] | pa[at_j] | ch[at_j] | sp[at_j]
     heads = done = 0
     frontier = ch[at_j] | sp[at_j]

@@ -402,7 +402,7 @@ class TestRepresentation:
     def test_pickle_keeps_only_the_fields(self):
         # a cached string hash holds only in the process that made it
         g = G("a -> b; b -- c; c <-> a")
-        hash(g), g.masks, g.edges, g.is_cmg
+        hash(g), g.index, g.components, g.anterior_masks, g.edges, g.is_cmg
         assert set(vars(pickle.loads(pickle.dumps(g)))) == {"nodes", "ln", "pa", "ch", "sp"}
 
     def test_pickle_loads_through_the_checked_constructor(self):
@@ -432,6 +432,16 @@ class TestRepresentation:
                 cm.anterialize(h)
                 assert "edges" not in vars(h)
             assert "edges" not in vars(g)
+
+    def test_cmg_verdict_and_classes_build_no_label_index(self):
+        # the cycle pass and the anterior table read the component table only
+        large = _large_cmg(0, 64)[0]
+        texts = ["a -> b; b -- c; c <-> d; d -> e", "a <-> b; a -> c; c -- b", "a -> b; b -- c; c -> a"]
+        for h in [large, *map(G, texts)]:
+            g = cm.build_graph(h.nodes, h.edges_as_triples())
+            g.is_cmg
+            cm.classify(g)
+            assert "index" not in vars(g) and "components" in vars(g)
 
 
 class TestSubgraphs:

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import cmgraph as cm
-from cmgraph import kernel
+from cmgraph import kernel, propcheck
 from cmgraph.errors import InvalidConfigError, MalformedQueryError, NotACMGError
 from cmgraph.graph import mask_of
 from cmgraph.graphio import render
@@ -198,6 +198,23 @@ class TestReports:
         with pytest.raises(InvalidConfigError):
             run_all(count=-1)
 
+    @pytest.mark.parametrize("max_nodes", [0, 2, 9])
+    def test_max_nodes_out_of_range_rejected_before_running(self, max_nodes, monkeypatch):
+        ran = []
+        monkeypatch.setattr(propcheck, "_instance", lambda *args: ran.append(args))
+        monkeypatch.setattr(propcheck, "cg_unrepresentability_demo", lambda **kw: ran.append(kw))
+        for sid in ("marginalization", "witness-soundness", "cg-unrepresentability"):
+            with pytest.raises(InvalidConfigError, match="max_nodes"):
+                run_suite(sid, count=5, max_nodes=max_nodes)
+        with pytest.raises(InvalidConfigError, match="max_nodes"):
+            run_all(count=5, max_nodes=max_nodes)
+        assert ran == []
+
+    @pytest.mark.parametrize("max_nodes", [3, 8])
+    def test_max_nodes_bounds_accepted(self, max_nodes):
+        report = run_suite("marginalization", seed=1, count=5, max_nodes=max_nodes)
+        assert report.instances == 5 and report.failures == 0
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(InvalidConfigError, match="marginalization"):
             run_suite("nope")
@@ -335,7 +352,7 @@ class TestIndependenceModel:
 
     @staticmethod
     def _reference(g, base, keep):
-        index, ln, pa, ch, sp, table = g.masks
+        index, ln, pa, ch, sp, table = g.index, g.ln, g.pa, g.ch, g.sp, g.components
         keep_mask = mask_of(index, keep)
         found = kernel.pair_separations(
             len(g.nodes), table, ln, pa, ch, sp, keep_mask, mask_of(index, base)

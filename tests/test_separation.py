@@ -555,14 +555,14 @@ def test_all_pairs_kernel_on_every_three_node_graph():
     # every mixed graph, so every CMG among them; the kernel's argument
     # does not use the CMG property
     for g in enumerate_mixed_graphs(("a", "b", "c")):
-        _, ln, pa, ch, sp, _ = _mask_tables(g)
+        ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
         _assert_all_pairs_match_definition(3, ln, pa, ch, sp)
 
 
 def test_pair_separations_on_every_three_node_split():
     splits = [_split(roles) for roles in product(range(3), repeat=3)]
     for g in enumerate_mixed_graphs(("a", "b", "c")):
-        _, ln, pa, ch, sp, _ = _mask_tables(g)
+        ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
         for keep, base in splits:
             _assert_pair_separations_match_definition(3, ln, pa, ch, sp, keep, base)
 
@@ -577,7 +577,7 @@ def _seeded_graphs(graph_class, n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_all_pairs_kernel_on_random_graphs(graph_class, n):
     for g in _seeded_graphs(graph_class, n):
-        _, ln, pa, ch, sp, _ = _mask_tables(g)
+        ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
         _assert_all_pairs_match_definition(n, ln, pa, ch, sp)
 
 
@@ -585,7 +585,7 @@ def test_all_pairs_kernel_on_random_graphs(graph_class, n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_separations_on_random_graphs(graph_class, n):
     for k, g in enumerate(_seeded_graphs(graph_class, n)):
-        _, ln, pa, ch, sp, _ = _mask_tables(g)
+        ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
         for keep, base in _random_splits(n, 1000 * n + k):
             _assert_pair_separations_match_definition(n, ln, pa, ch, sp, keep, base)
 
@@ -643,7 +643,7 @@ def test_pair_separations_on_large_graphs(n, parallel):
         g = _large_cmg(seed, n)[0]
         if parallel:
             g = _with_parallel_arcs(g)
-        _, ln, pa, ch, sp, _ = _mask_tables(g)
+        ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
         for draw in range(7):
             k = rng.randint(2, 5) if draw < 6 else rng.randint(6, 8)
             picked = rng.sample(range(n), k + rng.randint(0, 2))
@@ -659,7 +659,7 @@ def test_pair_separations_on_large_graphs(n, parallel):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pair_separations_with_fewer_than_two_kept(n):
     g = random_graph(GeneratorConfig(n, 0.5, n, "CMG"))
-    _, ln, pa, ch, sp, table = _mask_tables(g)
+    ln, pa, ch, sp, table = g.ln, g.pa, g.ch, g.sp, _mask_tables(g)
     full = (1 << n) - 1
     for keep, base in [(0, 0), (0, full), (1, 0), (1, full & ~1), (1 << n - 1, 1)]:
         if keep & base:
@@ -813,12 +813,12 @@ def _witness_by_states(g, a, b, c):
 
 
 def _assert_walks_match_states(g, queries):
-    """``kernel.connecting_walk`` finds a walk iff the string search does,
-    and every walk it finds passes the audit."""
-    masks = _mask_tables(g)
+    """``_walk`` finds a walk iff the string search does, and every walk
+    it finds passes the audit."""
+    table = _mask_tables(g)
     for amask, bmask, cmask in queries:
         a, b, c = (frozenset(g.nodes[k] for k in _bits(m)) for m in (amask, bmask, cmask))
-        walk = _walk(g, masks, amask, bmask, cmask)
+        walk = _walk(g, table, amask, bmask, cmask)
         want = _witness_by_states(g, a, b, c)
         assert (walk is None) == (want is None), (render(g), a, b, c)
         if walk is not None:
@@ -884,8 +884,8 @@ def _assert_slot_walks_match_fresh(g, queries, interleave):
     connected query is decided between the two calls and takes the slot."""
     queries = list(dict.fromkeys(queries))
     fresh = _rebuilt(g)
-    masks = _mask_tables(fresh)
-    want = {q: _walk(fresh, masks, *q) for q in queries}
+    table = _mask_tables(fresh)
+    want = {q: _walk(fresh, table, *q) for q in queries}
     connected = [q for q in queries if want[q] is not None]
     for k, q in enumerate(queries):
         a, b, c = _labelled(g, q)
@@ -961,8 +961,8 @@ def test_search_accepts_when_it_adds_a_state_at_b():
     # the pop at a adds head states at c and z; z is in B, so the search
     # stops there instead of popping c and d, whose bits come first
     g = G("a -> c; a -> z; c -> d")
-    _, ln, pa, ch, sp, table = _mask_tables(g)
-    index = g.masks[0]
+    ln, pa, ch, sp, table = g.ln, g.pa, g.ch, g.sp, _mask_tables(g)
+    index = g.index
     a, z = 1 << index["a"], 1 << index["z"]
     trail = []
     assert not kernel.separated(table, ln, pa, ch, sp, a, z, 0, trail)
@@ -971,15 +971,15 @@ def test_search_accepts_when_it_adds_a_state_at_b():
 
 
 def _counted_searches(monkeypatch):
-    """The queries ``(amask, bmask, cmask)`` of every ``kernel._search`` run."""
+    """The queries ``(amask, bmask, cmask)`` of every ``kernel.separated`` run."""
     runs = []
-    search = kernel._search
+    search = kernel.separated
 
     def counting(*args):
         runs.append(args[5:8])
         return search(*args)
 
-    monkeypatch.setattr(kernel, "_search", counting)
+    monkeypatch.setattr(kernel, "separated", counting)
     return runs
 
 
@@ -1027,7 +1027,7 @@ def test_non_maximality_witness_walk_is_the_searched_one():
         found += 1
         x, y = witness.endpoints
         fresh = _rebuilt(g)
-        index = fresh.masks[0]
+        index = fresh.index
         d = sum(1 << index[v] for v in cm.anteriors(fresh, {x, y}) - {x, y})
         query = (1 << index[x], 1 << index[y], d)
         assert witness.walk == _walk(fresh, _mask_tables(fresh), *query), render(g)

@@ -590,12 +590,13 @@ def test_rewrites_leave_the_input_masks_as_built(seed, n):
     # the rule engines change list copies of the masks that the input caches
     g, m, c = _large_cmg(seed, n)
     for g in (g, _with_parallel_arcs(g)):
-        before = g.masks
-        snapshot = (dict(before[0]), *before[1:])
+        index, table = g.index, g.components
+        snapshot = (dict(index), g.ln, g.pa, g.ch, g.sp, table)
         cm.marginalize(g, m)
         cm.condition(g, c)
         cm.anterialize(g)
-        assert g.masks is before and g.masks == snapshot
+        assert g.index is index and g.components is table
+        assert (g.index, g.ln, g.pa, g.ch, g.sp, g.components) == snapshot
         index, ln, pa, ch, sp = masks_by_definition(g)
         assert snapshot == (
             index,
@@ -645,7 +646,7 @@ class TestStripHeadsEmitter:
 
     @staticmethod
     def _check(g, s, c):
-        _, ln, pa, ch, sp, _ = g.masks
+        ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
         got = _condition_strip_heads(g.nodes, ln, pa, ch, sp, s, c)
         assert got == _strip_heads_by_strings(g.nodes, ln, pa, ch, sp, s, c), (render(g), s, c)
 
@@ -661,7 +662,7 @@ class TestStripHeadsEmitter:
         g, m, c = _large_cmg(seed, n)
         rng = random.Random(f"strip-heads:{seed}")
         for h in (g, _with_parallel_arcs(g)):
-            index = h.masks[0]
+            index = h.index
             self._check(h, 0, 0)
             self._check(h, 0, sum(1 << index[v] for v in m))
             self._check(h, cm.transform._s_mask(h, c), sum(1 << index[v] for v in c))
@@ -1048,7 +1049,7 @@ class TestAnterialClosure:
 
 
 def _anterior_names(g, v):
-    mask = g.anterior_masks[v]
+    mask = g.anterior_masks[g.index[v]]
     return {u for k, u in enumerate(g.nodes) if mask >> k & 1}
 
 
@@ -1069,8 +1070,8 @@ class TestAnteriorsTable:
 
     def test_bits_follow_node_order(self):
         g = G("b -> c; a <-> c")
-        assert g.masks[0] == {"a": 0, "b": 1, "c": 2}
-        assert g.anterior_masks == {"a": 0, "b": 0, "c": 2}
+        assert g.index == {"a": 0, "b": 1, "c": 2}
+        assert g.anterior_masks == (0, 0, 2)
 
 
 # -- conditioning against the plain rescanning stages ------------------------------
