@@ -61,11 +61,14 @@ def _check_label(label: str, lineno: int) -> None:
 
 
 def parse_file(path: str) -> MixedGraph:
-    """Parse a UTF-8 graph file; undecodable bytes raise :class:`ParseError`."""
+    """Parse a UTF-8 graph file; undecodable bytes raise :class:`ParseError`.
+
+    A leading byte-order mark is dropped, as editors on some systems write one.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None

@@ -73,10 +73,13 @@ reads.  Section reach is therefore memoized per
 the heads at S on the masks and deletes C or M by renumbering the kept
 positions; the output graph is those masks, with no labelled edges.
 
-The projection-class tests search the same sections with
-``_section_flanks``: one search from ``i`` avoiding ``k`` per arc
-``k <-> i`` finds every collider trislide at that arc.  The edge oracles
-search the same masks: the input's, or those of ``_Work`` after a stage.
+The flank and collider stages search sections with ``_section_flanks``,
+and so do the projection-class tests: one search from ``i`` avoiding
+``k`` per arc ``k <-> i`` finds every collider trislide at that arc.
+The anterial generate stage runs the same search inline, reading the
+``free`` arcs in the same pass, so each of its arc ends costs one
+search.  The edge oracles search the same masks: the input's, or those
+of ``_Work`` after a stage.
 """
 
 from __future__ import annotations
@@ -409,29 +412,62 @@ def _ang_generate(w: _Work, down: list[int]) -> None:
     with target ``t``; the walk from ``u`` to ``g1`` cut after its last
     visit to ``u`` or ``t`` makes ``g1`` an earlier far node for
     ``(t, j)`` again.  Both contradict the choice of ``g``.
+
+    Each arc end ``u <-> i`` with a target is searched once: over the
+    line reach ``r`` of ``u`` avoiding ``i`` one pass ORs ``pa``, ``sp``
+    and ``free``, and each far node ``j`` in ``r`` is blocked once to
+    filter the tails (by ``ch``) and the arc ends (by ``sp``), as in
+    ``_section_flanks``.  The arc ends usable for ``t`` are
+    ``arcs & (down[t] | free_arcs)``, and ``free_arcs`` needs no filter
+    of its own.  A filter by ``free`` would keep ``j`` only if
+    ``j in free[o]`` for an ``o`` that a walk avoiding ``j`` reaches; as
+    ``free`` is a part of ``sp``, such a ``j`` is in ``arcs`` already.
+    It could drop only nodes of ``r``, and those are line-joined to
+    ``u``, so they lie in ``down[u]``, and in ``down[i]`` whenever ``i``
+    is a target.  So the usable mask is the same with or without it.
     """
     reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     free = sp[:]  # j in free[o]: j <-> o is an input arc or was generated for o
-    free_t = sp[:]  # o in free_t[j] iff j in free[o]
     changed = True
     while changed:
         changed = False
         for u in range(len(sp)):
             for i in _bits(sp[u]):
                 # target u needs i anterior of u, target i needs u anterior of i
-                targets = [t for t, k in ((u, i), (i, u)) if down[t] >> k & 1]
-                if not targets:
+                to_u, to_i = down[u] >> i & 1, down[i] >> u & 1
+                if not (to_u or to_i):
                     continue
+                # _section_flanks from u avoiding i, with free ORed on the way
                 stop = 1 << i
-                tails, arcs = _section_flanks(reach, pa, ch, sp, u, stop)
-                free_arcs = 0  # read only for arc ends outside down[t]
-                if any(arcs & ~down[t] for t in targets):
-                    free_arcs = _section_flanks(reach, free, free_t, sp, u, stop)[0]
-                for t in targets:
-                    changed |= _link(t, tails, pa, ch)
-                    usable = arcs & down[t] | free_arcs
-                    changed |= _link(t, usable, sp, sp)
-                    _link(t, usable, free, free_t)
+                r = reach(u, stop)
+                tails = arcs = free_arcs = 0
+                rest = r
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    o = low.bit_length() - 1
+                    tails |= pa[o]
+                    arcs |= sp[o]
+                    free_arcs |= free[o]
+                keep = ~(stop | 1 << u)
+                tails &= keep
+                arcs &= keep
+                inner = (tails | arcs) & r
+                while inner:
+                    low = inner & -inner
+                    inner ^= low
+                    j = low.bit_length() - 1
+                    r_j = reach(u, stop | low)
+                    if not ch[j] & r_j:
+                        tails &= ~low
+                    if not sp[j] & r_j:
+                        arcs &= ~low
+                for t, ok in ((u, to_u), (i, to_i)):
+                    if ok:
+                        changed |= _link(t, tails, pa, ch)
+                        usable = arcs & (down[t] | free_arcs)
+                        changed |= _link(t, usable, sp, sp)
+                        free[t] |= usable
 
 
 def _ang_resolve_arcs(w: _Work, ant: tuple[int, ...]) -> None:

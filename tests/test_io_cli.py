@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import cmgraph as cm
 from cmgraph.cli import main
 from cmgraph.errors import ParseError
-from cmgraph.graphio import parse, render, to_dot
+from cmgraph.graphio import parse, parse_file, render, to_dot
 from cmgraph.propcheck import GeneratorConfig, random_graph
 
 from conftest import G
@@ -139,6 +139,16 @@ class TestCli:
         code, _, err = run_cli(capsys, "classify", str(path))
         assert code == 2
         assert err == "error: line 2: byte 0xff is not UTF-8\n"
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        text = "nodes: a b\na -> b\nb -- c\n"
+        plain, marked = tmp_path / "plain.graph", tmp_path / "bom.graph"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_file(str(marked)) == parse_file(str(plain))
+        code, out, err = run_cli(capsys, "classify", str(marked))
+        assert (code, out, err) == (0, "CG CMG AnG\n", "")
 
     def test_separate_connected_with_witness(self, capsys, g_ex_file):
         code, out, _ = run_cli(
