@@ -76,10 +76,18 @@ positions; the output graph is those masks, with no labelled edges.
 The flank and collider stages search sections with ``_section_flanks``,
 and so do the projection-class tests: one search from ``i`` avoiding
 ``k`` per arc ``k <-> i`` finds every collider trislide at that arc.
-The anterial generate stage runs the same search inline, reading the
-``free`` arcs in the same pass, so each of its arc ends costs one
-search.  The edge oracles search the same masks: the input's, or those
-of ``_Work`` after a stage.
+``_section_flanks`` blocks each far node inside the reach once, to keep
+only flanks that a section avoiding them reaches.  The anterial
+generate stage needs no such filter (``_ang_generate`` proves it leaves
+the fixpoint as it is), so each of its arc ends costs one line reach,
+read in one pass with the ``free`` arcs.
+
+The edge oracles reuse the other searches.  ``marginal_edge_oracle`` is
+one ``kernel.separated`` query on the flank stage's masks cut down to
+M and the two endpoints.  ``conditional_edge_oracle`` and
+``subprimitive_walk_exists`` run ``_collider_closure`` on the input's
+``components``: S and the anteriors of a node with the node itself are
+both unions of line components.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ from .graph import (
     mask_of,
     subgraph_of_masks,
 )
-from .kernel import _bits, line_reach
+from .kernel import _bits, components, line_reach, separated
 
 
 @dataclass(frozen=True)
@@ -397,34 +405,46 @@ def _ang_generate(w: _Work, down: list[int]) -> None:
     a round R no later round would add one.  Say one did, first an arc
     ``j <-> t`` (arrows never read ``free``), with ``j`` outside
     ``down[t]``.  Call ``g`` a far node for ``(t, j)`` when a section
-    from ``a`` avoiding ``b`` and ``j`` reaches it, for an arc
-    ``a <-> b`` with target ``t`` and ``j`` not in it; such ``g`` are in
-    ``down[t]``.  Take the first-added ``j in free[g]`` over them.  Round
-    R would have linked ``j <-> t`` from it, so it came after, with no
-    new edge, for target ``g`` of an arc ``u <-> i``, ``g`` in ``{u, i}``:
-    ``j in free[g1]`` at a far node ``g1`` of the section from ``u``
-    avoiding ``i`` and ``j`` (``j`` in ``down[g]`` would put it in
-    ``down[t]``).  If ``u`` is on the section from ``a`` or is ``a`` or
-    ``b``, the line walk from ``a`` via ``u`` to ``g1``, cut after its
-    last visit to ``a`` or ``b``, makes ``g1`` an earlier far node for
-    ``(t, j)``.  Else ``g = i``, ``u`` is anterior of ``g`` and an arc
-    end at ``g`` for that section, so round R left ``u <-> t``, an arc
-    with target ``t``; the walk from ``u`` to ``g1`` cut after its last
-    visit to ``u`` or ``t`` makes ``g1`` an earlier far node for
-    ``(t, j)`` again.  Both contradict the choice of ``g``.
+    from ``a`` avoiding ``b`` reaches it, for an arc ``a <-> b`` with
+    target ``t`` and ``j`` not in it; such ``g`` are in ``down[t]``, so
+    ``j`` is on none of these sections.  Take the first-added
+    ``j in free[g]`` over them.  Round R would have linked ``j <-> t``
+    from it, so it came after, with no new edge, for target ``g`` of an
+    arc ``u <-> i``, ``g`` in ``{u, i}``: ``j in free[g1]`` at a far
+    node ``g1`` of the section from ``u`` avoiding ``i`` (``j`` in
+    ``down[g]`` would put it in ``down[t]``).  If ``u`` is on the
+    section from ``a`` or is ``a`` or ``b``, the line walk from ``a``
+    via ``u`` to ``g1``, cut after its last visit to ``a`` or ``b``,
+    makes ``g1`` an earlier far node for ``(t, j)``.  Else ``g = i``,
+    ``u`` is anterior of ``g`` and an arc end at ``g`` for that section,
+    so round R left ``u <-> t``, an arc with target ``t``; the walk from
+    ``u`` to ``g1`` cut after its last visit to ``u`` or ``t`` makes
+    ``g1`` an earlier far node for ``(t, j)`` again.  Both contradict
+    the choice of ``g``.
 
-    Each arc end ``u <-> i`` with a target is searched once: over the
-    line reach ``r`` of ``u`` avoiding ``i`` one pass ORs ``pa``, ``sp``
-    and ``free``, and each far node ``j`` in ``r`` is blocked once to
-    filter the tails (by ``ch``) and the arc ends (by ``sp``), as in
-    ``_section_flanks``.  The arc ends usable for ``t`` are
-    ``arcs & (down[t] | free_arcs)``, and ``free_arcs`` needs no filter
-    of its own.  A filter by ``free`` would keep ``j`` only if
-    ``j in free[o]`` for an ``o`` that a walk avoiding ``j`` reaches; as
-    ``free`` is a part of ``sp``, such a ``j`` is in ``arcs`` already.
-    It could drop only nodes of ``r``, and those are line-joined to
-    ``u``, so they lie in ``down[u]``, and in ``down[i]`` whenever ``i``
-    is a target.  So the usable mask is the same with or without it.
+    Each arc end ``u <-> i`` with a target costs one line reach ``r`` of
+    ``u`` avoiding ``i`` and one pass over it that ORs ``pa``, ``sp`` and
+    ``free``.  Unlike ``_section_flanks`` it blocks no far node, and the
+    fixpoint is the same:
+
+    - Tails.  No tail ``j -> o`` at a far node ``o`` lies in ``r``: ``o``
+      would be line-joined to ``j`` and close a semi-directed cycle.
+      The stage adds only arrows out of nodes already anterior to their
+      head, so the work graph stays a CMG.
+    - Arc ends.  Say the filter drops ``j`` in ``r`` for target ``t``:
+      each ``o`` in ``r`` with ``j <-> o`` is reached only through
+      ``j``.  A shortest walk to ``j`` avoids ``o``, and ``o`` is neither
+      ``u`` nor ``i``, so ``o`` is an arc end at the far node ``j`` and
+      gives ``t <-> o``.  The one-node section at ``o``, from the arc end
+      ``(o, t)``, then gives ``t <-> j``.  Both ``j`` and ``o`` are in
+      ``r``, so in ``down[t]``, and neither needs ``free``.
+
+    So every edge and ``free`` bit the unfiltered rules add, the
+    filtered ones add too, and both rescans stop at the same fixpoint.
+
+    The arc ends usable for ``t`` are ``arcs & (down[t] | free_arcs)``;
+    ``free`` is a part of ``sp``, so ``free_arcs`` adds no arc end that
+    ``arcs`` lacks.
     """
     reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     free = sp[:]  # j in free[o]: j <-> o is an input arc or was generated for o
@@ -437,11 +457,8 @@ def _ang_generate(w: _Work, down: list[int]) -> None:
                 to_u, to_i = down[u] >> i & 1, down[i] >> u & 1
                 if not (to_u or to_i):
                     continue
-                # _section_flanks from u avoiding i, with free ORed on the way
-                stop = 1 << i
-                r = reach(u, stop)
                 tails = arcs = free_arcs = 0
-                rest = r
+                rest = reach(u, 1 << i)
                 while rest:
                     low = rest & -rest
                     rest ^= low
@@ -449,19 +466,9 @@ def _ang_generate(w: _Work, down: list[int]) -> None:
                     tails |= pa[o]
                     arcs |= sp[o]
                     free_arcs |= free[o]
-                keep = ~(stop | 1 << u)
+                keep = ~(1 << i | 1 << u)
                 tails &= keep
                 arcs &= keep
-                inner = (tails | arcs) & r
-                while inner:
-                    low = inner & -inner
-                    inner ^= low
-                    j = low.bit_length() - 1
-                    r_j = reach(u, stop | low)
-                    if not ch[j] & r_j:
-                        tails &= ~low
-                    if not sp[j] & r_j:
-                        arcs &= ~low
                 for t, ok in ((u, to_u), (i, to_i)):
                     if ok:
                         changed |= _link(t, tails, pa, ch)
@@ -592,50 +599,48 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     inner nodes all lie in the marginalized set and whose inner sections
     are all non-colliders.  Must agree with :func:`marginalize`.
 
-    A search over mask frontiers in node-index order on the flank stage's
-    masks.  A section is its entry node's line reach through M; an entry
-    state of the same mark at a node of a popped section has its section
-    inside it, so one pop settles them all.  The start section at i and a section entered by a tail
-    leave by any edge, a section entered by an arrowhead only by an arrow
-    out of it; the search reaches j at any edge into j, lines included,
-    and moves on to the states at the nodes of M that the exits enter.
+    One ``kernel.separated`` query of i and j given the empty set, on the
+    flank stage's masks cut down to M, i and j.  Given the empty set a
+    c-connecting walk has no collider section.  A walk it finds may
+    revisit i or j; cut at its last visit to i and the first visit to j
+    after that, it keeps whole sections in between, so its inner nodes
+    all lie in M and its inner sections are non-colliders.
     """
     m = label_set(m, TransformSpecError)
     g.require_nodes({i, j} | m)
     _require_oracle_endpoints(i, j, m, "marginalized")
     w, mmask = _marginal_flank_work(g, m)
-    ln, pa, ch, sp = w.ln, w.pa, w.ch, w.sp
-    target = 1 << w.index[j]
-    outside = ~mmask
-    pend_t = seen_t = 1 << w.index[i]
-    pend_h = seen_h = 0
-    while pend_t or pend_h:
-        head = not pend_t
-        low = pend_h & -pend_h if head else pend_t & -pend_t
-        section = line_reach(ln, low, outside)
-        # the line neighbours, and the exits' far ends by their entry mark
-        near = tails = heads = 0
-        for u in _bits(section):
-            near |= ln[u]
-            heads |= ch[u]
-            if not head:
-                tails |= pa[u]
-                heads |= sp[u]
-        if (near | tails | heads) & target:
-            return True
-        if head:
-            seen_h |= section
-            pend_h &= ~section
-        else:
-            seen_t |= section
-            pend_t &= ~section
-        tails &= mmask & ~seen_t
-        heads &= mmask & ~seen_h
-        seen_t |= tails
-        seen_h |= heads
-        pend_t |= tails
-        pend_h |= heads
-    return False
+    a, b = 1 << w.index[i], 1 << w.index[j]
+    keep = mmask | a | b
+    n = len(w.nodes)
+    # the rows of the other nodes stay empty: no walk or line component enters them
+    ln, pa, ch, sp = [0] * n, [0] * n, [0] * n, [0] * n
+    for v in _bits(keep):
+        ln[v], pa[v], ch[v], sp[v] = w.ln[v] & keep, w.pa[v] & keep, w.ch[v] & keep, w.sp[v] & keep
+    return not separated(components(ln, pa, ch, sp), ln, pa, ch, sp, a, b, 0)
+
+
+def _collider_closure(table, tails: int, heads: int, inside: int, target: int, goal: int) -> bool:
+    """True iff a walk through collider sections inside ``inside`` meets the goal.
+
+    ``tails`` and ``heads`` are the masks of the tail and head states
+    that the start section leaves to; ``table`` is the graph's
+    ``components``, and ``inside`` is a union of line components.  A
+    head state at a node of ``inside`` moves, once per line component,
+    to tail states at the component's parents and head states at its
+    spouses; a tail state never moves.  The search succeeds at a tail
+    state at ``target`` or a head state in ``goal``, and stops as soon
+    as it does.
+    """
+    done = 0
+    frontier = heads & inside
+    while frontier and not (tails & target or heads & goal):
+        comp, cpa, _, csp = table[(frontier & -frontier).bit_length() - 1]
+        done |= comp
+        tails |= cpa
+        heads |= csp
+        frontier = heads & inside & ~done
+    return bool(tails & target or heads & goal)
 
 
 def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> bool:
@@ -647,11 +652,9 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     points into its section.  Direct edges always survive.  Must agree
     with :func:`condition`.
 
-    A search over mask frontiers in node-index order: a head state at a
-    node of S moves, over that node's line component, to tail states at
-    the component's parents and head states at its spouses; a tail state
-    never moves.  The search reaches j at any state at j, and at a head
-    state anywhere in j's line component when j has an arc into S.
+    A :func:`_collider_closure` inside S, which holds the line component
+    of each of its nodes.  The search reaches j at any state at j, and at
+    a head state anywhere in j's line component when j has an arc into S.
     """
     c = label_set(c, TransformSpecError)
     _require_cmg(g)
@@ -661,25 +664,14 @@ def conditional_edge_oracle(g: MixedGraph, c: Iterable[str], i: str, j: str) -> 
     ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
     s = _s_mask(g, c)
     at_i, at_j = index[i], index[j]
-    target = 1 << at_j
-    if (ln[at_i] | pa[at_i] | ch[at_i] | sp[at_i]) & target:
-        return True
     # the start section is i, or i's line component when i has an arc into S
     if sp[at_i] & s:
         _, tails, _, heads = table[at_i]
     else:
         tails, heads = pa[at_i], sp[at_i]
-    heads |= ch[at_i]
-    goal = table[at_j][0] if sp[at_j] & s else target
-    done = 0
-    frontier = heads & s
-    while frontier and not (tails & target or heads & goal):
-        comp, cpa, _, csp = table[(frontier & -frontier).bit_length() - 1]
-        done |= comp
-        tails |= cpa
-        heads |= csp
-        frontier = heads & s & ~done
-    return bool(tails & target or heads & goal)
+    goal = table[at_j][0] if sp[at_j] & s else 1 << at_j
+    # a line i -- j is a direct edge, so it counts as a tail state at j
+    return _collider_closure(table, tails | ln[at_i], heads | ch[at_i], s, 1 << at_j, goal)
 
 
 def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
@@ -690,9 +682,8 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
     anteriors of i (i itself allowed).  Direct edges count.  Adjacency in
     :func:`anterialize` equals this test in one direction or the other.
 
-    A search over mask frontiers: a head state at a node anterior to i
-    (or at i) moves, over the line reach of that node, to tail states at
-    its parents and head states at its spouses; a tail state never moves.
+    A :func:`_collider_closure` inside the anteriors of i and i itself,
+    which hold the line component of each of their nodes.
     """
     _require_cmg(h)
     h.require_nodes({i, j})
@@ -701,17 +692,5 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
     index, ln, pa, ch, sp = h.index, h.ln, h.pa, h.ch, h.sp
     at_j, target = index[j], 1 << index[i]
     allowed = h.anterior_masks[index[i]] | target
-    reached = ln[at_j] | pa[at_j] | ch[at_j] | sp[at_j]
-    heads = done = 0
-    frontier = ch[at_j] | sp[at_j]
-    while frontier and not reached & target:
-        heads |= frontier
-        far = line_reach(ln, frontier & allowed & ~done, ~allowed)
-        done |= far
-        entered = 0
-        for w in _bits(far):
-            reached |= pa[w]
-            entered |= sp[w]
-        reached |= entered
-        frontier = entered & ~heads
-    return bool(reached & target)
+    tails, heads = ln[at_j] | pa[at_j], ch[at_j] | sp[at_j]
+    return _collider_closure(h.components, tails, heads, allowed, target, target)

@@ -309,10 +309,11 @@ class TestEdgeOracles:
     @pytest.mark.parametrize(
         "oracle",
         [
+            lambda g: cm.marginal_edge_oracle(g, ["c"], "a", "d"),
             lambda g: cm.conditional_edge_oracle(g, ["c"], "a", "d"),
             lambda g: cm.subprimitive_walk_exists(g, "a", "d"),
         ],
-        ids=["conditional_edge_oracle", "subprimitive_walk_exists"],
+        ids=["marginal_edge_oracle", "conditional_edge_oracle", "subprimitive_walk_exists"],
     )
     def test_refuses_non_cmg(self, oracle):
         # a -> b -- c -> a is a semi-directed cycle with an arrow
@@ -1031,6 +1032,21 @@ class TestAnterialClosure:
         assert _anterialize_by_rescan(g) == out
         assert not cm.subprimitive_walk_exists(g, "a", "b")
         assert not cm.subprimitive_walk_exists(g, "b", "a")
+
+    def test_arc_end_reached_only_through_itself(self):
+        # the section from u avoiding i (target u) reaches o only through
+        # j, so a search that blocks each far node drops the arc end j of
+        # j <-> o.  The generate stage blocks none and adds u <-> j at
+        # once; the filtered rules reach it through u <-> o and then the
+        # one-node section at o.  Both close to the same graph
+        g = G("i -> u; i <-> u; u -- j; j -- o; j <-> o")
+        w = _Work(g)
+        u, i, j = (w.index[v] for v in "uij")
+        _, arcs = _section_flanks(w.line_reach, w.pa, w.ch, w.sp, u, 1 << i)
+        assert not arcs >> j & 1
+        out = G("i -> j; i -> o; i -> u; j -- o; j -- u; o -- u")
+        assert cm.anterialize(g) == out
+        assert _anterialize_by_rescan(g) == out
 
     def test_rescan_reference_generates_edges(self):
         # the reference is not a pass-through: an arc beyond an anterior
