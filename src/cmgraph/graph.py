@@ -221,21 +221,21 @@ class MixedGraph:
                 stack.pop()
         return tuple(up[entry[0]] for entry in table)
 
+    @property
+    def upward_masks(self) -> tuple[int, ...]:
+        """Per node position ``k``, the mask of ``nodes[k]`` and its anteriors,
+        bit ``j`` for ``nodes[j]`` as in ``ln``, from the component pass of
+        :attr:`is_cmg`.  Raises :class:`NotACMGError` when a semi-directed
+        cycle contains an arrow."""
+        if self._upward is None:
+            raise NotACMGError("anteriors table requires a chain mixed graph")
+        return self._upward
+
     @cached_property
     def anterior_masks(self) -> tuple[int, ...]:
-        """Per node position ``k``, the node mask of ``anteriors(self, [nodes[k]])``.
-
-        Bit ``j`` stands for ``nodes[j]``, as in ``ln``.  Read from
-        the component pass that also gives :attr:`is_cmg`: a node's
-        anteriors are its component and everything anterior to it, less
-        the node.
-        Raises :class:`NotACMGError` when a semi-directed cycle contains
-        an arrow, because then no such order exists.
-        """
-        upward = self._upward
-        if upward is None:
-            raise NotACMGError("anteriors table requires a chain mixed graph")
-        return tuple(u & ~(1 << k) for k, u in enumerate(upward))
+        """:attr:`upward_masks` less each node: entry ``k`` is the node mask of
+        ``anteriors(self, [nodes[k]])``.  Raises as that does."""
+        return tuple(u & ~(1 << k) for k, u in enumerate(self.upward_masks))
 
     # -- reachability ------------------------------------------------------
 
@@ -304,17 +304,19 @@ def subgraph_of_masks(nodes, ln, pa, ch, sp, keep: int) -> MixedGraph:
     """The graph over the labels at the set bits of ``keep``.
 
     ``nodes`` is a graph's sorted node tuple and ``ln``, ``pa``, ``ch`` and
-    ``sp`` are masks over it; each kept bit moves down past the deleted
-    ones below it, so the kept labels stay in sorted order.
+    ``sp`` are masks over it; the kept labels stay in sorted order.  One
+    or two deleted positions are each cut out of the rows with a mask and
+    a shift.  With more, each kept bit moves to its new position, a step
+    per set bit: cheaper at three set bits a row, far cheaper when most go.
     """
-    order = list(kernel._bits(keep))
-    tables = ln, pa, ch, sp
-    if keep != (1 << len(nodes)) - 1:
+    gone = ((1 << len(nodes)) - 1) & ~keep
+    if gone.bit_count() > 2:
+        order = list(kernel._bits(keep))
         bit = [0] * len(nodes)  # per old position its new bit, 0 if deleted
         for t, k in enumerate(order):
             bit[k] = 1 << t
-        moved = []
-        for m in tables:
+        tables = [[nodes[k] for k in order]]
+        for m in ln, pa, ch, sp:
             rows = []
             for k in order:
                 old, new = m[k], 0
@@ -323,9 +325,16 @@ def subgraph_of_masks(nodes, ln, pa, ch, sp, keep: int) -> MixedGraph:
                     new |= bit[low.bit_length() - 1]
                     old ^= low
                 rows.append(new)
-            moved.append(rows)
-        tables = moved
-    return MixedGraph(tuple(nodes[k] for k in order), *map(tuple, tables))
+            tables.append(rows)
+    else:
+        tables = [list(nodes), list(ln), list(pa), list(ch), list(sp)]
+        for k in list(kernel._bits(gone))[::-1]:
+            lo, hi = (1 << k) - 1, -1 << k
+            for t, rows in enumerate(tables):
+                del rows[k]
+                if t:  # a row of just the deleted bit is above lo and is cut as well
+                    tables[t] = [r & lo | r >> 1 & hi if r > lo else r for r in rows]
+    return MixedGraph(*map(tuple, tables))
 
 
 def mask_of(index: Mapping[str, int], labels: Iterable[str]) -> int:

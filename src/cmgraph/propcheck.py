@@ -46,13 +46,14 @@ from .separation import (
 )
 from .transform import (
     TransformSpec,
+    _marginal_edge,
+    _marginal_flank_work,
     ang_transform,
     anterialize,
     condition,
     conditional_edge_oracle,
     in_ang_projection_class,
     in_cg_projection_class,
-    marginal_edge_oracle,
     marginalize,
     marginalize_and_condition,
     subprimitive_walk_exists,
@@ -361,8 +362,9 @@ def check_class_membership(
 
 def check_marginal_edges(g: MixedGraph, m: frozenset[str]) -> bool:
     h = marginalize(g, m)
+    w, mmask = _marginal_flank_work(g, m)  # once for every pair
     for i, j in combinations(sorted(g.node_set - m), 2):
-        if marginal_edge_oracle(g, m, i, j) != h.adjacent(i, j):
+        if _marginal_edge(w, mmask, i, j) != h.adjacent(i, j):
             return False
     return True
 

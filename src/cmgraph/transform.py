@@ -70,8 +70,8 @@ anterial generate stages add only arrows and arcs, and the lines that
 the collider stage makes go to a table of their own that no section
 reads.  Section reach is therefore memoized per
 (node, blocked mask).  One emitter, ``_condition_strip_heads``, strips
-the heads at S on the masks and deletes C or M by renumbering the kept
-positions; the output graph is those masks, with no labelled edges.
+the heads at S, in the rows of S and of the nodes with a head at S,
+and deletes C or M (``subgraph_of_masks``); the output is those masks.
 
 The flank and collider stages search sections with ``_section_flanks``,
 and so do the projection-class tests: one search from ``i`` avoiding
@@ -316,18 +316,19 @@ def _condition_strip_heads(
     """
     if s:
         ln, pa, ch, sp = list(ln), list(pa), list(ch), list(sp)
-        for v in range(len(nodes)):
-            if s >> v & 1:
-                # parents and spouses in S join the lines, other spouses become children
-                ln[v] |= pa[v] | (ch[v] | sp[v]) & s
-                ch[v] = (ch[v] | sp[v]) & ~s
-                pa[v] = sp[v] = 0
-            else:
-                # children in S join the lines, spouses in S become parents
-                ln[v] |= ch[v] & s
-                pa[v] |= sp[v] & s
-                ch[v] &= ~s
-                sp[v] &= ~s
+        near = 0  # the nodes with a head at S: a child or a spouse in S
+        for v in _bits(s):
+            near |= pa[v] | sp[v]
+            # parents and spouses in S join the lines, other spouses become children
+            ln[v] |= pa[v] | (ch[v] | sp[v]) & s
+            ch[v] = (ch[v] | sp[v]) & ~s
+            pa[v] = sp[v] = 0
+        for v in _bits(near & ~s):
+            # children in S join the lines, spouses in S become parents
+            ln[v] |= ch[v] & s
+            pa[v] |= sp[v] & s
+            ch[v] &= ~s
+            sp[v] &= ~s
     return subgraph_of_masks(nodes, ln, pa, ch, sp, ((1 << len(nodes)) - 1) & ~c)
 
 
@@ -370,11 +371,10 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
 
 def _s_mask(g: MixedGraph, c: Iterable[str]) -> int:
     """The mask of S, the nodes of ``c`` together with their anteriors."""
-    index, ant = g.index, g.anterior_masks
+    index, up = g.index, g.upward_masks
     s = 0
     for v in c:
-        k = index[v]
-        s |= 1 << k | ant[k]
+        s |= up[index[v]]
     return s
 
 
@@ -397,7 +397,7 @@ def marginalize_and_condition(
 # -- anterial closure -------------------------------------------------------
 
 
-def _ang_generate(w: _Work, down: list[int]) -> None:
+def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
     """Run the generate rules; ``down[t]`` is the mask of t and its anteriors.
 
     The rules and the reuse rule are in the module docstring.  Rescans
@@ -501,14 +501,14 @@ def anterialize(h: MixedGraph) -> MixedGraph:
 
     Neither stage changes anteriors: a generated arrow runs from a node
     already anterior to its head, and arc resolution follows
-    anteriority.  So both stages read the input's anteriors table.
+    anteriority.  So both stages read the input's ``upward_masks``, each
+    node with its anteriors: no arc joins a node to itself.
     """
     _require_cmg(h)
     w = _Work(h)
     if any(w.sp):  # both stages start from arcs: an arc-free CMG is anterial
-        ant = h.anterior_masks
-        _ang_generate(w, [a | 1 << k for k, a in enumerate(ant)])
-        _ang_resolve_arcs(w, ant)
+        _ang_generate(w, h.upward_masks)
+        _ang_resolve_arcs(w, h.upward_masks)
     return w.to_graph()
 
 
@@ -609,7 +609,11 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     m = label_set(m, TransformSpecError)
     g.require_nodes({i, j} | m)
     _require_oracle_endpoints(i, j, m, "marginalized")
-    w, mmask = _marginal_flank_work(g, m)
+    return _marginal_edge(*_marginal_flank_work(g, m), i, j)
+
+
+def _marginal_edge(w: _Work, mmask: int, i: str, j: str) -> bool:
+    """:func:`marginal_edge_oracle` on the flank stage's work ``w``, left for the next pair."""
     a, b = 1 << w.index[i], 1 << w.index[j]
     keep = mmask | a | b
     n = len(w.nodes)
@@ -691,6 +695,6 @@ def subprimitive_walk_exists(h: MixedGraph, j: str, i: str) -> bool:
         return False
     index, ln, pa, ch, sp = h.index, h.ln, h.pa, h.ch, h.sp
     at_j, target = index[j], 1 << index[i]
-    allowed = h.anterior_masks[index[i]] | target
+    allowed = h.upward_masks[index[i]]
     tails, heads = ln[at_j] | pa[at_j], ch[at_j] | sp[at_j]
     return _collider_closure(h.components, tails, heads, allowed, target, target)

@@ -455,6 +455,25 @@ class TestSubgraphs:
     def test_induced_single(self):
         assert cm.build_graph("a") == G("a -> b").induced_subgraph(["a"])
 
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_boundary_cuts_on_large_graphs(self, seed, n):
+        # one or two deleted positions are cut with a mask and a shift
+        # each, more by moving each kept bit; check both against the
+        # labelled edges among the kept labels for cuts at position 0, at
+        # n - 1, in runs and at random
+        g = _large_cmg(seed, n)[0]
+        edges = g.edges_as_triples()
+        rng = random.Random(f"boundary-cuts:{seed}")
+        run = rng.randrange(n - 8)
+        keeps = [set(g.nodes), set()]
+        keeps += [set(g.nodes) - {v} for v in g.nodes]
+        keeps.append(set(g.nodes) - {g.nodes[0], g.nodes[-1]})
+        keeps += [set(g.nodes) - set(g.nodes[run : run + size]) for size in (2, 3, 8)]
+        keeps += [{v for v in g.nodes if rng.random() < 0.5} for _ in range(20)]
+        for keep in keeps:
+            want = cm.build_graph(keep, [(x, y, kind) for x, y, kind in edges if {x, y} <= keep])
+            assert g.induced_subgraph(keep) == want, sorted(set(g.nodes) - keep)
+
 
 class TestChainComponents:
     def test_three_components(self):

@@ -1080,9 +1080,29 @@ class TestAnteriorsTable:
             for v in g.nodes:
                 assert _anterior_names(g, v) == cm.anteriors(g, [v]), v
 
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_s_is_read_from_the_upward_table(self, seed, n):
+        # S and the anterial closure read g.upward_masks, each node with
+        # its anteriors, and build no anterior_masks; that anterialize still
+        # equals the rescan loop on these graphs is
+        # TestAnterialClosure::test_equals_rescan_loop_on_large_graphs
+        g, _, c = _large_cmg(seed, n)
+        cm.condition(g, c)
+        cm.anterialize(g)
+        assert "anterior_masks" not in vars(g)
+        for k, v in enumerate(g.nodes):
+            assert cm.transform._s_mask(g, [v]) == 1 << k | g.anterior_masks[k]
+
     def test_requires_cmg(self):
         with pytest.raises(NotACMGError):
             G("a -> b; b -- c; c -> a").anterior_masks
+
+    def test_upward_table_requires_cmg(self):
+        g = G("a -> b; b -- c; c -> a")
+        with pytest.raises(NotACMGError):
+            g.upward_masks
+        with pytest.raises(NotACMGError):
+            cm.transform._s_mask(g, ["a"])
 
     def test_bits_follow_node_order(self):
         g = G("b -> c; a <-> c")
