@@ -64,7 +64,9 @@ per-node int masks ``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes``,
 with M, S and every other node set as one mask.  The far flanks of the sections from a node are
 the OR of ``pa`` and ``sp`` over its line reach, and a rule adds all
 the edges of one flank with one mask operation (``_link``).  Every
-rule stage rescans in index order until a round adds nothing.  Lines
+rule stage works in index order and rescans until a round adds nothing,
+but for the conditioning arc-flank stage: it makes one pass, and its
+docstring proves that a rescan would emit the same graph.  Lines
 are fixed inside every stage that searches sections: the flank and
 anterial generate stages add only arrows and arcs, and the lines that
 the collider stage makes go to a table of their own that no section
@@ -217,31 +219,120 @@ def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:
     return True
 
 
-def _flank_stage(w: _Work, entry: list[int], removed: int) -> None:
+def _flank_pass(w: _Work, entry: list[int], removed: int) -> bool:
     # e *-> u --..-- o <- j  =>  j -> u ; an arc far flank gives u <-> j,
-    # for each e in entry[u] & removed; rescans until a round adds nothing
+    # for each e in entry[u] & removed; one round, True if an edge is new
     reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
-    changed = True
-    while changed:
-        changed = False
-        for u in range(len(pa)):
-            ends = entry[u] & removed
-            while ends:
-                low = ends & -ends
-                ends ^= low
-                tails, arcs = _section_flanks(reach, pa, ch, sp, u, low)
-                changed |= _link(u, tails, pa, ch)
-                changed |= _link(u, arcs, sp, sp)
+    changed = False
+    for u in range(len(pa)):
+        ends = entry[u] & removed
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            tails, arcs = _section_flanks(reach, pa, ch, sp, u, low)
+            changed |= _link(u, tails, pa, ch)
+            changed |= _link(u, arcs, sp, sp)
+    return changed
 
 
 def _marginalize_flank_stage(w: _Work, m: int) -> None:
-    # m -> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j
-    _flank_stage(w, w.pa, m)
+    # m -> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j;
+    # rescans until a round adds nothing
+    while _flank_pass(w, w.pa, m):
+        pass
 
 
 def _condition_arc_flank_stage(w: _Work, s: int) -> None:
-    # s <-> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j
-    _flank_stage(w, w.sp, s)
+    """Run the arc-flank rules in one pass, in node-index order.
+
+    A second pass can add edges (``b -- d; c -- d; a <-> c; b <-> d``
+    with C = {a, b} gets ``a <-> b``), but none that :func:`condition`
+    emits differently.  A node's visit in the pass is its turn, the arcs
+    from S that it reads then are its entries, and ``*->`` is an arrow or
+    an arc.  Let L be the work after this pass and the collider stage,
+    which rescans, so that L is closed under the collider rules; R that
+    of both stages rescanned; Z the closure of L under both stages'
+    rules.  The stages add only arrows and arcs, and a rule that matches
+    keeps matching as they grow, so L is in R and R is in Z.  It is
+    enough that Z emits what L emits.
+
+    Emission.  Every parent of a node of S is in S, before and after
+    both stages: a rule copies the tail of an arrow into a section onto
+    the section's start or an arc end there, and a section from a node
+    of S stays in S.  So made lines join nodes of S, and outside C the
+    emitter joins two nodes of S by a line iff the work or a made line
+    joins them, gives ``s -> v`` for s in S and v outside S iff the work
+    has ``s *-> v``, and keeps the arrows and arcs outside S.  Let D be
+    L plus every arrow ``j -> x`` beside an arc ``j <-> x`` of L with j
+    in S, and every made line between two nodes of S that L joins by an
+    arrow or an arc.  D emits what L emits, and Z is in D if no rule
+    adds anything outside D to D.
+
+    A match that uses an arrow of D outside L also matches with the arc
+    beside it, and that match gives the same ends an arc, or an arrow
+    for a made line (by the search from the arc end).  So let every
+    premise be in L.  L is closed under the collider rules, and under
+    the arc-flank rule at a node x of S entered from y: the collider
+    rule at x with arc flank y gives y the far flanks of x's sections,
+    and then the one at y with arc flank x gives them to x.  That leaves
+    the rule at a node x outside S entered from y in S, with a far flank
+    ``j *-> o`` in L, o on x's line component K and reached from x
+    avoiding j.  Call a cluster a connected part of S under lines and
+    the input's arcs inside S.  Four facts hold on the way to L:
+
+    1. A rule adds an arc from a far arc flank of a section to the
+       section's start or to an arc flank there.  Both ends have arcs
+       into the section's cluster if the section lies in S, and else the
+       start is outside S and has an entry.  So only a node with an
+       input arc into S gets one, and an arc inside S stays inside a
+       cluster.
+    2. An S-node with an arc to K is in a cluster with an input arc to
+       K: the arc is an input arc, copies one from K to the same node or
+       from K to the node's own line component, or is made by the
+       collider rules between two nodes with arcs into the pivot's
+       cluster.
+    3. x has an input arc into S (1), so a turn with an entry.  On its
+       turn x gets an arc to each S-node r with an input arc to K (r is
+       a far flank for every other entry), or r is its only entry and so
+       its spouse already.
+    4. In L two nodes with arcs into one cluster Q are joined by an arc.
+       Take a walk between them by lines and arcs through Q that meets
+       them only at its ends, with the fewest arcs.  If it leaves the
+       first end x by lines up to an arc ``o <-> q``, x is in S with an
+       arc to some e in S, and the arc-flank rule at x with entry e (the
+       lines avoid e), else the collider rule at e along the lines after
+       their last e, gives ``x <-> q``.  The collider rule at q along
+       the next lines then gives x the far end of the next arc, and so
+       on.  Lines into the second end are met from that end in the same
+       way.  A walk of lines only ends at a node with an arc to some f
+       in S: if f is on the lines, the walk up to f and then that arc
+       has one arc; else the first step, along the walk and on to f,
+       gives ``x <-> f``, and the collider rule at f joins x to that
+       end.
+
+    Now by how ``j *-> o`` was made, in order:
+
+    - in the input: x's turn gives ``j *-> x``, or j is x's only entry,
+      so j is in S and ``j <-> x`` is in L;
+    - on o's turn, from ``j *-> o'`` with o' reached from o avoiding j,
+      hence from x avoiding j: by induction;
+    - on j's turn, an arc, from ``o <-> r`` with r on a section from j:
+      if j is in S, o has an arc into j's cluster, so by 2, 3 and 4
+      ``x <-> j``; if j is in K, 3 gives x and j arcs into the clusters
+      with input arcs to K, of which there is one, so 4; otherwise
+      ``o <-> r`` copies an input arc between K and j's line component
+      (this pass joins two line components outside S only by copying an
+      arc between them), and of x and j the one whose turn comes first
+      gets an arc to the other's end of it, at which the later one finds
+      it;
+    - by the collider rule at a pivot p with arc flank o: ``x <-> p`` is
+      in L, by 2, 3 and 4 if p has an arc into S, else by 3, since by 1
+      every arc from p to K copies an input arc from p to K; the
+      collider rule at p with arc flank x then gives ``j *-> x``;
+    - by the collider rule at a pivot p with arc flank j and o a far arc
+      flank: by 2 and 3, x and j have arcs into p's cluster, so 4.
+    """
+    _flank_pass(w, w.sp, s)
 
 
 def _marginalize_tripath_stage(w: _Work, m: int) -> None:
@@ -271,8 +362,13 @@ def _marginalize_tripath_stage(w: _Work, m: int) -> None:
 def _condition_collider_stage(w: _Work, s: int) -> list[int]:
     """Run the collider rules; return the line masks they generate.
 
-    Sections read only ``w.ln``, which this stage leaves alone, so the
-    generated lines never build sections and never call for another round.
+    Rescans until a round adds no arrow or arc.  Sections read only
+    ``w.ln``, which this stage leaves alone, so the generated lines never
+    build sections and a round that adds only lines ends the stage.  One
+    pass stops short of this fixpoint (``d -> c; a <-> d; c <-> d`` with
+    C = {c}: a second pass adds ``d -> a``, which ``a <-> d`` emits as
+    well), and the proof in :func:`_condition_arc_flank_stage` reads the
+    work as closed under these rules.
     """
     # i -> s --..-- s <- j   =>  i -- j        (both flanks arrows)
     # i <-> s --..-- s <- j  =>  j -> i        (arc flank wins the head)
@@ -355,7 +451,9 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
 
     Neither rule stage adds a line that a section reads (the arc-flank
     stage adds none, the collider stage keeps its own), so one line-reach
-    memo serves both.
+    memo serves both.  The arc-flank stage makes one pass and the
+    collider stage rescans; the output is that of both stages rescanned
+    (proof in :func:`_condition_arc_flank_stage`).
     """
     c = label_set(c, TransformSpecError)
     _require_cmg(g)

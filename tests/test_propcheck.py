@@ -452,3 +452,16 @@ class TestUnrepresentability:
     def test_demo_report(self):
         report = cg_unrepresentability_demo()
         assert report.failures == 0
+
+    def test_demo_reports_a_projection_that_loses_the_marginal_model(self, monkeypatch):
+        # the demo checks its one DAG: a wrong projection of it is a failure,
+        # not a reason to look for another witness
+        def drop_edges(g, m):
+            return cm.build_graph(sorted(g.node_set - m), [])
+
+        monkeypatch.setattr(propcheck, "marginalize", drop_edges)
+        report = cg_unrepresentability_demo()
+        assert (report.instances, report.failures) == (1, 1)
+        assert report.first_counterexample == {
+            "detail": "the projection does not induce the marginal model"
+        }

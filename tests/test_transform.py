@@ -13,7 +13,9 @@ from cmgraph.graphio import render
 from cmgraph.kernel import line_reach
 from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
 from cmgraph.transform import (
+    _condition_arc_flank_stage,
     _condition_strip_heads,
+    _flank_pass,
     _in_projection_class,
     _marginal_flank_work,
     _section_flanks,
@@ -1244,6 +1246,17 @@ class TestConditionAgainstRescan:
         out = _condition_by_rescan(g, ["s"])
         assert out == G("i -- w; j -> w; j -> i; k -- l; k -> i; l -> i")
         assert cm.condition(g, ["s"]) == out
+
+    def test_second_arc_flank_pass_adds_an_edge_the_output_lacks(self):
+        # one pass is no fixpoint of the work: pass 2 adds a <-> b, which
+        # touches C, so the output is that of the rescanning reference
+        g = G("b -- d; c -- d; a <-> c; b <-> d")
+        w, s = _Work(g), cm.transform._s_mask(g, ["a", "b"])
+        _condition_arc_flank_stage(w, s)
+        assert _flank_pass(w, w.sp, s)
+        out = cm.condition(g, ["a", "b"])
+        assert out == _condition_by_rescan(g, ["a", "b"])
+        assert render(out) == "nodes: c d\nc -- d\n"
 
 
 class TestConditionModelOnLargeGraphs:
