@@ -533,12 +533,17 @@ def is_maximal(g: MixedGraph) -> bool:
 
     One separator per pair decides it, by this lemma: a non-adjacent pair
     ``i, j`` is c-separated given some set iff it is c-separated given
-    ``D(i, j) = ant({i, j}) \\ {i, j}``.  Sadeghi and Lauritzen (2014,
+    ``D(i, j) = ant({i, j}) \\ {i, j}``.  The closest source is
+    Sadeghi and Lauritzen (2018, "Unifying Markov properties for
+    graphical models", Ann. Statist.), whose pairwise Markov property for
+    chain mixed graphs uses this separator and is equivalent to the
+    global one for compositional graphoids.  Sadeghi and Lauritzen (2014,
     "Markov properties for mixed graphs", Bernoulli) give the pairwise
-    Markov property of maximal graphs with this separator; Richardson and
-    Spirtes (2002, "Ancestral graph Markov models", Ann. Statist.) cover
-    ancestral graphs.  For CMGs the tests check the lemma against the
-    enumeration in ``kernel.exists_separator``.  No node cap.
+    Markov property of maximal graphs with it; Richardson and Spirtes
+    (2002, "Ancestral graph Markov models", Ann. Statist.) cover
+    ancestral graphs.  The lemma is not proved here for CMGs: the tests
+    check it against the enumeration in ``kernel.exists_separator``.  No
+    node cap.
     """
     return _unseparated_pair(g) is None
 

@@ -13,8 +13,8 @@ node of S = C together with its anteriors, and sections drawn as
 ``--..--``:
 
 flank stage (an entry edge into a section: ``m -> i`` when
-marginalizing, ``s <-> i`` when conditioning; ``e *-> i`` stands for
-either)::
+marginalizing, ``s <-> i`` with ``i`` outside S when conditioning;
+``e *-> i`` stands for either)::
 
     e *-> i --..-- o <- j   =>   j -> i
     e *-> i --..-- o <-> j  =>   i <-> j
@@ -61,12 +61,15 @@ a line.
 
 Every rule engine runs on ``_Work``: list copies of the input graph's
 per-node int masks ``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes``,
-with M, S and every other node set as one mask.  The far flanks of the sections from a node are
-the OR of ``pa`` and ``sp`` over its line reach, and a rule adds all
-the edges of one flank with one mask operation (``_link``).  Every
-rule stage works in index order and rescans until a round adds nothing,
-but for the conditioning arc-flank stage: it makes one pass, and its
-docstring proves that a rescan would emit the same graph.  Lines
+with M, S and every other node set as one mask.  The far flanks of
+the sections from a node are the OR of ``pa`` and ``sp`` over its line
+reach, and a rule adds all the edges of one flank with one mask
+operation (``_link``).  Every rule stage works in index order.  The
+conditioning arc-flank stage makes one pass, over the nodes outside S,
+and its docstring proves that a rescan, or turns at S, would emit the
+same graph; the anterial resolve stage is one pass by construction.
+The marginalization stages, the collider stage and the anterial
+generate stage rescan until a round adds nothing.  Lines
 are fixed inside every stage that searches sections: the flank and
 anterial generate stages add only arrows and arcs, and the lines that
 the collider stage makes go to a table of their own that no section
@@ -173,6 +176,13 @@ def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, 
     some ``far`` joined to ``v`` by a line walk that avoids the node mask
     ``stop`` and ``j`` itself; ``j`` is neither ``v`` nor in ``stop``.
     ``reach(v, blocked)`` is a line-reach memo such as ``_Work.line_reach``.
+
+    The tail filter can fire only in the collider stage.  A tail ``j``
+    that the walk reaches is line-joined to its head, which closes a
+    semi-directed cycle in a CMG (the "Tails" argument of
+    ``_ang_generate``), and every other caller searches a CMG: the
+    projection-class tests their input, and the flank stages a work that
+    stays one (``_flank_pass``).
     """
     r = reach(v, stop)
     tails = arcs = 0
@@ -200,6 +210,14 @@ def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, 
     return tails, arcs
 
 
+def _union(rows: list[int], mask: int) -> int:
+    """The OR of ``rows[v]`` over the nodes ``v`` of ``mask``."""
+    out = 0
+    for v in _bits(mask):
+        out |= rows[v]
+    return out
+
+
 def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:
     """Join node ``v`` to each node ``j`` of the mask ``others``.
 
@@ -219,42 +237,72 @@ def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:
     return True
 
 
-def _flank_pass(w: _Work, entry: list[int], removed: int) -> bool:
-    # e *-> u --..-- o <- j  =>  j -> u ; an arc far flank gives u <-> j,
-    # for each e in entry[u] & removed; one round, True if an edge is new
+def _flank_pass(w: _Work, entry: list[int], removed: int, turns: int) -> bool:
+    """Run one round of the flank rules in node-index order; True if an edge is new.
+
+    ``e *-> u --..-- o <- j`` gives ``j -> u`` and an arc far flank gives
+    ``u <-> j``, for each entry ``e`` in ``entry[u] & removed``.  The
+    nodes of the mask ``turns`` take a turn, and each must have an entry:
+    the marginal stage passes the children of M, the conditioning stage
+    the spouses of S outside S.  No pass changes that set: it adds only
+    ``j -> u`` and ``u <-> j`` at a turn ``u``, which give ``j`` a child
+    or a spouse, and when conditioning a spouse outside S: no entry.
+
+    A turn makes one section search, which blocks the entry if ``u`` has
+    only one and nothing otherwise.  That finds what one search per
+    entry, each blocking its entry, finds together:
+
+    1. No entry lies in ``u``'s line component.  A parent cannot, in a
+       CMG, and the flank stages keep the work a CMG: they add no line,
+       and only arrows ``j -> u`` out of an anterior ``j`` of ``u``
+       (``j -> o`` with ``o`` line-joined to ``u``).  S is a union of
+       line components, so a spouse in S of a node outside S lies
+       outside that node's component.
+    2. So blocking an entry changes no line reach from ``u``, and
+       ``_section_flanks`` reads the same reaches with or without it.
+    3. So the per-entry searches differ only in the entry each drops
+       from the flanks it returns.
+    4. So their union drops an entry only when it is the only one.  With
+       one entry ``e``, the walk ``e *-> u --..-- o <-* e`` returns to
+       ``e``.  With two, ``e' *-> u --..-- o <-* e`` is a walk, and the
+       search for ``e'`` keeps ``e``.
+
+    Run in turn with their links in between, the per-entry searches find
+    no more: a link adds to ``u``'s row only flanks that the first search
+    found, and to the row of such a flank only ``u``, so the next search
+    keeps that flank and finds nothing new.
+    """
     reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     changed = False
-    for u in range(len(pa)):
+    for u in _bits(turns):
         ends = entry[u] & removed
-        while ends:
-            low = ends & -ends
-            ends ^= low
-            tails, arcs = _section_flanks(reach, pa, ch, sp, u, low)
-            changed |= _link(u, tails, pa, ch)
-            changed |= _link(u, arcs, sp, sp)
+        tails, arcs = _section_flanks(reach, pa, ch, sp, u, 0 if ends & ends - 1 else ends)
+        changed |= _link(u, tails, pa, ch)
+        changed |= _link(u, arcs, sp, sp)
     return changed
 
 
 def _marginalize_flank_stage(w: _Work, m: int) -> None:
     # m -> u --..-- o <- j  =>  j -> u ; arc far flank gives u <-> j;
     # rescans until a round adds nothing
-    while _flank_pass(w, w.pa, m):
+    while _flank_pass(w, w.pa, m, _union(w.ch, m)):
         pass
 
 
 def _condition_arc_flank_stage(w: _Work, s: int) -> None:
-    """Run the arc-flank rules in one pass, in node-index order.
+    """Run the arc-flank rules in one pass over the nodes outside S, in index order.
 
-    A second pass can add edges (``b -- d; c -- d; a <-> c; b <-> d``
-    with C = {a, b} gets ``a <-> b``), but none that :func:`condition`
-    emits differently.  A node's visit in the pass is its turn, the arcs
-    from S that it reads then are its entries, and ``*->`` is an arrow or
-    an arc.  Let L be the work after this pass and the collider stage,
+    A second pass can add edges (``b -- d; c -> d; a <-> d; b <-> c``
+    with C = {a, c} gets ``c -> b`` beside ``b <-> c``), and the rules at
+    the nodes of S can too, but none that :func:`condition` emits
+    differently.  A node's visit in the pass is its turn, the arcs from S
+    that it reads then are its entries, and ``*->`` is an arrow or an
+    arc.  Let L be the work after this pass and the collider stage,
     which rescans, so that L is closed under the collider rules; R that
-    of both stages rescanned; Z the closure of L under both stages'
-    rules.  The stages add only arrows and arcs, and a rule that matches
-    keeps matching as they grow, so L is in R and R is in Z.  It is
-    enough that Z emits what L emits.
+    of both stages rescanned at every node; Z the closure of L under
+    both stages' rules.  The stages add only arrows and arcs, and a rule
+    that matches keeps matching as they grow, so L is in R and R is in
+    Z.  It is enough that Z emits what L emits.
 
     Emission.  Every parent of a node of S is in S, before and after
     both stages: a rule copies the tail of an arrow into a section onto
@@ -271,11 +319,12 @@ def _condition_arc_flank_stage(w: _Work, s: int) -> None:
     A match that uses an arrow of D outside L also matches with the arc
     beside it, and that match gives the same ends an arc, or an arrow
     for a made line (by the search from the arc end).  So let every
-    premise be in L.  L is closed under the collider rules, and under
-    the arc-flank rule at a node x of S entered from y: the collider
-    rule at x with arc flank y gives y the far flanks of x's sections,
-    and then the one at y with arc flank x gives them to x.  That leaves
-    the rule at a node x outside S entered from y in S, with a far flank
+    premise be in L.  L is closed under the collider rules, and so under
+    the arc-flank rule at a node x of S entered from y, where the pass
+    takes no turn: the collider rule at x with arc flank y makes the
+    same search and gives y the far flanks of x's sections, and then the
+    one at y with arc flank x gives them to x.  That leaves the rule at
+    a node x outside S entered from y in S, with a far flank
     ``j *-> o`` in L, o on x's line component K and reached from x
     avoiding j.  Call a cluster a connected part of S under lines and
     the input's arcs inside S.  Four facts hold on the way to L:
@@ -287,10 +336,9 @@ def _condition_arc_flank_stage(w: _Work, s: int) -> None:
        input arc into S gets one, and an arc inside S stays inside a
        cluster.
     2. An S-node with an arc to K is in a cluster with an input arc to
-       K: the arc is an input arc, copies one from K to the same node or
-       from K to the node's own line component, or is made by the
-       collider rules between two nodes with arcs into the pivot's
-       cluster.
+       K: the arc is an input arc, copies one from K to the same node,
+       or is made by the collider rules between two nodes with arcs into
+       the pivot's cluster.
     3. x has an input arc into S (1), so a turn with an entry.  On its
        turn x gets an arc to each S-node r with an input arc to K (r is
        a far flank for every other entry), or r is its only entry and so
@@ -299,16 +347,16 @@ def _condition_arc_flank_stage(w: _Work, s: int) -> None:
        Take a walk between them by lines and arcs through Q that meets
        them only at its ends, with the fewest arcs.  If it leaves the
        first end x by lines up to an arc ``o <-> q``, x is in S with an
-       arc to some e in S, and the arc-flank rule at x with entry e (the
-       lines avoid e), else the collider rule at e along the lines after
-       their last e, gives ``x <-> q``.  The collider rule at q along
-       the next lines then gives x the far end of the next arc, and so
-       on.  Lines into the second end are met from that end in the same
-       way.  A walk of lines only ends at a node with an arc to some f
-       in S: if f is on the lines, the walk up to f and then that arc
-       has one arc; else the first step, along the walk and on to f,
-       gives ``x <-> f``, and the collider rule at f joins x to that
-       end.
+       arc to some e in S, and L's closure under the arc-flank rule at x
+       with entry e (the lines avoid e), else the collider rule at e
+       along the lines after their last e, gives ``x <-> q``.  The
+       collider rule at q along the next lines then gives x the far end
+       of the next arc, and so on.  Lines into the second end are met
+       from that end in the same way.  A walk of lines only ends at a
+       node with an arc to some f in S: if f is on the lines, the walk
+       up to f and then that arc has one arc; else the first step, along
+       the walk and on to f, gives ``x <-> f``, and the collider rule at
+       f joins x to that end.
 
     Now by how ``j *-> o`` was made, in order:
 
@@ -316,15 +364,14 @@ def _condition_arc_flank_stage(w: _Work, s: int) -> None:
       so j is in S and ``j <-> x`` is in L;
     - on o's turn, from ``j *-> o'`` with o' reached from o avoiding j,
       hence from x avoiding j: by induction;
-    - on j's turn, an arc, from ``o <-> r`` with r on a section from j:
-      if j is in S, o has an arc into j's cluster, so by 2, 3 and 4
-      ``x <-> j``; if j is in K, 3 gives x and j arcs into the clusters
-      with input arcs to K, of which there is one, so 4; otherwise
-      ``o <-> r`` copies an input arc between K and j's line component
-      (this pass joins two line components outside S only by copying an
-      arc between them), and of x and j the one whose turn comes first
-      gets an arc to the other's end of it, at which the later one finds
-      it;
+    - on j's turn (so j is outside S), an arc, from ``o <-> r`` with r
+      on a section from j: if j is in K, 3 gives x and j arcs into the
+      clusters with input arcs to K, of which there is one, so 4;
+      otherwise ``o <-> r`` copies an input arc between K and j's line
+      component (this pass joins two line components outside S only by
+      copying an arc between them), and of x and j the one whose turn
+      comes first gets an arc to the other's end of it, at which the
+      later one finds it;
     - by the collider rule at a pivot p with arc flank o: ``x <-> p`` is
       in L, by 2, 3 and 4 if p has an arc into S, else by 3, since by 1
       every arc from p to K copies an input arc from p to K; the
@@ -332,7 +379,7 @@ def _condition_arc_flank_stage(w: _Work, s: int) -> None:
     - by the collider rule at a pivot p with arc flank j and o a far arc
       flank: by 2 and 3, x and j have arcs into p's cluster, so 4.
     """
-    _flank_pass(w, w.sp, s)
+    _flank_pass(w, w.sp, s, _union(w.sp, s) & ~s)
 
 
 def _marginalize_tripath_stage(w: _Work, m: int) -> None:
@@ -364,11 +411,14 @@ def _condition_collider_stage(w: _Work, s: int) -> list[int]:
 
     Rescans until a round adds no arrow or arc.  Sections read only
     ``w.ln``, which this stage leaves alone, so the generated lines never
-    build sections and a round that adds only lines ends the stage.  One
-    pass stops short of this fixpoint (``d -> c; a <-> d; c <-> d`` with
-    C = {c}: a second pass adds ``d -> a``, which ``a <-> d`` emits as
-    well), and the proof in :func:`_condition_arc_flank_stage` reads the
-    work as closed under these rules.
+    build sections and a round that adds only lines ends the stage.  The
+    rescan stays because one pass can change the output: the arc-flank
+    stage takes no turn at S, so an arc that a pivot adds late may feed a
+    pivot visited earlier.  ``c -- d; a <-> d; b <-> c`` with C = {a, c}
+    gets ``a <-> b`` at pivot c, after a's visit, and only a second visit
+    to a gives ``b <-> d``, which is emitted as ``d -> b``.  The proof in
+    :func:`_condition_arc_flank_stage` reads the work as closed under
+    these rules.
     """
     # i -> s --..-- s <- j   =>  i -- j        (both flanks arrows)
     # i <-> s --..-- s <- j  =>  j -> i        (arc flank wins the head)
@@ -451,9 +501,10 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
 
     Neither rule stage adds a line that a section reads (the arc-flank
     stage adds none, the collider stage keeps its own), so one line-reach
-    memo serves both.  The arc-flank stage makes one pass and the
-    collider stage rescans; the output is that of both stages rescanned
-    (proof in :func:`_condition_arc_flank_stage`).
+    memo serves both.  The arc-flank stage makes one pass over the nodes
+    outside S and the collider stage rescans; the output is that of both
+    stages rescanned with the arc-flank rules at every node (proof in
+    :func:`_condition_arc_flank_stage`).
     """
     c = label_set(c, TransformSpecError)
     _require_cmg(g)
@@ -469,11 +520,7 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
 
 def _s_mask(g: MixedGraph, c: Iterable[str]) -> int:
     """The mask of S, the nodes of ``c`` together with their anteriors."""
-    index, up = g.index, g.upward_masks
-    s = 0
-    for v in c:
-        s |= up[index[v]]
-    return s
+    return _union(g.upward_masks, mask_of(g.index, c))
 
 
 def marginalize_and_condition(

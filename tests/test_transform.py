@@ -15,7 +15,6 @@ from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_gr
 from cmgraph.transform import (
     _condition_arc_flank_stage,
     _condition_strip_heads,
-    _flank_pass,
     _in_projection_class,
     _marginal_flank_work,
     _section_flanks,
@@ -1248,15 +1247,36 @@ class TestConditionAgainstRescan:
         assert cm.condition(g, ["s"]) == out
 
     def test_second_arc_flank_pass_adds_an_edge_the_output_lacks(self):
-        # one pass is no fixpoint of the work: pass 2 adds a <-> b, which
-        # touches C, so the output is that of the rescanning reference
-        g = G("b -- d; c -- d; a <-> c; b <-> d")
+        # one pass is no fixpoint of the work: pass 2 gives b its second
+        # entry a and adds c -> b beside b <-> c, which touches C, so the
+        # output is that of the rescanning reference
+        g = G("b -- d; c -> d; a <-> d; b <-> c")
+        w, s = _Work(g), cm.transform._s_mask(g, ["a", "c"])
+        _condition_arc_flank_stage(w, s)
+        assert not w.pa[g.index["b"]]
+        _condition_arc_flank_stage(w, s)
+        assert w.pa[g.index["b"]] == 1 << g.index["c"]
+        out = cm.condition(g, ["a", "c"])
+        assert out == _condition_by_rescan(g, ["a", "c"])
+        assert render(out) == "nodes: b d\nb -- d\nb <-> d\n"
+
+    def test_one_search_per_turn_and_no_turn_at_s(self, monkeypatch):
+        # u has two entries and is searched once, blocking nothing; v has
+        # one and blocks it; a and b are entries of each other but in S
+        g = G("a <-> b; a <-> u; b <-> u; u -- w; j -> w; v <-> b; v -- x; k <-> x")
+        searches = []
+
+        def counting(reach, pa, ch, sp, v, stop):
+            searches.append((g.nodes[v], stop))
+            return _section_flanks(reach, pa, ch, sp, v, stop)
+
+        monkeypatch.setattr(cm.transform, "_section_flanks", counting)
         w, s = _Work(g), cm.transform._s_mask(g, ["a", "b"])
         _condition_arc_flank_stage(w, s)
-        assert _flank_pass(w, w.sp, s)
+        assert searches == [("u", 0), ("v", 1 << g.index["b"])]
         out = cm.condition(g, ["a", "b"])
         assert out == _condition_by_rescan(g, ["a", "b"])
-        assert render(out) == "nodes: c d\nc -- d\n"
+        assert out == G("u -- w; v -- x; j -> u; j -> w; k <-> v; k <-> x; u <-> v")
 
 
 class TestConditionModelOnLargeGraphs:
