@@ -64,7 +64,7 @@ per-node int masks ``ln``, ``pa``, ``ch`` and ``sp`` over ``g.nodes``,
 with M, S and every other node set as one mask.  The far flanks of
 the sections from a node are the OR of ``pa`` and ``sp`` over its line
 reach, and a rule adds all the edges of one flank with one mask
-operation (``_link``).  Every rule stage works in index order.  The
+operation.  Every rule stage works in index order.  The
 conditioning arc-flank stage makes one pass, over the nodes outside S,
 and its docstring proves that a rescan, or turns at S, would emit the
 same graph; the anterial resolve stage is one pass by construction.
@@ -73,19 +73,31 @@ generate stage rescan until a round adds nothing.  Lines
 are fixed inside every stage that searches sections: the flank and
 anterial generate stages add only arrows and arcs, and the lines that
 the collider stage makes go to a table of their own that no section
-reads.  Section reach is therefore memoized per
-(node, blocked mask).  One emitter, ``_condition_strip_heads``, strips
+reads.  So the line components stay those of the input's
+``components`` table, and section reach is memoized per (node,
+blocked mask).  ``_Work`` also keeps, per line component, the OR of
+``pa`` and of ``sp`` over it: the searching stages add their arrows
+and arcs with ``link_arrows`` and ``link_arcs``, which keep these
+unions current, and ``_link`` is left for the made lines and the
+tripath stage.  One emitter, ``_condition_strip_heads``, strips
 the heads at S, in the rows of S and of the nodes with a head at S,
 and deletes C or M (``subgraph_of_masks``); the output is those masks.
 
-The flank and collider stages search sections with ``_section_flanks``,
+The flank and collider stages search sections with ``_Work.flanks``,
 and so do the projection-class tests: one search from ``i`` avoiding
 ``k`` per arc ``k <-> i`` finds every collider trislide at that arc.
-``_section_flanks`` blocks each far node inside the reach once, to keep
-only flanks that a section avoiding them reaches.  The anterial
-generate stage needs no such filter (``_ang_generate`` proves it leaves
-the fixpoint as it is), so each of its arc ends costs one line reach,
-read in one pass with the ``free`` arcs.
+A search that blocks no node of its start's line component reaches
+that whole component, so it reads the component's unions in a few mask
+operations; only a collider flank inside the pivot's component makes
+it walk the reach (``_section_flanks``).  Either way, each far flank
+inside the reach is blocked once, to keep only flanks that a section
+avoiding them reaches.  The anterial generate stage needs no such
+filter (``_ang_generate`` proves it leaves the fixpoint as it is): an
+arc end outside its start's component reads the component's unions of
+``pa``, ``sp`` and the ``free`` arcs, and one inside it one line reach,
+read in one pass.  A node whose arc ends all lie outside its
+component, and whose component's unions and arcs are what they were on
+its last visit, is skipped.
 
 The edge oracles reuse the other searches.  ``marginal_edge_oracle`` is
 one ``kernel.separated`` query on the flank stage's masks cut down to
@@ -139,18 +151,45 @@ def _require_cmg(g: MixedGraph) -> None:
 
 
 class _Work:
-    """Node masks of a graph under rewrite, with a line-reach memo.
+    """Node masks of a graph under rewrite, with a line-reach memo and flank unions.
 
     ``index`` is the input's ``g.index``, shared.  ``ln``, ``pa``,
     ``ch`` and ``sp`` are list copies of the input's masks that the rule
     stages change in place, so the input's own masks stay as they are.
+
+    The flank unions are the OR of ``pa`` and the OR of ``sp`` over each
+    line component.  The input's ``components`` table holds them as the
+    input has them; ``pa_unions`` and ``sp_unions``, keyed by component
+    mask, hold them for the components whose rows have grown since.  An
+    entry is made when its component's rows first grow, from the table's
+    union, which is the OR of those rows until then.  The unions equal
+    the OR of the rows while a searching stage runs (both flank stages,
+    the collider stage, the anterial generate stage): none of these adds
+    a line, so the components stay those of the table, and every row of
+    ``pa`` or ``sp`` they change, they change through :meth:`link_arrows`
+    or :meth:`link_arcs`, which OR each new bit into the union of the
+    row's component.  The tripath stage adds lines and links with
+    ``_link``, :func:`condition` joins the collider stage's made lines
+    to ``ln``, and arc resolution changes rows by hand; the unions go
+    stale there, and nothing reads them afterwards.
+
+    The anterial generate stage adds ``free``: ``j`` is in ``free[o]``
+    when ``j <-> o`` is an input arc or was generated for ``o``.  It
+    keeps ``free_unions`` like the others: ``free`` starts as ``sp``, so
+    the table's ``sp`` unions stand for the components not in it.
     """
+
+    free: list[int]
+    free_unions: dict[int, int]
 
     def __init__(self, g: MixedGraph):
         self.nodes = g.nodes
         self.index = g.index
         self.ln, self.pa, self.ch, self.sp = list(g.ln), list(g.pa), list(g.ch), list(g.sp)
         self._reach: dict[tuple[int, int], int] = {}
+        self.table = g.components
+        self.pa_unions: dict[int, int] = {}
+        self.sp_unions: dict[int, int] = {}
 
     def line_reach(self, v: int, blocked: int) -> int:
         """Mask of the nodes joined to node ``v`` by a line walk avoiding the mask ``blocked``.
@@ -164,6 +203,65 @@ class _Work:
             r = self._reach[key] = line_reach(self.ln, 1 << v, blocked)
         return r
 
+    def flanks(self, v: int, stop: int) -> tuple[int, int]:
+        """``_section_flanks(self.line_reach, self.pa, self.ch, self.sp, v, stop)``.
+
+        A line reach from ``v`` that blocks only nodes outside ``v``'s
+        line component K is K itself: a line walk from ``v`` never leaves
+        K, and every node of K is joined to ``v`` by a walk inside K, which
+        meets no blocked node.  So when ``stop`` misses K the far flanks
+        before the filter are K's unions less ``stop`` and ``v``, and only
+        the flanks inside K go through the far-node filter (the filter
+        passes every flank outside the reach).  When ``stop`` meets K,
+        which happens only for a collider flank inside the pivot's
+        component, this is the reach search itself.
+        """
+        comp, cpa, _, csp = self.table[v]
+        if stop & comp:
+            return _section_flanks(self.line_reach, self.pa, self.ch, self.sp, v, stop)
+        drop = ~(stop | 1 << v)
+        tails = self.pa_unions.get(comp, cpa) & drop
+        arcs = self.sp_unions.get(comp, csp) & drop
+        if (tails | arcs) & comp:
+            # blocking stop as well would change no reach inside comp
+            return _reached_flanks(self.line_reach, self.ch, self.sp, v, 0, comp, tails, arcs)
+        return tails, arcs
+
+    def link_arrows(self, v: int, tails: int) -> bool:
+        """Add ``j -> v`` for each node ``j`` of the mask ``tails``; True if one is new."""
+        pa = self.pa
+        new = tails & ~pa[v]
+        if not new:
+            return False
+        pa[v] |= new
+        comp, cpa, _, _ = self.table[v]
+        self.pa_unions[comp] = self.pa_unions.get(comp, cpa) | new
+        ch, vbit = self.ch, 1 << v
+        while new:
+            low = new & -new
+            new ^= low
+            ch[low.bit_length() - 1] |= vbit
+        return True
+
+    def link_arcs(self, v: int, ends: int) -> bool:
+        """Add ``v <-> j`` for each node ``j`` of the mask ``ends``; True if one is new."""
+        sp, table, unions = self.sp, self.table, self.sp_unions
+        new = ends & ~sp[v]
+        if not new:
+            return False
+        sp[v] |= new
+        comp, _, _, csp = table[v]
+        unions[comp] = unions.get(comp, csp) | new
+        vbit = 1 << v
+        while new:
+            low = new & -new
+            new ^= low
+            j = low.bit_length() - 1
+            sp[j] |= vbit
+            comp, _, _, csp = table[j]
+            unions[comp] = unions.get(comp, csp) | vbit
+        return True
+
     def to_graph(self, s: int = 0, c: int = 0) -> MixedGraph:
         """The output graph: heads at the mask ``s`` stripped, the mask ``c`` deleted."""
         return _condition_strip_heads(self.nodes, self.ln, self.pa, self.ch, self.sp, s, c)
@@ -176,6 +274,8 @@ def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, 
     some ``far`` joined to ``v`` by a line walk that avoids the node mask
     ``stop`` and ``j`` itself; ``j`` is neither ``v`` nor in ``stop``.
     ``reach(v, blocked)`` is a line-reach memo such as ``_Work.line_reach``.
+    The rule engines call it through :meth:`_Work.flanks`, which reads
+    the same masks from its unions when ``stop`` misses ``v``'s component.
 
     The tail filter can fire only in the collider stage.  A tail ``j``
     that the walk reaches is line-joined to its head, which closes a
@@ -193,9 +293,16 @@ def _section_flanks(reach, pa: list[int], ch: list[int], sp: list[int], v: int, 
         w = low.bit_length() - 1
         tails |= pa[w]
         arcs |= sp[w]
-    drop = stop | (1 << v)
-    tails &= ~drop
-    arcs &= ~drop
+    drop = ~(stop | 1 << v)
+    return _reached_flanks(reach, ch, sp, v, stop, r, tails & drop, arcs & drop)
+
+
+def _reached_flanks(reach, ch: list[int], sp: list[int], v: int, stop: int, r: int, tails: int, arcs: int):
+    """The far-node filter: keep the flanks ``j`` that a section from ``v`` avoiding ``j`` reaches.
+
+    ``r`` is the line reach of ``v`` avoiding ``stop``, and ``tails`` and
+    ``arcs`` the far flanks over it.
+    """
     # blocking j changes nothing unless the walk can reach j
     inner = (tails | arcs) & r
     while inner:
@@ -258,8 +365,10 @@ def _flank_pass(w: _Work, entry: list[int], removed: int, turns: int) -> bool:
        (``j -> o`` with ``o`` line-joined to ``u``).  S is a union of
        line components, so a spouse in S of a node outside S lies
        outside that node's component.
-    2. So blocking an entry changes no line reach from ``u``, and
-       ``_section_flanks`` reads the same reaches with or without it.
+    2. So blocking an entry changes no line reach from ``u``, and the
+       search reads the same reaches with or without it.  It never walks
+       one: a stop outside ``u``'s component sends :meth:`_Work.flanks`
+       to the component's unions.
     3. So the per-entry searches differ only in the entry each drops
        from the flanks it returns.
     4. So their union drops an entry only when it is the only one.  With
@@ -272,13 +381,12 @@ def _flank_pass(w: _Work, entry: list[int], removed: int, turns: int) -> bool:
     found, and to the row of such a flank only ``u``, so the next search
     keeps that flank and finds nothing new.
     """
-    reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
     changed = False
     for u in _bits(turns):
         ends = entry[u] & removed
-        tails, arcs = _section_flanks(reach, pa, ch, sp, u, 0 if ends & ends - 1 else ends)
-        changed |= _link(u, tails, pa, ch)
-        changed |= _link(u, arcs, sp, sp)
+        tails, arcs = w.flanks(u, 0 if ends & ends - 1 else ends)
+        changed |= w.link_arrows(u, tails)
+        changed |= w.link_arcs(u, arcs)
     return changed
 
 
@@ -418,12 +526,15 @@ def _condition_collider_stage(w: _Work, s: int) -> list[int]:
     gets ``a <-> b`` at pivot c, after a's visit, and only a second visit
     to a gives ``b <-> d``, which is emitted as ``d -> b``.  The proof in
     :func:`_condition_arc_flank_stage` reads the work as closed under
-    these rules.
+    these rules.  A search reads the pivot's component unions unless its
+    flank lies in that component (:meth:`_Work.flanks`), so the last
+    round, which adds nothing, costs a few mask operations per flank,
+    and the stage does not skip pivots whose reads stayed the same.
     """
     # i -> s --..-- s <- j   =>  i -- j        (both flanks arrows)
     # i <-> s --..-- s <- j  =>  j -> i        (arc flank wins the head)
     # i <-> s --..-- s <-> j =>  i <-> j
-    reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
+    pa, sp = w.pa, w.sp
     made = [0] * len(pa)
     changed = True
     while changed:
@@ -439,15 +550,15 @@ def _condition_collider_stage(w: _Work, s: int) -> list[int]:
                 low = flanks & -flanks
                 flanks ^= low
                 i = low.bit_length() - 1
-                tails, arcs = _section_flanks(reach, pa, ch, sp, s1, low)
+                tails, arcs = w.flanks(s1, low)
                 if heads & low:
                     # i -> s1 --..-- o <-> j gives i -> j, but so does the
                     # search from o's arc flank j: S is closed under line
                     # reach and the same line walk leads back to s1
                     _link(i, tails, made, made)
                 if arcs_at & low:
-                    changed |= _link(i, tails, pa, ch)
-                    changed |= _link(i, arcs, sp, sp)
+                    changed |= w.link_arrows(i, tails)
+                    changed |= w.link_arcs(i, arcs)
     return made
 
 
@@ -567,10 +678,12 @@ def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
     ``g1`` an earlier far node for ``(t, j)`` again.  Both contradict
     the choice of ``g``.
 
-    Each arc end ``u <-> i`` with a target costs one line reach ``r`` of
-    ``u`` avoiding ``i`` and one pass over it that ORs ``pa``, ``sp`` and
-    ``free``.  Unlike ``_section_flanks`` it blocks no far node, and the
-    fixpoint is the same:
+    Each arc end ``u <-> i`` with a target reads the ORs of ``pa``,
+    ``sp`` and ``free`` over the line reach ``r`` of ``u`` avoiding
+    ``i`` (:func:`_arc_end_flanks`): the unions of ``u``'s component
+    when ``i`` lies outside it, one pass over ``r`` otherwise.  Unlike
+    ``_section_flanks`` it blocks no far node, and the fixpoint is the
+    same:
 
     - Tails.  No tail ``j -> o`` at a far node ``o`` lies in ``r``: ``o``
       would be line-joined to ``j`` and close a semi-directed cycle.
@@ -590,36 +703,92 @@ def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
     The arc ends usable for ``t`` are ``arcs & (down[t] | free_arcs)``;
     ``free`` is a part of ``sp``, so ``free_arcs`` adds no arc end that
     ``arcs`` lacks.
+
+    A node ``u`` with no arc end inside its line component K is skipped
+    when :func:`_ang_reads` gives what it gave on ``u``'s last visit:
+    the unions P, S and F of K and ``sp[u]``.  The skip is exact.  A
+    visit reads nothing but these, ``down`` and K, which are fixed, and
+    its own links, which change P, S and F only by masks that its reads
+    so far fix (an arc to ``i`` joins K's S only through an end in K).
+    So two visits that start from the same reads make the same links,
+    and the second adds no edge and no ``free`` bit.  Every round thus
+    ends in the state it ends in without the skip, and the rescan stops
+    after the same round, at the same fixpoint.
     """
-    reach, pa, ch, sp = w.line_reach, w.pa, w.ch, w.sp
-    free = sp[:]  # j in free[o]: j <-> o is an input arc or was generated for o
+    sp, table = w.sp, w.table
+    free = w.free = sp[:]
+    free_unions = w.free_unions = {}
+    last = [None] * len(sp)  # per node, what its last visit read
     changed = True
     while changed:
         changed = False
         for u in range(len(sp)):
-            for i in _bits(sp[u]):
+            ends = sp[u]
+            if not ends:
+                continue
+            reads = _ang_reads(w, u)
+            if reads is not None:
+                if reads == last[u]:
+                    continue
+                last[u] = reads
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                i = low.bit_length() - 1
                 # target u needs i anterior of u, target i needs u anterior of i
-                to_u, to_i = down[u] >> i & 1, down[i] >> u & 1
+                to_u, to_i = down[u] & low, down[i] >> u & 1
                 if not (to_u or to_i):
                     continue
-                tails = arcs = free_arcs = 0
-                rest = reach(u, 1 << i)
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    o = low.bit_length() - 1
-                    tails |= pa[o]
-                    arcs |= sp[o]
-                    free_arcs |= free[o]
+                tails, arcs, free_arcs = _arc_end_flanks(w, u, i)
                 keep = ~(1 << i | 1 << u)
                 tails &= keep
                 arcs &= keep
                 for t, ok in ((u, to_u), (i, to_i)):
                     if ok:
-                        changed |= _link(t, tails, pa, ch)
+                        changed |= w.link_arrows(t, tails)
                         usable = arcs & (down[t] | free_arcs)
-                        changed |= _link(t, usable, sp, sp)
-                        free[t] |= usable
+                        changed |= w.link_arcs(t, usable)
+                        new = usable & ~free[t]
+                        if new:
+                            free[t] |= new
+                            comp, _, _, csp = table[t]
+                            free_unions[comp] = free_unions.get(comp, csp) | new
+
+
+def _ang_reads(w: _Work, u: int):
+    """``(P, S, F, sp[u])``, what the searches from node ``u``'s arc ends read.
+
+    P, S and F are the ORs of ``pa``, ``sp`` and ``free`` over ``u``'s
+    line component K.  None when ``u`` has an arc end inside K, whose
+    search reads a line reach smaller than K.
+    """
+    comp, cpa, _, csp = w.table[u]
+    ends = w.sp[u]
+    if ends & comp:
+        return None
+    return w.pa_unions.get(comp, cpa), w.sp_unions.get(comp, csp), w.free_unions.get(comp, csp), ends
+
+
+def _arc_end_flanks(w: _Work, u: int, i: int):
+    """``(tails, arcs, free_arcs)``: the ORs of ``pa``, ``sp`` and ``free`` over ``u``'s reach avoiding ``i``.
+
+    The reach is ``u``'s line component when ``i`` lies outside it
+    (:meth:`_Work.flanks`), and those ORs are its unions.
+    """
+    comp, cpa, _, csp = w.table[u]
+    if not comp >> i & 1:
+        return w.pa_unions.get(comp, cpa), w.sp_unions.get(comp, csp), w.free_unions.get(comp, csp)
+    pa, sp, free = w.pa, w.sp, w.free
+    tails = arcs = free_arcs = 0
+    rest = w.line_reach(u, 1 << i)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        o = low.bit_length() - 1
+        tails |= pa[o]
+        arcs |= sp[o]
+        free_arcs |= free[o]
+    return tails, arcs, free_arcs
 
 
 def _ang_resolve_arcs(w: _Work, ant: tuple[int, ...]) -> None:
@@ -684,12 +853,12 @@ def _in_projection_class(g: MixedGraph, ij_kind: str) -> bool:
     ``i`` is a spouse of ``l``.
     """
     w = _Work(g)
-    reach, ln, pa, ch, sp = w.line_reach, w.ln, w.pa, w.ch, w.sp
+    reach, ln, pa, sp = w.line_reach, w.ln, w.pa, w.sp
     ij = sp if ij_kind == ARC else ln
     for i in range(len(pa)):
         for k in _bits(sp[i]):  # k <-> i
             kbit = 1 << k
-            tails, arcs = _section_flanks(reach, pa, ch, sp, i, kbit)
+            tails, arcs = w.flanks(i, kbit)
             # ... j <- l needs l -> i
             if tails & ~pa[i]:
                 return False

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -11,7 +12,7 @@ from cmgraph import kernel
 from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
 from cmgraph.graphio import render
 from cmgraph.kernel import line_reach
-from cmgraph.propcheck import GeneratorConfig, enumerate_mixed_graphs, random_graph
+from cmgraph.propcheck import GeneratorConfig, enumerate_cgs, enumerate_mixed_graphs, random_graph
 from cmgraph.transform import (
     _condition_arc_flank_stage,
     _condition_strip_heads,
@@ -1043,7 +1044,7 @@ class TestAnterialClosure:
         g = G("i -> u; i <-> u; u -- j; j -- o; j <-> o")
         w = _Work(g)
         u, i, j = (w.index[v] for v in "uij")
-        _, arcs = _section_flanks(w.line_reach, w.pa, w.ch, w.sp, u, 1 << i)
+        _, arcs = w.flanks(u, 1 << i)
         assert not arcs >> j & 1
         out = G("i -> j; i -> o; i -> u; j -- o; j -- u; o -- u")
         assert cm.anterialize(g) == out
@@ -1265,12 +1266,13 @@ class TestConditionAgainstRescan:
         # one and blocks it; a and b are entries of each other but in S
         g = G("a <-> b; a <-> u; b <-> u; u -- w; j -> w; v <-> b; v -- x; k <-> x")
         searches = []
+        flanks = _Work.flanks
 
-        def counting(reach, pa, ch, sp, v, stop):
+        def counting(w, v, stop):
             searches.append((g.nodes[v], stop))
-            return _section_flanks(reach, pa, ch, sp, v, stop)
+            return flanks(w, v, stop)
 
-        monkeypatch.setattr(cm.transform, "_section_flanks", counting)
+        monkeypatch.setattr(_Work, "flanks", counting)
         w, s = _Work(g), cm.transform._s_mask(g, ["a", "b"])
         _condition_arc_flank_stage(w, s)
         assert searches == [("u", 0), ("v", 1 << g.index["b"])]
@@ -1516,3 +1518,184 @@ class TestProjectionClassAgainstSections:
         h = cm.marginalize(cg, g.nodes[: n // 4])
         graphs = [g, cm.marginalize(g, m), cm.anterialize(g), h, cm.anterialize(h)]
         assert _assert_class_tests_match_sections(graphs)[3]
+
+
+# -- flank unions against the section search ------------------------------------
+
+
+def _component_rows_or(w, comp):
+    return cm.transform._union(w.pa, comp), cm.transform._union(w.sp, comp)
+
+
+def _unions(w, v):
+    # the unions of v's component: an entry once its rows grew, else the table's
+    comp, cpa, _, csp = w.table[v]
+    return w.pa_unions.get(comp, cpa), w.sp_unions.get(comp, csp)
+
+
+def _assert_flanks_match_search(w, nodes, memo):
+    # _Work.flanks at each node of ``nodes`` against _section_flanks on a
+    # line reach of its own (``memo`` belongs to the work), for the empty
+    # stop and the one-node stops inside the node's component or among
+    # its far flanks.  Any other one-node stop is outside the reach and
+    # no flank, so the search gives what it gives for the empty stop
+    def reach(v, blocked):
+        key = v, blocked
+        if key not in memo:
+            memo[key] = line_reach(w.ln, 1 << v, blocked)
+        return memo[key]
+
+    for v in kernel._bits(nodes):
+        comp = w.table[v][0]
+        tails, arcs = _component_rows_or(w, comp)
+        for stop in (0, *(1 << k for k in kernel._bits((comp | tails | arcs) & ~(1 << v)))):
+            want = _section_flanks(reach, w.pa, w.ch, w.sp, v, stop)
+            assert w.flanks(v, stop) == want, (v, stop)
+
+
+def _check_unions_at_every_link(monkeypatch):
+    """Wrap the link helpers: after each link that adds an edge, every
+    component's unions equal the OR of its rows, and ``flanks`` equals the
+    section search at every node whose rows or whose component's rows the
+    link changed.  ``flanks`` at any other node reads only rows the link
+    left as they were.  Returns the list of links checked."""
+    checked = []
+    memos = weakref.WeakKeyDictionary()  # per work: lines are fixed while it links
+
+    def wrap(name, at):
+        link = getattr(_Work, name)
+
+        def checking(w, v, others):
+            new = others & ~getattr(w, at)[v]
+            added = link(w, v, others)
+            if added:
+                checked.append((name, v, new))
+                table = w.table
+                for comp in {entry[0] for entry in table}:
+                    assert _unions(w, (comp & -comp).bit_length() - 1) == _component_rows_or(w, comp)
+                touched = 0
+                for k in kernel._bits(new | 1 << v):
+                    touched |= table[k][0]
+                _assert_flanks_match_search(w, touched, memos.setdefault(w, {}))
+            return added
+
+        monkeypatch.setattr(_Work, name, checking)
+
+    wrap("link_arrows", "pa")
+    wrap("link_arcs", "sp")
+    return checked
+
+
+def _check_generate_reads(monkeypatch):
+    """Wrap the generate stage's two reads: ``_ang_reads`` gives the ORs of
+    ``pa``, ``sp`` and ``free`` over the node's component and its arc ends,
+    or None when one lies inside the component; ``_arc_end_flanks`` gives
+    those ORs over the line reach of the arc end.  Returns the arc ends
+    read, with whether each lies inside its start's component."""
+    checked = []
+    reads, arc_end = cm.transform._ang_reads, cm.transform._arc_end_flanks
+
+    def checking_reads(w, u):
+        got = reads(w, u)
+        comp = w.table[u][0]
+        if w.sp[u] & comp:
+            assert got is None, u
+        else:
+            want = tuple(cm.transform._union(rows, comp) for rows in (w.pa, w.sp, w.free))
+            assert got == (*want, w.sp[u]), u
+        return got
+
+    def checking_arc_end(w, u, i):
+        got = arc_end(w, u, i)
+        r = line_reach(w.ln, 1 << u, 1 << i)
+        assert got == tuple(cm.transform._union(rows, r) for rows in (w.pa, w.sp, w.free)), (u, i)
+        checked.append((u, i, bool(w.table[u][0] >> i & 1)))
+        return got
+
+    monkeypatch.setattr(cm.transform, "_ang_reads", checking_reads)
+    monkeypatch.setattr(cm.transform, "_arc_end_flanks", checking_arc_end)
+    return checked
+
+
+def _four_node_sample(k):
+    """``k`` graphs of the four-node sweep: a chain graph over a-d, each pair
+    with an arc beside it or not."""
+    rng = random.Random("four-node-flank-unions")
+    cgs = list(enumerate_cgs(tuple("abcd")))
+    pairs = list(combinations("abcd", 2))
+    out = []
+    for _ in range(k):
+        g = rng.choice(cgs)
+        arcs = [(x, y, cm.ARC) for x, y in pairs if rng.random() < 0.5]
+        out.append(cm.build_graph(g.nodes, g.edges_as_triples() + arcs))
+    return out
+
+
+class TestFlankUnions:
+    """The unions, and the reads built on them, equal the section search
+    after every link of ``marginalize``, ``condition`` and ``anterialize``."""
+
+    def test_four_node_sample(self, monkeypatch):
+        links = _check_unions_at_every_link(monkeypatch)
+        ends = _check_generate_reads(monkeypatch)
+        for g in _four_node_sample(300):
+            cm.marginalize(g, ["a"])
+            cm.condition(g, ["a"])
+            cm.condition(g, ["a", "c"])
+            cm.anterialize(g)
+        assert len(links) > 100
+        assert {inside for *_, inside in ends} == {False, True}
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_large_graphs(self, monkeypatch, seed, n, parallel):
+        links = _check_unions_at_every_link(monkeypatch)
+        ends = _check_generate_reads(monkeypatch)
+        g, m, c = _large_cmg(seed, n)
+        if parallel:
+            g = _with_parallel_arcs(g)
+        outs = (cm.marginalize(g, m), cm.condition(g, c), cm.anterialize(g))
+        assert links and ends
+        if not parallel:
+            assert tuple(_digest(h) for h in outs) == LARGE_DIGESTS[seed, n]
+
+    def test_arc_end_inside_its_component_reads_its_reach(self):
+        # the arc end (a, b) lies inside a's component {a, b}; the reach of
+        # a avoiding b is a alone, so it reads no c -> b, which the
+        # component's union of pa holds
+        g = G("a -- b; a <-> b; c -> b")
+        w = _Work(g)
+        a, b, c = (w.index[v] for v in "abc")
+        w.free, w.free_unions = w.sp[:], {}
+        assert cm.transform._ang_reads(w, a) is None
+        assert cm.transform._arc_end_flanks(w, a, b) == (0, 1 << b, 1 << b)
+        assert _unions(w, a)[0] == 1 << c
+        out = G("a -- b; c -> a; c -> b")
+        assert cm.anterialize(g) == out
+        assert _anterialize_by_rescan(g) == out
+
+    def test_collider_flank_inside_the_pivot_component_searches(self):
+        # the pivot s has its arc flank a inside its component {s, a, x};
+        # the search from s avoiding a reaches s alone, so it misses j -> x,
+        # which the component's union of pa holds
+        g = G("s -- a; a -- x; a <-> s; j -> x")
+        w = _Work(g)
+        s, a, j = (w.index[v] for v in "saj")
+        assert w.flanks(s, 1 << a) == (0, 0)
+        assert _unions(w, s)[0] == 1 << j
+        out = G("a -- j; a -- x; j -- x")
+        assert cm.condition(g, ["s"]) == out
+        assert _condition_by_rescan(g, ["s"]) == out
+
+    def test_flank_inside_the_component_is_filtered(self):
+        # the turn at v (entry x) reads the arc ends j and o inside v's
+        # component from the union; only a walk through j reaches o, so the
+        # far-node filter drops j and keeps o
+        g = G("v -- j; j -- o; j <-> o; x <-> v")
+        w = _Work(g)
+        v, j, o, x = (w.index[k] for k in "vjox")
+        assert _unions(w, v)[1] == 1 << x | 1 << j | 1 << o
+        assert w.flanks(v, 1 << x) == (0, 1 << o)
+        out = G("j -- o; j -- v; j <-> o; o <-> v")
+        assert cm.condition(g, ["x"]) == out
+        assert _condition_by_rescan(g, ["x"]) == out
