@@ -24,6 +24,17 @@ turns the trail into a witness walk, without a second search: each
 section is a shortest line path, but the walk is not always shortest
 in edges.
 
+On a CMG every node of a c-connecting walk between A and B given C is
+in A, B or C or anterior to them, and the search can be kept to those
+nodes.  Its ``within`` argument is the mask that head states may enter;
+tail states stay there by themselves.  Given the OR of
+``upward_masks`` over the query's nodes, the search gives the same
+verdict and a trail that :func:`spell` turns into the same walk, and it
+settles no group outside that mask (the proof is in :func:`separated`).
+``separation.c_separated``, its witness search and the maximality
+searches pass it; :func:`exists_separator`, the reference for
+``separation.is_maximal``, does not.
+
 Node sets are bitmasks; Python integers make this work for any node
 count.  :func:`pair_separations` gives the model over a node set ``keep``
 shifted by a set ``base``, deciding all pairs and all ``2^k``
@@ -36,9 +47,10 @@ move maps the walks from one source given set ``c`` to walks from the
 same source given the same set, and a per-node mask of the sets that
 contain (avoid) the node, repeated over the source blocks, gates it
 bitwise.  The fixpoint therefore computes, in each bit, exactly the
-states that the search from that source given that set reaches.  The
-callers keep ``k`` at 8 or less: ``separation.MODEL_NODE_CAP`` and the
-property harness's graph sizes.
+states that the search from that source given that set reaches.  Two
+checks keep ``k`` at 8 or less: ``pairwise_model`` raises above
+``separation.MODEL_NODE_CAP``, and ``propcheck.run_suite`` rejects a
+``max_nodes`` above the length of its ``_LABELS``; both are 8.
 """
 
 from __future__ import annotations
@@ -56,6 +68,16 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _union(rows, mask: int) -> int:
+    """The OR of ``rows[v]`` over the nodes ``v`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def line_reach(ln: list[int], start: int, blocked: int) -> int:
@@ -125,6 +147,7 @@ def separated(
     bmask: int,
     cmask: int,
     trail: list | None = None,
+    within: int = -1,
 ) -> bool:
     """True iff no c-connecting walk joins ``amask`` and ``bmask`` given ``cmask``.
 
@@ -149,14 +172,44 @@ def separated(
     none: the accepting pop itself, or after a pop that adds a state at a
     node of B, a closing record for that state with ``r`` its one node.
     After a False verdict :func:`spell` turns the trail into the walk.
+
+    Head states enter only the nodes of ``within``; -1 bounds nothing.
+    On a CMG, let U be the OR of ``upward_masks`` over A, B and C: the
+    query's nodes, their line components and their anteriors.  U is a
+    union of line components and holds the parents of its nodes.  Passed
+    as ``within``, U changes neither the verdict nor the walk:
+
+    1. Tail states never leave U.  The start states lie in A.  A tail
+       state is added only at the parents of a popped group ``r`` or of
+       a component that meets C.  By induction ``r`` lies in the
+       component of a state in U, and a component that meets C lies in
+       U because C does; U holds the parents of both.
+    2. A head state outside U lies in a component that misses C, since
+       every component that meets C lies in U.  So it has no collider
+       exit; as a non-collider it adds head states at the children of
+       its group and no tail state.  Those children lie outside U, for a
+       parent of a node of U lies in U.  Its group, its component and
+       all it adds lie outside U.
+    3. So no state outside U leads to a state in U, nor to B, which lies
+       in U.  A pop outside U changes no seen or pending state in U, no
+       tail state and no ``collided`` bit, and it cannot accept.  Pops
+       take tail states first and then the lowest head state, so the
+       unbounded search pops the states in U in the bounded search's
+       order, each with the same seen states in U, and accepts at the
+       same pop.  So the verdict is the same, and the bounded trail is
+       the unbounded one less the records of states outside U, with
+       ``add_h`` less its bits outside U.  :func:`spell` reads the
+       accepting record and the records that added states in U, so it
+       spells the same walk.
     """
     if amask == 0 or bmask == 0:
         return True
     free = ~cmask
     goal = bmask & free
-    # a tail state in C has no moves, so it starts out seen
+    # a tail state in C has no moves, so it starts out seen; a head
+    # state outside ``within`` is never added
     seen_t = amask | cmask
-    seen_h = 0
+    seen_h = ~within
     pend_t = amask & free
     pend_h = 0
     collided = 0  # the line components whose collider exit is taken
@@ -247,38 +300,47 @@ def spell(ln, pa, ch, sp, amask, bmask, cmask, trail):
     low, head, r, _, _, _ = trail[-1]
     start = low.bit_length() - 1
     hit = r & bmask
-    nodes = _line_path(ln, start, (hit & -hit).bit_length() - 1, r, 0)
-    edges = [(0, x, y) for x, y in zip(nodes, nodes[1:])]
+    paths = [_line_path(ln, start, (hit & -hit).bit_length() - 1, r, 0)]
+    joins = []
     at = len(trail) - 1
     while not (low & amask and not head):
         at -= 1
         while not trail[at][5 if head else 4] & low:
             at -= 1
         plow, phead, r, comp, _, _ = trail[at]
-        # the non-collider exits out of r first, then the collider exit
-        u = -1
+        # the non-collider exits out of r first: a head state at start is
+        # entered by an arrow into start, or from a tail state also by an
+        # arc, and a tail state by an arrow out of start.  Then the
+        # collider exit out of comp, by an arc or by that arrow
+        u = 0
         if not plow & cmask and (head or not phead):
-            for w in _bits(r):
-                if (ch[w] | (0 if phead else sp[w]) if head else pa[w]) & low:
-                    u = w
-                    break
+            if not head:
+                u = r & ch[start]
+            elif phead:
+                u = r & pa[start]
+            else:
+                u = r & (pa[start] | sp[start])
         via = 0
-        if u < 0:
+        if not u:
             via = comp & cmask
-            for w in _bits(comp):
-                if (sp[w] if head else pa[w]) & low:
-                    u = w
-                    break
+            u = comp & (sp[start] if head else ch[start])
+        u = (u & -u).bit_length() - 1
         if not head:
-            edge = (1, start, u)
-        elif ch[u] & low and not via:
-            edge = (1, u, start)
+            joins.append((1, start, u))
+        elif pa[start] >> u & 1 and not via:
+            joins.append((1, u, start))
         else:
-            edge = (2, u, start)
-        path = _line_path(ln, plow.bit_length() - 1, u, comp if via else r, via)
-        edges = [(0, x, y) for x, y in zip(path, path[1:])] + [edge] + edges
-        nodes = path + nodes
-        low, head, start = plow, phead, plow.bit_length() - 1
+            joins.append((2, u, start))
+        start = plow.bit_length() - 1
+        paths.append(_line_path(ln, start, u, comp if via else r, via))
+        low, head = plow, phead
+    nodes = paths.pop()
+    edges = [(0, x, y) for x, y in zip(nodes, nodes[1:])]
+    while paths:
+        path = paths.pop()
+        edges.append(joins.pop())
+        edges += [(0, x, y) for x, y in zip(path, path[1:])]
+        nodes += path
     return nodes, edges
 
 
@@ -286,16 +348,39 @@ def _line_path(ln, start: int, goal: int, inside: int, via: int) -> list[int]:
     """A shortest line path from ``start`` to ``goal`` inside the mask
     ``inside`` that meets the mask ``via``; ``via`` 0 asks for nothing.
 
-    One breadth-first pass over (node, met) states, one pair of masks per
-    layer, then back from ``goal`` through the lowest predecessor.
+    One breadth-first pass, then back from ``goal`` through the lowest
+    predecessor.  With ``via`` 0 a layer is one mask; otherwise it is a
+    pair of masks over (node, met) states.  A path that is ``start``
+    alone needs no pass.
     """
     first = 1 << start
-    if via and not first & via:
-        layers = [(first, 0)]  # (not yet met via, met via)
-    else:
-        layers = [(0, first)]
-    seen_u, seen_m = layers[0]
+    if start == goal and (not via or first & via):
+        return [start]
     goal_bit = 1 << goal
+    if not via:
+        layers = [first]
+        seen = first
+        while not layers[-1] & goal_bit:
+            frontier = layers[-1]
+            out = 0
+            while frontier:
+                bit = frontier & -frontier
+                out |= ln[bit.bit_length() - 1]
+                frontier ^= bit
+            out &= inside & ~seen
+            seen |= out
+            layers.append(out)
+        path = [goal]
+        for layer in reversed(layers[:-1]):
+            p = ln[path[-1]] & layer
+            path.append((p & -p).bit_length() - 1)
+        path.reverse()
+        return path
+    if first & via:
+        layers = [(0, first)]  # (not yet met via, met via)
+    else:
+        layers = [(first, 0)]
+    seen_u, seen_m = layers[0]
     while not layers[-1][1] & goal_bit:
         out_u = out_m = 0
         for v in _bits(layers[-1][0]):

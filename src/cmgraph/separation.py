@@ -96,13 +96,15 @@ def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
             label_set(labels, MalformedQueryError)  # raises
     table = _mask_tables(g)
     index = g.index
-    unknown: dict = {}
+    unknown = None
     out = []
     for labels in (a, b, given):
         m = 0
         for v in labels:
             bit = index.get(v)
             if bit is None:
+                if unknown is None:
+                    unknown = {}
                 bit = unknown.setdefault(v, len(index) + len(unknown))
             m |= 1 << bit
         out.append(m)
@@ -127,14 +129,19 @@ def c_separated(
 ) -> bool:
     """Decide whether ``a`` and ``b`` are c-separated given ``given``.
 
-    A connected query leaves ``(amask, bmask, cmask, trail)`` in a
-    one-entry slot in ``g.__dict__``, beside the cached properties, so
-    that :func:`c_connecting_witness` on the same query spells its walk
+    The search enters only the anteriors of the query's nodes, which
+    decides the same (see ``kernel.separated``).  A connected query leaves
+    ``(amask, bmask, cmask, trail)`` in a one-entry slot in
+    ``g.__dict__``, beside the cached properties, so that
+    :func:`c_connecting_witness` on the same query spells its walk
     without searching again.  Pickles, ``==`` and ``hash`` never read it.
     """
     table, amask, bmask, cmask = _query_masks(g, a, b, given)
     trail: list = []
-    if kernel.separated(table, g.ln, g.pa, g.ch, g.sp, amask, bmask, cmask, trail):
+    within = kernel._union(g.upward_masks, amask | bmask | cmask)
+    if kernel.separated(
+        table, g.ln, g.pa, g.ch, g.sp, amask, bmask, cmask, trail, within
+    ):
         return True
     g.__dict__[_LAST_TRAIL] = (amask, bmask, cmask, trail)
     return False
@@ -174,13 +181,19 @@ def _walk(
     """The query's c-connecting walk on ``g`` as a labelled :class:`Walk`, or None.
 
     ``table`` is ``g.components``.  Without ``trail``, ``kernel.separated``
-    searches and records one; with the accepting trail of a search of this
-    query, nothing is searched.  ``kernel.spell`` reads the walk off it.
+    searches and records one, bounded by the anteriors of the query's
+    nodes on a CMG and unbounded on any other mixed graph; with the
+    accepting trail of a search of this query, nothing is searched.
+    ``kernel.spell`` reads the walk off it.
     """
     ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
     if trail is None:
         trail = []
-        if kernel.separated(table, ln, pa, ch, sp, amask, bmask, cmask, trail):
+        up = g._upward
+        within = -1 if up is None else kernel._union(up, amask | bmask | cmask)
+        if kernel.separated(
+            table, ln, pa, ch, sp, amask, bmask, cmask, trail, within
+        ):
             return None
     positions, steps = kernel.spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
     nodes = g.nodes
@@ -190,7 +203,8 @@ def _walk(
         if kind == 1:
             edges.append((ARROW, x, y))
         else:
-            edges.append((ARC if kind else LINE, min(x, y), max(x, y)))
+            kind = ARC if kind else LINE
+            edges.append((kind, x, y) if x < y else (kind, y, x))
     return Walk(tuple(nodes[k] for k in positions), tuple(edges))
 
 
@@ -520,8 +534,12 @@ def _unseparated_pair(
         for j in range(i + 1, n):
             if adjacent >> j & 1:
                 continue
-            d = (ant[i] | ant[j]) & ~(1 << i | 1 << j)
-            if not kernel.separated(table, ln, pa, ch, sp, 1 << i, 1 << j, d, trail):
+            pair = 1 << i | 1 << j
+            d = (ant[i] | ant[j]) & ~pair
+            # d | pair is the OR of upward_masks over the query's nodes
+            if not kernel.separated(
+                table, ln, pa, ch, sp, 1 << i, 1 << j, d, trail, d | pair
+            ):
                 return i, j, d
             if trail is not None:
                 trail.clear()

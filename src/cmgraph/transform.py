@@ -127,7 +127,7 @@ from .graph import (
     mask_of,
     subgraph_of_masks,
 )
-from .kernel import _bits, components, line_reach, separated
+from .kernel import _bits, _union, components, line_reach, separated
 
 
 @dataclass(frozen=True)
@@ -315,14 +315,6 @@ def _reached_flanks(reach, ch: list[int], sp: list[int], v: int, stop: int, r: i
         if not sp[j] & r_j:
             arcs &= ~low
     return tails, arcs
-
-
-def _union(rows: list[int], mask: int) -> int:
-    """The OR of ``rows[v]`` over the nodes ``v`` of ``mask``."""
-    out = 0
-    for v in _bits(mask):
-        out |= rows[v]
-    return out
 
 
 def _link(v: int, others: int, at_v: list[int], at_other: list[int]) -> bool:

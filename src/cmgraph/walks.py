@@ -44,7 +44,8 @@ class Walk:
             raise ValueError("walk edge count must be node count - 1")
         for k, edge in enumerate(self.edges):
             u, v = self.nodes[k], self.nodes[k + 1]
-            if {edge[1], edge[2]} != {u, v}:
+            x, y = edge[1], edge[2]
+            if not (x == u and y == v or x == v and y == u):
                 raise ValueError(f"edge {edge} does not join {u!r} and {v!r}")
 
     @property

@@ -245,6 +245,33 @@ class TestWitness:
         walk = cm.c_connecting_witness(G(text), [a], [b], list(given))
         assert walk.render() == expected
 
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            ((), (), "at least one node"),
+            (("a", "b"), (), "edge count"),
+            (("a",), ((cm.LINE, "a", "b"),), "edge count"),
+            (("a", "b", "c"), ((cm.LINE, "a", "b"),), "edge count"),
+            (("a", "b"), ((cm.LINE, "a", "c"),), r"does not join 'a' and 'b'"),
+            (("a", "b"), ((cm.ARROW, "c", "b"),), r"does not join 'a' and 'b'"),
+            (("a", "a"), ((cm.LINE, "a", "b"),), r"does not join 'a' and 'a'"),
+            (("a", "b"), ((cm.ARC, "a", "a"),), r"does not join 'a' and 'b'"),
+            (
+                ("a", "b", "c"),
+                ((cm.LINE, "a", "b"), (cm.ARC, "a", "c")),
+                r"does not join 'b' and 'c'",
+            ),
+        ],
+    )
+    def test_walk_rejects_edges_that_do_not_fit(self, nodes, edges, message):
+        with pytest.raises(ValueError, match=message):
+            cm.Walk(nodes, edges)
+
+    def test_walk_takes_an_edge_in_either_order(self):
+        walk = cm.Walk(("b", "a", "c"), ((cm.ARROW, "a", "b"), (cm.ARC, "a", "c")))
+        assert walk.render() == "b <- a <-> c"
+        assert cm.Walk(("a", "a"), ((cm.LINE, "a", "a"),)).render() == "a -- a"
+
     def test_none_iff_separated(self):
         g = G("a -> c; b -> c")
         assert cm.c_connecting_witness(g, ["a"], ["b"]) is None
@@ -864,6 +891,183 @@ def test_walk_sections_are_shortest_line_paths():
     # b reaches f in the component {b, c, e, f} by b -- e -- f, not b -- c -- f -- ...
     g = G("a -> b; b -- c; c -- d; d -- f; b -- e; e -- f")
     assert cm.c_connecting_witness(g, ["a"], ["f"]).render() == "a -> b -- e -- f"
+
+
+def _line_path_by_layers(ln, start, goal, inside, via):
+    """``kernel._line_path`` as one pass over (node, met) states for every
+    ``via``, with no shortcut for a path of one node: the reference."""
+    first = 1 << start
+    if via and not first & via:
+        layers = [(first, 0)]  # (not yet met via, met via)
+    else:
+        layers = [(0, first)]
+    seen_u, seen_m = layers[0]
+    goal_bit = 1 << goal
+    while not layers[-1][1] & goal_bit:
+        out_u = out_m = 0
+        for v in _bits(layers[-1][0]):
+            out_u |= ln[v]
+        for v in _bits(layers[-1][1]):
+            out_m |= ln[v]
+        next_m = (out_m | out_u & via) & inside & ~seen_m
+        next_u = out_u & inside & ~via & ~seen_u
+        seen_u |= next_u
+        seen_m |= next_m
+        layers.append((next_u, next_m))
+    path = [goal]
+    met = True
+    for unmet, done in reversed(layers[:-1]):
+        v = path[-1]
+        if not met:
+            preds = unmet
+        elif 1 << v & via:
+            preds = done | unmet
+        else:
+            preds = done
+        p = ln[v] & preds
+        p &= -p
+        met = met and bool(p & done)
+        path.append(p.bit_length() - 1)
+    path.reverse()
+    return path
+
+
+def _subsets(mask):
+    """Every subset of the node mask ``mask``, the empty one first."""
+    subsets = [0]
+    for v in _bits(mask):
+        subsets += [s | 1 << v for s in subsets]
+    return subsets
+
+
+def _assert_line_paths_match_layers(g):
+    """Every section ``spell`` can ask for: inside each line component with
+    ``via`` any subset of it, and inside each line reach that avoids a
+    subset of the component with ``via`` 0."""
+    ln = g.ln
+    for comp in {entry[0] for entry in g.components}:
+        nodes = list(_bits(comp))
+        for via in _subsets(comp):
+            for start, goal in product(nodes, repeat=2):
+                want = _line_path_by_layers(ln, start, goal, comp, via)
+                assert kernel._line_path(ln, start, goal, comp, via) == want, (
+                    render(g), start, goal, comp, via
+                )
+        for blocked in _subsets(comp):
+            for start in _bits(comp & ~blocked):
+                reach = kernel.line_reach(ln, 1 << start, blocked)
+                for goal in _bits(reach):
+                    want = _line_path_by_layers(ln, start, goal, reach, 0)
+                    assert kernel._line_path(ln, start, goal, reach, 0) == want
+
+
+@pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_line_path_matches_layers_on_random_graphs(graph_class, n):
+    for g in _seeded_graphs(graph_class, n):
+        _assert_line_paths_match_layers(g)
+
+
+@pytest.mark.parametrize("seed,n", [(0, 32), (3, 128), (5, 256)])
+def test_line_path_matches_layers_on_large_graphs(seed, n):
+    _assert_line_paths_match_layers(_large_cmg(seed, n)[0])
+
+
+# -- the anterior bound of the search --------------------------------------------
+
+
+def _small_queries(g, seed, count):
+    """Random disjoint queries as the ``query`` benchmark draws them: one or
+    two nodes in A and in B, and zero to two in C."""
+    rng = random.Random(seed)
+    n = len(g.nodes)
+    for _ in range(count):
+        picked = rng.sample(range(n), rng.randint(1, 2) + rng.randint(1, 2) + rng.randint(0, 2))
+        n_a = rng.randint(1, len(picked) - 1)
+        n_b = rng.randint(1, len(picked) - n_a)
+        parts = picked[:n_a], picked[n_a : n_a + n_b], picked[n_a + n_b :]
+        yield tuple(sum(1 << v for v in part) for part in parts)
+
+
+def _bounded_and_full(g, query):
+    """``(verdict, bounded trail, unbounded trail, bound)`` of one query, the
+    bound being the OR of ``upward_masks`` over the query's nodes."""
+    ln, pa, ch, sp, table = g.ln, g.pa, g.ch, g.sp, g.components
+    within = kernel._union(g.upward_masks, query[0] | query[1] | query[2])
+    full, bounded = [], []
+    verdict = kernel.separated(table, ln, pa, ch, sp, *query, full)
+    assert kernel.separated(table, ln, pa, ch, sp, *query, bounded, within) == verdict
+    return verdict, bounded, full, within
+
+
+def _assert_bound_keeps_trails_and_walks(g, queries):
+    """The bounded search decides as the unbounded one; its trail is the
+    unbounded trail less the records of states outside the bound, whose
+    head adds lose only bits outside it; and both spell one walk.  The
+    public queries, which bound their searches themselves, give that
+    verdict and that walk."""
+    ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
+    for query in dict.fromkeys(queries):
+        verdict, bounded, full, within = _bounded_and_full(g, query)
+        assert bounded == [
+            (low, head, r, comp, add_t, add_h & within)
+            for low, head, r, comp, add_t, add_h in full
+            if low & within
+        ], (render(g), query)
+        want = None
+        if not verdict:
+            walk = kernel.spell(ln, pa, ch, sp, *query, bounded)
+            assert walk == kernel.spell(ln, pa, ch, sp, *query, full)
+            want = _walk(g, g.components, *query, full)
+        a, b, c = _labelled(g, query)
+        # a search of _walk's own, then the decision, then the stored trail
+        assert cm.c_connecting_witness(g, a, b, c) == want, (render(g), query)
+        assert cm.c_separated(g, a, b, c) == verdict
+        assert cm.c_connecting_witness(g, a, b, c) == want
+
+
+def test_bound_on_every_three_node_query():
+    queries = list(_role_queries(product(range(4), repeat=3)))
+    for g in enumerate_mixed_graphs(("a", "b", "c")):
+        if g.is_cmg:
+            _assert_bound_keeps_trails_and_walks(g, queries)
+
+
+@pytest.mark.parametrize("graph_class", ["CG", "CMG", "AnG"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bound_on_random_graphs(graph_class, n):
+    rng = random.Random(f"bound-queries:{graph_class}:{n}")
+    for g in _seeded_graphs(graph_class, n):
+        roles = [[rng.randrange(4) for _ in range(n)] for _ in range(60)]
+        _assert_bound_keeps_trails_and_walks(g, _role_queries(roles))
+
+
+@pytest.mark.parametrize(
+    "seed,n", [(0, 32), (1, 48), (2, 64), (3, 128), (4, 192), (5, 256)]
+)
+@pytest.mark.parametrize("parallel", [False, True], ids=["plain", "parallel-arcs"])
+def test_bound_on_large_graphs(seed, n, parallel):
+    g = _large_cmg(seed, n)[0]
+    if parallel:
+        g = _with_parallel_arcs(g)
+    queries = list(_cutting_queries(g, seed, 40)) + list(_small_queries(g, seed, 100))
+    _assert_bound_keeps_trails_and_walks(g, queries)
+
+
+# a separated query on _large_cmg(5, 256) whose search settles one group
+# inside the bound, and 29 more outside it when unbounded
+PRUNED_QUERY = (["v074"], ["v018"], ["v082"])
+PRUNED_TRAILS = (1, 30)
+
+
+def test_bound_prunes_a_separated_search():
+    g = _large_cmg(5, 256)[0]
+    index = g.index
+    query = tuple(sum(1 << index[v] for v in part) for part in PRUNED_QUERY)
+    verdict, bounded, full, within = _bounded_and_full(g, query)
+    assert verdict
+    assert (len(bounded), len(full)) == PRUNED_TRAILS
+    assert any(not record[0] & within for record in full)
 
 
 # -- one search per decided-then-explained query ---------------------------------
