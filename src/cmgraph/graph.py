@@ -231,12 +231,6 @@ class MixedGraph:
             raise NotACMGError("anteriors table requires a chain mixed graph")
         return self._upward
 
-    @cached_property
-    def anterior_masks(self) -> tuple[int, ...]:
-        """:attr:`upward_masks` less each node: entry ``k`` is the node mask of
-        ``anteriors(self, [nodes[k]])``.  Raises as that does."""
-        return tuple(u & ~(1 << k) for k, u in enumerate(self.upward_masks))
-
     # -- reachability ------------------------------------------------------
 
     def line_reachable(self, v: str, blocked: Iterable[str] = ()) -> frozenset[str]:
@@ -363,7 +357,7 @@ def has_semidirected_cycle_with_arrow(g: MixedGraph) -> bool:
     otherwise every such cycle is a directed cycle among the components.
     So the answer is whether :attr:`MixedGraph.components` have no order
     in which every arrow runs forward.  One pass per graph decides
-    it and gives the anteriors (:attr:`MixedGraph.anterior_masks`).
+    it and gives the anteriors (:attr:`MixedGraph.upward_masks`).
     """
     return g._upward is None
 
@@ -409,7 +403,8 @@ def classify(g: MixedGraph) -> frozenset[str]:
 
 
 def _arcs_respect_anteriority(g: MixedGraph) -> bool:
-    return not any(map(operator.and_, g.anterior_masks, g.sp))
+    # no arc joins a node to itself, so the node's own bit in upward_masks meets no arc
+    return not any(map(operator.and_, g.upward_masks, g.sp))
 
 
 def format_classes(flags: frozenset[str]) -> str:

@@ -527,7 +527,7 @@ def _unseparated_pair(
     """
     _require_cmg(g)
     table = _mask_tables(g)
-    ln, pa, ch, sp, ant = g.ln, g.pa, g.ch, g.sp, g.anterior_masks
+    ln, pa, ch, sp, up = g.ln, g.pa, g.ch, g.sp, g.upward_masks
     n = len(g.nodes)
     for i in range(n):
         adjacent = ln[i] | pa[i] | ch[i] | sp[i]
@@ -535,7 +535,7 @@ def _unseparated_pair(
             if adjacent >> j & 1:
                 continue
             pair = 1 << i | 1 << j
-            d = (ant[i] | ant[j]) & ~pair
+            d = (up[i] | up[j]) & ~pair
             # d | pair is the OR of upward_masks over the query's nodes
             if not kernel.separated(
                 table, ln, pa, ch, sp, 1 << i, 1 << j, d, trail, d | pair

@@ -92,12 +92,12 @@ operations; only a collider flank inside the pivot's component makes
 it walk the reach (``_section_flanks``).  Either way, each far flank
 inside the reach is blocked once, to keep only flanks that a section
 avoiding them reaches.  The anterial generate stage needs no such
-filter (``_ang_generate`` proves it leaves the fixpoint as it is): an
-arc end outside its start's component reads the component's unions of
-``pa``, ``sp`` and the ``free`` arcs, and one inside it one line reach,
-read in one pass.  A node whose arc ends all lie outside its
-component, and whose component's unions and arcs are what they were on
-its last visit, is skipped.
+filter and walks no reach: every arc end reads its start's component
+unions of ``pa``, ``sp`` and the free arcs, even when its other end
+lies in that component, where the two ends' reaches together cover it
+(``_ang_generate`` proves the fixpoint is the same).  A node whose
+component's unions and arcs are what they were on its last visit is
+skipped.
 
 The edge oracles reuse the other searches.  ``marginal_edge_oracle`` is
 one ``kernel.separated`` query on the flank stage's masks cut down to
@@ -172,15 +172,7 @@ class _Work:
     ``_link``, :func:`condition` joins the collider stage's made lines
     to ``ln``, and arc resolution changes rows by hand; the unions go
     stale there, and nothing reads them afterwards.
-
-    The anterial generate stage adds ``free``: ``j`` is in ``free[o]``
-    when ``j <-> o`` is an input arc or was generated for ``o``.  It
-    keeps ``free_unions`` like the others: ``free`` starts as ``sp``, so
-    the table's ``sp`` unions stand for the components not in it.
     """
-
-    free: list[int]
-    free_unions: dict[int, int]
 
     def __init__(self, g: MixedGraph):
         self.nodes = g.nodes
@@ -648,36 +640,22 @@ def marginalize_and_condition(
 def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
     """Run the generate rules; ``down[t]`` is the mask of t and its anteriors.
 
-    The rules and the reuse rule are in the module docstring.  Rescans
-    until a round adds no edge, even if ``free`` grew in it: after such
-    a round R no later round would add one.  Say one did, first an arc
-    ``j <-> t`` (arrows never read ``free``), with ``j`` outside
-    ``down[t]``.  Call ``g`` a far node for ``(t, j)`` when a section
-    from ``a`` avoiding ``b`` reaches it, for an arc ``a <-> b`` with
-    target ``t`` and ``j`` not in it; such ``g`` are in ``down[t]``, so
-    ``j`` is on none of these sections.  Take the first-added
-    ``j in free[g]`` over them.  Round R would have linked ``j <-> t``
-    from it, so it came after, with no new edge, for target ``g`` of an
-    arc ``u <-> i``, ``g`` in ``{u, i}``: ``j in free[g1]`` at a far
-    node ``g1`` of the section from ``u`` avoiding ``i`` (``j`` in
-    ``down[g]`` would put it in ``down[t]``).  If ``u`` is on the
-    section from ``a`` or is ``a`` or ``b``, the line walk from ``a``
-    via ``u`` to ``g1``, cut after its last visit to ``a`` or ``b``,
-    makes ``g1`` an earlier far node for ``(t, j)``.  Else ``g = i``,
-    ``u`` is anterior of ``g`` and an arc end at ``g`` for that section,
-    so round R left ``u <-> t``, an arc with target ``t``; the walk from
-    ``u`` to ``g1`` cut after its last visit to ``u`` or ``t`` makes
-    ``g1`` an earlier far node for ``(t, j)`` again.  Both contradict
-    the choice of ``g``.
+    The rules and the reuse rule are in the module docstring.  Call ``j``
+    free at ``o`` when ``j <-> o`` is an input arc or was generated for
+    ``o``.  The stage keeps only the ORs of ``pa``, ``sp`` and the free
+    nodes over each line component, P, S and F (``w.pa_unions``,
+    ``w.sp_unions``, ``free_unions``).  Every input spouse is free, so F
+    starts as the table's ``sp`` unions, and a free node is a spouse.
 
-    Each arc end ``u <-> i`` with a target reads the ORs of ``pa``,
-    ``sp`` and ``free`` over the line reach ``r`` of ``u`` avoiding
-    ``i`` (:func:`_arc_end_flanks`): the unions of ``u``'s component
-    when ``i`` lies outside it, one pass over ``r`` otherwise.  Unlike
-    ``_section_flanks`` it blocks no far node, and the fixpoint is the
-    same:
+    Each arc end ``u <-> i`` with a target reads P, S and F of ``u``'s
+    line component K, and links the tails and the usable arc ends,
+    ``S & (down[t] | F)``, less ``u`` and ``i``, to each target ``t``.
+    The rules search the sections from ``u`` avoiding ``i`` through the
+    far-node filter of ``_section_flanks``; the fixpoint is the same.
+    First without the filter, over the line reach ``r`` of ``u`` avoiding
+    ``i``:
 
-    - Tails.  No tail ``j -> o`` at a far node ``o`` lies in ``r``: ``o``
+    - Tails.  No tail ``j -> o`` at a node ``o`` of K lies in K: ``o``
       would be line-joined to ``j`` and close a semi-directed cycle.
       The stage adds only arrows out of nodes already anterior to their
       head, so the work graph stays a CMG.
@@ -687,29 +665,52 @@ def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
       ``u`` nor ``i``, so ``o`` is an arc end at the far node ``j`` and
       gives ``t <-> o``.  The one-node section at ``o``, from the arc end
       ``(o, t)``, then gives ``t <-> j``.  Both ``j`` and ``o`` are in
-      ``r``, so in ``down[t]``, and neither needs ``free``.
+      ``r``, so in ``down[t]``, and neither needs F.
 
-    So every edge and ``free`` bit the unfiltered rules add, the
-    filtered ones add too, and both rescans stop at the same fixpoint.
+    Then from ``r`` to K.  When ``i`` lies outside K, ``r`` is K.  When
+    it lies inside, ``u`` and ``i`` are each anterior of the other, so
+    the ends ``(u, i)`` and ``(i, u)`` both have both targets, and their
+    reaches together cover K: a shortest line walk from ``u`` to a node
+    of K avoids ``i``, or its part after ``i`` avoids ``u``.
+    The two ends' searches link the ORs of ``pa`` and ``sp`` over K to
+    each target, and every usable arc end of K's reads: a node of S that
+    is free at a node of one reach is a spouse of that node, so the
+    search over that reach finds it usable.  K's reads give each end all
+    of that at once.  So every edge and free node the component reads
+    add, the filtered rules add too, and K holds every reach, so the
+    converse holds: both rescans stop at the same fixpoint.
 
-    The arc ends usable for ``t`` are ``arcs & (down[t] | free_arcs)``;
-    ``free`` is a part of ``sp``, so ``free_arcs`` adds no arc end that
-    ``arcs`` lacks.
+    The stage rescans until a round adds no edge, even if F grew in it:
+    after such a round R no later round would add one.  Say one did,
+    first an arc ``j <-> t`` (arrows never read F), with ``j`` outside
+    ``down[t]``.  Call ``g`` a far node for ``(t, j)`` when it lies in
+    the line component of an end of an arc with target ``t`` and ``j``
+    not in it; such ``g`` are in ``down[t]``, and the arc ``j <-> t``
+    needs ``j`` free at one of them.  Take the first-added such ``j``
+    free at ``g``.  R added no edge, and no round after it did before
+    ``j <-> t``, so the arcs are those of R.  R would have linked
+    ``j <-> t`` from it, so ``j`` came after, for target ``g`` of an arc
+    ``u <-> i``, ``g`` in ``{u, i}``, free at a node ``g1`` of ``u``'s
+    component (``j`` in ``down[g]`` would put it in ``down[t]``).  If
+    ``u`` lies in the component of an end of the first arc, ``g1`` is an
+    earlier far node for ``(t, j)``.  Else ``g = i``, and ``u`` is
+    anterior of ``g`` and a spouse of it, so R linked ``u <-> t``, an
+    arc with target ``t`` and without ``j``, and ``g1`` is an earlier far
+    node for ``(t, j)`` again.  Both contradict the choice of ``g``.
 
-    A node ``u`` with no arc end inside its line component K is skipped
-    when :func:`_ang_reads` gives what it gave on ``u``'s last visit:
-    the unions P, S and F of K and ``sp[u]``.  The skip is exact.  A
-    visit reads nothing but these, ``down`` and K, which are fixed, and
-    its own links, which change P, S and F only by masks that its reads
-    so far fix (an arc to ``i`` joins K's S only through an end in K).
-    So two visits that start from the same reads make the same links,
-    and the second adds no edge and no ``free`` bit.  Every round thus
-    ends in the state it ends in without the skip, and the rescan stops
-    after the same round, at the same fixpoint.
+    A node ``u`` is skipped when P, S and F of K and ``sp[u]`` are what
+    they were on its last visit.  The skip is exact.  A visit reads
+    nothing but these, ``down`` and K, which are fixed, and its own
+    links, which change P, S and F only by masks that its reads so far
+    fix (an arc to a target joins K's S only through an end in K).  So
+    two visits that start from the same reads make the same links, and
+    the second adds no edge and no free node.  Every round thus ends in
+    the state it ends in without the skip, and the rescan stops after
+    the same round, at the same fixpoint.
     """
     sp, table = w.sp, w.table
-    free = w.free = sp[:]
-    free_unions = w.free_unions = {}
+    pa_unions, sp_unions = w.pa_unions, w.sp_unions
+    free_unions: dict[int, int] = {}
     last = [None] * len(sp)  # per node, what its last visit read
     changed = True
     while changed:
@@ -718,11 +719,11 @@ def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
             ends = sp[u]
             if not ends:
                 continue
-            reads = _ang_reads(w, u)
-            if reads is not None:
-                if reads == last[u]:
-                    continue
-                last[u] = reads
+            comp, cpa, _, csp = table[u]
+            reads = pa_unions.get(comp, cpa), sp_unions.get(comp, csp), free_unions.get(comp, csp), ends
+            if reads == last[u]:
+                continue
+            last[u] = reads
             while ends:
                 low = ends & -ends
                 ends ^= low
@@ -731,56 +732,17 @@ def _ang_generate(w: _Work, down: tuple[int, ...]) -> None:
                 to_u, to_i = down[u] & low, down[i] >> u & 1
                 if not (to_u or to_i):
                     continue
-                tails, arcs, free_arcs = _arc_end_flanks(w, u, i)
                 keep = ~(1 << i | 1 << u)
-                tails &= keep
-                arcs &= keep
+                tails = pa_unions.get(comp, cpa) & keep
+                arcs = sp_unions.get(comp, csp) & keep
+                free_arcs = free_unions.get(comp, csp)
                 for t, ok in ((u, to_u), (i, to_i)):
                     if ok:
                         changed |= w.link_arrows(t, tails)
                         usable = arcs & (down[t] | free_arcs)
                         changed |= w.link_arcs(t, usable)
-                        new = usable & ~free[t]
-                        if new:
-                            free[t] |= new
-                            comp, _, _, csp = table[t]
-                            free_unions[comp] = free_unions.get(comp, csp) | new
-
-
-def _ang_reads(w: _Work, u: int):
-    """``(P, S, F, sp[u])``, what the searches from node ``u``'s arc ends read.
-
-    P, S and F are the ORs of ``pa``, ``sp`` and ``free`` over ``u``'s
-    line component K.  None when ``u`` has an arc end inside K, whose
-    search reads a line reach smaller than K.
-    """
-    comp, cpa, _, csp = w.table[u]
-    ends = w.sp[u]
-    if ends & comp:
-        return None
-    return w.pa_unions.get(comp, cpa), w.sp_unions.get(comp, csp), w.free_unions.get(comp, csp), ends
-
-
-def _arc_end_flanks(w: _Work, u: int, i: int):
-    """``(tails, arcs, free_arcs)``: the ORs of ``pa``, ``sp`` and ``free`` over ``u``'s reach avoiding ``i``.
-
-    The reach is ``u``'s line component when ``i`` lies outside it
-    (:meth:`_Work.flanks`), and those ORs are its unions.
-    """
-    comp, cpa, _, csp = w.table[u]
-    if not comp >> i & 1:
-        return w.pa_unions.get(comp, cpa), w.sp_unions.get(comp, csp), w.free_unions.get(comp, csp)
-    pa, sp, free = w.pa, w.sp, w.free
-    tails = arcs = free_arcs = 0
-    rest = w.line_reach(u, 1 << i)
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        o = low.bit_length() - 1
-        tails |= pa[o]
-        arcs |= sp[o]
-        free_arcs |= free[o]
-    return tails, arcs, free_arcs
+                        tcomp, _, _, tsp = table[t]
+                        free_unions[tcomp] = free_unions.get(tcomp, tsp) | usable
 
 
 def _ang_resolve_arcs(w: _Work, ant: tuple[int, ...]) -> None:

@@ -402,7 +402,7 @@ class TestRepresentation:
     def test_pickle_keeps_only_the_fields(self):
         # a cached string hash holds only in the process that made it
         g = G("a -> b; b -- c; c <-> a")
-        hash(g), g.index, g.components, g.anterior_masks, g.edges, g.is_cmg
+        hash(g), g.index, g.components, g.upward_masks, g.edges, g.is_cmg
         assert set(vars(pickle.loads(pickle.dumps(g)))) == {"nodes", "ln", "pa", "ch", "sp"}
 
     def test_pickle_loads_through_the_checked_constructor(self):

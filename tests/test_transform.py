@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import weakref
 from itertools import combinations, product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import cmgraph as cm
 from cmgraph import kernel
 from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
+from cmgraph.graph import mask_of
 from cmgraph.graphio import render
 from cmgraph.kernel import line_reach
 from cmgraph.propcheck import GeneratorConfig, enumerate_cgs, enumerate_mixed_graphs, random_graph
@@ -1067,7 +1069,8 @@ class TestAnterialClosure:
 
 
 def _anterior_names(g, v):
-    mask = g.anterior_masks[g.index[v]]
+    k = g.index[v]
+    mask = g.upward_masks[k] & ~(1 << k)
     return {u for k, u in enumerate(g.nodes) if mask >> k & 1}
 
 
@@ -1085,19 +1088,22 @@ class TestAnteriorsTable:
     @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
     def test_s_is_read_from_the_upward_table(self, seed, n):
         # S and the anterial closure read g.upward_masks, each node with
-        # its anteriors, and build no anterior_masks; that anterialize still
-        # equals the rescan loop on these graphs is
+        # its anteriors; that anterialize still equals the rescan loop on
+        # these graphs is
         # TestAnterialClosure::test_equals_rescan_loop_on_large_graphs
         g, _, c = _large_cmg(seed, n)
         cm.condition(g, c)
         cm.anterialize(g)
-        assert "anterior_masks" not in vars(g)
         for k, v in enumerate(g.nodes):
-            assert cm.transform._s_mask(g, [v]) == 1 << k | g.anterior_masks[k]
+            assert cm.transform._s_mask(g, [v]) == 1 << k | mask_of(g.index, cm.anteriors(g, [v]))
 
     def test_requires_cmg(self):
+        # the readers of the table: classify reads it only on a CMG, and
+        # the pairwise separators need one
+        g = G("a -> b; b -- c; c -> a")
+        assert cm.classify(g) == frozenset()
         with pytest.raises(NotACMGError):
-            G("a -> b; b -- c; c -> a").anterior_masks
+            cm.is_maximal(g)
 
     def test_upward_table_requires_cmg(self):
         g = G("a -> b; b -- c; c -> a")
@@ -1109,7 +1115,7 @@ class TestAnteriorsTable:
     def test_bits_follow_node_order(self):
         g = G("b -> c; a <-> c")
         assert g.index == {"a": 0, "b": 1, "c": 2}
-        assert g.anterior_masks == (0, 0, 2)
+        assert g.upward_masks == (1, 2, 6)
 
 
 # -- conditioning against the plain rescanning stages ------------------------------
@@ -1587,33 +1593,44 @@ def _check_unions_at_every_link(monkeypatch):
 
 
 def _check_generate_reads(monkeypatch):
-    """Wrap the generate stage's two reads: ``_ang_reads`` gives the ORs of
-    ``pa``, ``sp`` and ``free`` over the node's component and its arc ends,
-    or None when one lies inside the component; ``_arc_end_flanks`` gives
-    those ORs over the line reach of the arc end.  Returns the arc ends
-    read, with whether each lies inside its start's component."""
+    """Wrap the link helpers: at each link that ``_ang_generate`` makes, the
+    tails and arc ends it read for the arc end ``u <-> i`` are the ORs of
+    ``pa`` and ``sp`` over ``u``'s component less ``u`` and ``i``, and its
+    free arcs the OR over that component of rows kept here, which start as
+    ``sp`` and gain each target's usable arc ends.  The reads are the
+    stage's locals, taken from its frame.  Returns the arc ends read, with
+    whether each lies inside its start's component."""
     checked = []
-    reads, arc_end = cm.transform._ang_reads, cm.transform._arc_end_flanks
+    free = weakref.WeakKeyDictionary()  # per work, the free rows
+    generate = cm.transform._ang_generate
 
-    def checking_reads(w, u):
-        got = reads(w, u)
-        comp = w.table[u][0]
-        if w.sp[u] & comp:
-            assert got is None, u
-        else:
-            want = tuple(cm.transform._union(rows, comp) for rows in (w.pa, w.sp, w.free))
-            assert got == (*want, w.sp[u]), u
-        return got
+    def tracking_generate(w, down):
+        free[w] = w.sp[:]
+        return generate(w, down)
 
-    def checking_arc_end(w, u, i):
-        got = arc_end(w, u, i)
-        r = line_reach(w.ln, 1 << u, 1 << i)
-        assert got == tuple(cm.transform._union(rows, r) for rows in (w.pa, w.sp, w.free)), (u, i)
-        checked.append((u, i, bool(w.table[u][0] >> i & 1)))
-        return got
+    def wrap(name):
+        link = getattr(_Work, name)
 
-    monkeypatch.setattr(cm.transform, "_ang_reads", checking_reads)
-    monkeypatch.setattr(cm.transform, "_arc_end_flanks", checking_arc_end)
+        def checking(w, v, others):
+            caller = sys._getframe(1)
+            if caller.f_code is generate.__code__:
+                at = caller.f_locals
+                u, i, comp = at["u"], at["i"], at["comp"]
+                if name == "link_arcs":
+                    free[w][v] |= others
+                elif v == u or not at["to_u"]:  # the arc end's first link: its reads are current
+                    assert comp == w.table[u][0], u
+                    assert at["tails"] == cm.transform._union(w.pa, comp) & at["keep"], (u, i)
+                    assert at["arcs"] == cm.transform._union(w.sp, comp) & at["keep"], (u, i)
+                    assert at["free_arcs"] == cm.transform._union(free[w], comp), (u, i)
+                    checked.append((u, i, bool(comp >> i & 1)))
+            return link(w, v, others)
+
+        monkeypatch.setattr(_Work, name, checking)
+
+    monkeypatch.setattr(cm.transform, "_ang_generate", tracking_generate)
+    wrap("link_arrows")
+    wrap("link_arcs")
     return checked
 
 
@@ -1659,20 +1676,42 @@ class TestFlankUnions:
         if not parallel:
             assert tuple(_digest(h) for h in outs) == LARGE_DIGESTS[seed, n]
 
-    def test_arc_end_inside_its_component_reads_its_reach(self):
+    def test_arc_end_inside_its_component_reads_the_component(self):
         # the arc end (a, b) lies inside a's component {a, b}; the reach of
-        # a avoiding b is a alone, so it reads no c -> b, which the
-        # component's union of pa holds
+        # a avoiding b is a alone, and c -> b lies on the reach of b
+        # avoiding a.  Both ends have both targets, so each reads the
+        # component's unions, which hold c -> b
         g = G("a -- b; a <-> b; c -> b")
         w = _Work(g)
         a, b, c = (w.index[v] for v in "abc")
-        w.free, w.free_unions = w.sp[:], {}
-        assert cm.transform._ang_reads(w, a) is None
-        assert cm.transform._arc_end_flanks(w, a, b) == (0, 1 << b, 1 << b)
-        assert _unions(w, a)[0] == 1 << c
+        assert w.table[a][0] == 1 << a | 1 << b
+        assert _unions(w, a) == (1 << c, 1 << a | 1 << b)
         out = G("a -- b; c -> a; c -> b")
         assert cm.anterialize(g) == out
         assert _anterialize_by_rescan(g) == out
+
+    def test_equals_rescan_on_four_node_sample(self):
+        graphs = _four_node_sample(300)
+        inside = 0
+        for g in graphs:
+            assert cm.anterialize(g) == _anterialize_by_rescan(g), render(g)
+            inside += any(comp & sp for (comp, *_), sp in zip(g.components, g.sp))
+        assert inside > 100  # many arc ends lie inside their component
+
+    @pytest.mark.parametrize("seed,n", list(LARGE_DIGESTS))
+    def test_generate_walks_no_reach(self, monkeypatch, seed, n):
+        calls = []
+        reach = _Work.line_reach
+
+        def counting(w, v, blocked):
+            calls.append((v, blocked))
+            return reach(w, v, blocked)
+
+        monkeypatch.setattr(_Work, "line_reach", counting)
+        g = _with_parallel_arcs(_large_cmg(seed, n)[0])
+        assert any(comp & sp for (comp, *_), sp in zip(g.components, g.sp))
+        cm.anterialize(g)
+        assert calls == []
 
     def test_collider_flank_inside_the_pivot_component_searches(self):
         # the pivot s has its arc flank a inside its component {s, a, x};
