@@ -21,10 +21,6 @@ class UnknownNodeError(CmgraphError):
         super().__init__(f"unknown node {label!r}")
 
 
-class BlockedStartError(CmgraphError):
-    """Line reachability asked to start inside the blocked set."""
-
-
 class NotAChainGraphError(CmgraphError):
     """The operation requires a chain graph (lines/arrows, no semi-directed cycle)."""
 

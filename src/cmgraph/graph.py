@@ -40,7 +40,6 @@ from typing import Iterable, Mapping
 
 from . import kernel
 from .errors import (
-    BlockedStartError,
     CmgraphError,
     LoopEdgeError,
     MalformedQueryError,
@@ -118,12 +117,6 @@ class MixedGraph:
             if v not in self.node_set:
                 raise UnknownNodeError(v)
 
-    def has_edge(self, x: str, y: str, kind: str) -> bool:
-        _check_edge(x, y, kind)
-        index = self.index
-        at_x = (self.ln, self.pa, self.ch, self.sp)[_END_TABLES[kind][1]]
-        return x in index and y in index and bool(at_x[index[x]] >> index[y] & 1)
-
     def adjacent(self, x: str, y: str) -> bool:
         """True iff some edge joins ``x`` and ``y``; False for unknown labels."""
         index = self.index
@@ -148,10 +141,6 @@ class MixedGraph:
                 x = nodes[k]
                 out += [(kind, x, nodes[j]) for j in kernel._bits(m)]
         return out
-
-    def edges_as_triples(self) -> list[tuple[str, str, str]]:
-        """Edges as (x, y, kind) triples accepted by :func:`build_graph`."""
-        return [(x, y, kind) for kind, x, y in self.edge_list()]
 
     @cached_property
     def incidences(self) -> Mapping[str, tuple[tuple[str, bool, bool, Edge], ...]]:
@@ -231,25 +220,6 @@ class MixedGraph:
             raise NotACMGError("anteriors table requires a chain mixed graph")
         return self._upward
 
-    # -- reachability ------------------------------------------------------
-
-    def line_reachable(self, v: str, blocked: Iterable[str] = ()) -> frozenset[str]:
-        """Nodes reachable from ``v`` along lines avoiding ``blocked``.
-
-        ``v`` itself is included.  Raises :class:`UnknownNodeError` for an
-        unknown label in ``v`` or ``blocked``, and :class:`BlockedStartError`
-        if ``v`` is blocked.
-        """
-        self.require_nodes([v])
-        blocked = label_set(blocked, MalformedQueryError)
-        if v in blocked:
-            raise BlockedStartError(f"start node {v!r} is blocked")
-        self.require_nodes(blocked)
-        index = self.index
-        stop = mask_of(index, blocked)
-        reach = kernel.line_reach(self.ln, 1 << index[v], stop)
-        return frozenset(self.nodes[k] for k in kernel._bits(reach))
-
     def induced_subgraph(self, keep: Iterable[str]) -> "MixedGraph":
         keep = label_set(keep, MalformedQueryError)
         self.require_nodes(keep)
@@ -261,21 +231,15 @@ class MixedGraph:
 _END_TABLES = {LINE: (0, 0), ARROW: (1, 2), ARC: (3, 3)}
 
 
-def _check_edge(x: str, y: str, kind: str) -> None:
-    if kind not in _END_TABLES:
-        raise ValueError(f"unknown edge type {kind!r}")
-    if x == y:
-        raise LoopEdgeError(x)
-
-
 def build_graph(
     nodes: Iterable[str], edges: Iterable[tuple[str, str, str]] = ()
 ) -> MixedGraph:
     """Build a graph from node labels and ``(x, y, kind)`` triples, sorting the labels.
 
     The one encoder of labelled edges.  Rejects empty labels, then per edge
-    an unknown label (:class:`UnknownNodeError`), an unknown edge type and
-    a loop.  Duplicate edges of the same type between one pair collapse.
+    an unknown label (:class:`UnknownNodeError`), an unknown edge type
+    (``ValueError``) and a loop (:class:`LoopEdgeError`).  Duplicate edges
+    of the same type between one pair collapse.
     """
     node_tuple = tuple(sorted(set(nodes)))
     if any(not n for n in node_tuple):
@@ -287,8 +251,10 @@ def build_graph(
         if i is None or j is None:
             raise UnknownNodeError(x if i is None else y)
         ends = _END_TABLES.get(kind)
-        if ends is None or i == j:
-            _check_edge(x, y, kind)  # raises
+        if ends is None:
+            raise ValueError(f"unknown edge type {kind!r}")
+        if i == j:
+            raise LoopEdgeError(x)
         tables[ends[0]][j] |= 1 << i
         tables[ends[1]][i] |= 1 << j
     return MixedGraph(node_tuple, *map(tuple, tables))
@@ -369,20 +335,18 @@ def anteriors(g: MixedGraph, a: Iterable[str]) -> frozenset[str]:
     contribute.  Members of ``a`` are excluded from the result, and a
     node is never its own anterior.  One line reach over each node's
     line neighbours and parents, so any mixed graph is accepted.
+
+    The reach is its own on purpose, not a read of
+    :attr:`MixedGraph.upward_masks`: :func:`~cmgraph.separation.moral_separated`
+    builds its anterior subgraph here, and as an oracle for a chain
+    graph's model it shares no table with the ``upward_masks`` bound of
+    ``kernel.separated``.
     """
     a = label_set(a, MalformedQueryError)
     g.require_nodes(a)
     start = mask_of(g.index, a)
     reach = kernel.line_reach([l | p for l, p in zip(g.ln, g.pa)], start, 0)
     return frozenset(g.nodes[k] for k in kernel._bits(reach & ~start))
-
-
-def ancestors(g: MixedGraph, i: str) -> frozenset[str]:
-    """All nodes with a directed (all-arrow) walk to ``i``, excluding ``i``."""
-    g.require_nodes([i])
-    pa, k = g.pa, g.index[i]
-    reach = kernel.line_reach(pa, pa[k], 0)
-    return frozenset(g.nodes[v] for v in kernel._bits(reach & ~(1 << k)))
 
 
 def classify(g: MixedGraph) -> frozenset[str]:

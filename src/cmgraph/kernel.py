@@ -84,8 +84,8 @@ def line_reach(ln: list[int], start: int, blocked: int) -> int:
     """Mask of the nodes joined to the mask ``start`` by line walks avoiding ``blocked``.
 
     ``ln`` may be any per-node mask list: a step goes from node ``v`` to
-    each node of ``ln[v]``.  Over ``ln[k] | pa[k]`` it reaches anteriors,
-    over ``pa`` ancestors.  ``start`` itself is always in the result.
+    each node of ``ln[v]``.  Over ``ln[k] | pa[k]`` it reaches
+    anteriors.  ``start`` itself is always in the result.
     """
     reach = start
     frontier = start

@@ -120,23 +120,6 @@ def random_graph(cfg: GeneratorConfig) -> MixedGraph:
     return g
 
 
-def enumerate_mixed_graphs(labels: tuple[str, ...]):
-    """Every loopless mixed graph over the labels (16 states per pair)."""
-    pairs = list(combinations(sorted(labels), 2))
-    for choice in product(range(16), repeat=len(pairs)):
-        edges = []
-        for bits, (x, y) in zip(choice, pairs):
-            if bits & 1:
-                edges.append((x, y, LINE))
-            if bits & 2:
-                edges.append((x, y, ARROW))
-            if bits & 4:
-                edges.append((y, x, ARROW))
-            if bits & 8:
-                edges.append((x, y, ARC))
-        yield build_graph(labels, edges)
-
-
 def enumerate_cgs(labels: tuple[str, ...]):
     """Every chain graph over the labels (4 states per pair, acyclic only)."""
     return _cgs_over(labels, list(combinations(sorted(labels), 2)), range(4))

@@ -160,42 +160,30 @@ def c_connecting_witness(
     line path, but the walk need not be shortest in edges.  Right after
     :func:`c_separated` found the same query connected on ``g``, the
     walk is spelled from that search's trail, so the query costs one
-    search; otherwise this runs the search.  The query is checked first
-    either way, with the same errors.
+    search; otherwise this runs the same bounded ``kernel.separated``
+    search itself.  The query is checked first either way, with the same
+    errors.
     """
     table, amask, bmask, cmask = _query_masks(g, a, b, given)
     last = g.__dict__.get(_LAST_TRAIL)
-    if last is not None and last[:3] == (amask, bmask, cmask):
-        return _walk(g, table, amask, bmask, cmask, last[3])
-    return _walk(g, table, amask, bmask, cmask)
-
-
-def _walk(
-    g: MixedGraph,
-    table: tuple,
-    amask: int,
-    bmask: int,
-    cmask: int,
-    trail: Optional[list] = None,
-) -> Optional[Walk]:
-    """The query's c-connecting walk on ``g`` as a labelled :class:`Walk`, or None.
-
-    ``table`` is ``g.components``.  Without ``trail``, ``kernel.separated``
-    searches and records one, bounded by the anteriors of the query's
-    nodes on a CMG and unbounded on any other mixed graph; with the
-    accepting trail of a search of this query, nothing is searched.
-    ``kernel.spell`` reads the walk off it.
-    """
-    ln, pa, ch, sp = g.ln, g.pa, g.ch, g.sp
-    if trail is None:
-        trail = []
-        up = g._upward
-        within = -1 if up is None else kernel._union(up, amask | bmask | cmask)
-        if kernel.separated(
-            table, ln, pa, ch, sp, amask, bmask, cmask, trail, within
-        ):
+    if last is None or last[:3] != (amask, bmask, cmask):
+        last = (amask, bmask, cmask, [])
+        within = kernel._union(g.upward_masks, amask | bmask | cmask)
+        if kernel.separated(table, g.ln, g.pa, g.ch, g.sp, *last, within):
             return None
-    positions, steps = kernel.spell(ln, pa, ch, sp, amask, bmask, cmask, trail)
+    return _walk(g, *last)
+
+
+def _walk(g: MixedGraph, amask: int, bmask: int, cmask: int, trail: list) -> Walk:
+    """The query's c-connecting walk on ``g`` as a labelled :class:`Walk`.
+
+    ``trail`` is the accepting trail of a ``kernel.separated`` search of
+    this query, and ``kernel.spell`` reads the walk off it.  Nothing is
+    searched here: the callers searched, :func:`c_connecting_witness` or
+    :func:`c_separated` before it, and :func:`_unseparated_pair` for
+    :func:`non_maximality_witness`.
+    """
+    positions, steps = kernel.spell(g.ln, g.pa, g.ch, g.sp, amask, bmask, cmask, trail)
     nodes = g.nodes
     edges = []
     for kind, x, y in steps:
@@ -583,5 +571,5 @@ def non_maximality_witness(g: MixedGraph) -> Optional[NonMaximalityWitness]:
     if found is None:
         return None
     i, j, d = found
-    walk = _walk(g, _mask_tables(g), 1 << i, 1 << j, d, trail)
+    walk = _walk(g, 1 << i, 1 << j, d, trail)
     return NonMaximalityWitness((g.nodes[i], g.nodes[j]), walk)

@@ -585,7 +585,19 @@ def _marginal_flank_work(g: MixedGraph, m: Iterable[str]) -> tuple[_Work, int]:
 
 
 def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
-    """Project the marginalized nodes out of a chain mixed graph."""
+    """Project the marginalized nodes out of a chain mixed graph.
+
+    One wrong output is known (ROADMAP item 1): the output can lack an
+    edge, and so state an independence that the input's marginal lacks.
+    Each input found to reach it joins a kept ``v`` to some ``m`` in M by
+    both a line ``v -- m`` and an arc ``v <-> m``.  A chain graph has no
+    arcs, and conditioning one adds none.  No chain-graph input reached
+    it: not in 20,000 random 4-8-node chain graphs through six one- and
+    two-step routes, nor in ``test_criterion_9_four_node_chain_graphs``,
+    which sweeps every labelled four-node chain graph; a statement check
+    flagged none of 1,347 two-step outputs at 64 nodes.  The strict-xfail
+    tests ``test_parallel_line_and_arc_at_marginalized_node`` pin it.
+    """
     w, mmask = _marginal_flank_work(g, m)
     _marginalize_tripath_stage(w, mmask)
     return w.to_graph(0, mmask)

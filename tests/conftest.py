@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,35 @@ from cmgraph.graphio import parse, render
 def G(text: str):
     """Build a graph from ';'-separated edge lines."""
     return parse(text.replace(";", "\n"))
+
+
+def enumerate_mixed_graphs(labels):
+    """Every loopless mixed graph over the labels (16 states per pair)."""
+    pairs = list(combinations(sorted(labels), 2))
+    for choice in product(range(16), repeat=len(pairs)):
+        edges = []
+        for bits, (x, y) in zip(choice, pairs):
+            if bits & 1:
+                edges.append((x, y, cm.LINE))
+            if bits & 2:
+                edges.append((x, y, cm.ARROW))
+            if bits & 4:
+                edges.append((y, x, cm.ARROW))
+            if bits & 8:
+                edges.append((x, y, cm.ARC))
+        yield cm.build_graph(labels, edges)
+
+
+def triples(g):
+    """The edges of ``g`` as the ``(x, y, kind)`` triples that ``build_graph`` takes."""
+    return [(x, y, kind) for kind, x, y in g.edge_list()]
+
+
+def edge_in(g, x, y, kind):
+    """True iff ``g`` has the edge; a line or an arc may name its ends in either order."""
+    if kind != cm.ARROW and x > y:
+        x, y = y, x
+    return (kind, x, y) in g.edges
 
 
 def adjacency_sets(g):
@@ -73,4 +102,4 @@ def _with_parallel_arcs(g, share=0.3):
     rng = random.Random(render(g))
     lines = sorted((x, y) for kind, x, y in g.edges if kind == cm.LINE)
     arcs = [(x, y, cm.ARC) for x, y in rng.sample(lines, round(share * len(lines)))]
-    return cm.build_graph(g.nodes, g.edges_as_triples() + arcs)
+    return cm.build_graph(g.nodes, triples(g) + arcs)

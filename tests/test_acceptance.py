@@ -20,13 +20,14 @@ import cmgraph as cm
 from cmgraph.graphio import parse, render
 from cmgraph.propcheck import (
     GeneratorConfig,
+    _shifted_model,
     cg_unrepresentability_demo,
-    enumerate_mixed_graphs,
+    enumerate_cgs,
     random_graph,
     run_suite,
 )
 
-from conftest import G
+from conftest import G, enumerate_mixed_graphs
 
 SEED = 0
 COUNT = 500
@@ -207,3 +208,35 @@ def test_criterion_8_roundtrip_determinism():
     first = run_suite("marginalization", seed=SEED, count=60, max_nodes=6)
     second = run_suite("marginalization", seed=SEED, count=60, max_nodes=6)
     assert first.line() == second.line()
+
+
+# with every labelled chain graph over a-d swept, these sets stand for all
+# M and C of their sizes
+FOUR_NODE_SETS = (frozenset("a"), frozenset("ab"))
+FOUR_NODE_SPECS = [
+    cm.TransformSpec.of(set(m), set(c)) for m, c in (("a", "b"), ("a", "bc"), ("ab", "c"))
+]
+
+
+@criterion(9, "four-node chain-graph guarantee (exhaustive)", budget_s=120.0)
+def test_criterion_9_four_node_chain_graphs():
+    cgs = list(enumerate_cgs(tuple("abcd")))
+    assert len(cgs) == 1688
+
+    def keeps_model(out, g, c, keep):
+        return cm.models_equal(cm.pairwise_model(out), _shifted_model(g, c, keep))
+
+    for g in cgs:
+        for s in FOUR_NODE_SETS:
+            out = cm.marginalize(g, s)
+            assert keeps_model(out, g, frozenset(), g.node_set - s), (render(g), s)
+            assert cm.in_cg_projection_class(out), (render(g), s)
+            out = cm.condition(g, s)
+            assert keeps_model(out, g, s, g.node_set - s), (render(g), s)
+        for spec in FOUR_NODE_SPECS:
+            keep = g.node_set - spec.m - spec.c
+            out = cm.marginalize_and_condition(g, spec)
+            assert keeps_model(out, g, spec.c, keep), (render(g), spec)
+            out = cm.ang_transform(g, spec)
+            assert keeps_model(out, g, spec.c, keep), (render(g), spec)
+            assert cm.in_ang_projection_class(out), (render(g), spec)

@@ -18,13 +18,11 @@ HYP = settings(max_examples=100, deadline=None)
 class TestParse:
     def test_basic(self):
         g = parse("nodes: a b c d\na -- b\na -> c\nb <-> d\n")
-        assert g.has_edge("a", "b", cm.LINE)
-        assert g.has_edge("a", "c", cm.ARROW)
-        assert g.has_edge("b", "d", cm.ARC)
+        assert g.edges == {(cm.LINE, "a", "b"), (cm.ARROW, "a", "c"), (cm.ARC, "b", "d")}
 
     def test_comments_and_blanks(self):
         g = parse("# header\n\na -- b  # trailing\n")
-        assert g.has_edge("a", "b", cm.LINE)
+        assert g.edges == {(cm.LINE, "a", "b")}
 
     def test_loop_reports_line_number(self):
         with pytest.raises(ParseError) as err:

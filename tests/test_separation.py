@@ -23,14 +23,20 @@ from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
     check_witness_soundness,
-    enumerate_mixed_graphs,
     inseparable_pairs,
     random_graph,
 )
 from cmgraph.separation import _LAST_TRAIL, _mask_tables, _walk
 from cmgraph.walks import COLLIDER, is_c_connecting, section_decomposition
 
-from conftest import G, _large_cmg, _with_parallel_arcs, masks_by_definition
+from conftest import (
+    G,
+    _large_cmg,
+    _with_parallel_arcs,
+    enumerate_mixed_graphs,
+    masks_by_definition,
+    triples,
+)
 
 HYP = settings(max_examples=60, deadline=None)
 
@@ -480,7 +486,7 @@ def test_is_maximal_on_seeded_marginals_and_conditionals():
 
 
 def _drop_arcs(g):
-    return cm.build_graph(g.nodes, [e for e in g.edges_as_triples() if e[2] != cm.ARC])
+    return cm.build_graph(g.nodes, [e for e in triples(g) if e[2] != cm.ARC])
 
 
 def test_large_chain_graph_is_maximal():
@@ -839,13 +845,28 @@ def _witness_by_states(g, a, b, c):
     return cm.Walk(tuple(reversed(nodes)), tuple(reversed(edges)))
 
 
+def _searched_walk(fresh, query):
+    """The walk of the mask ``query`` that ``c_connecting_witness`` searches
+    for on ``fresh``, a graph on which no query has left a trail.  The
+    witness takes CMGs only; on any other graph ``_walk`` spells the trail
+    of an unbounded ``kernel.separated`` search."""
+    if fresh.is_cmg:
+        return cm.c_connecting_witness(fresh, *_labelled(fresh, query))
+    trail = []
+    if kernel.separated(
+        fresh.components, fresh.ln, fresh.pa, fresh.ch, fresh.sp, *query, trail
+    ):
+        return None
+    return _walk(fresh, *query, trail)
+
+
 def _assert_walks_match_states(g, queries):
-    """``_walk`` finds a walk iff the string search does, and every walk
-    it finds passes the audit."""
-    table = _mask_tables(g)
+    """The searched walk is found iff the string search finds one, and
+    every walk found passes the audit."""
+    fresh = _rebuilt(g)
     for amask, bmask, cmask in queries:
         a, b, c = (frozenset(g.nodes[k] for k in _bits(m)) for m in (amask, bmask, cmask))
-        walk = _walk(g, table, amask, bmask, cmask)
+        walk = _searched_walk(fresh, (amask, bmask, cmask))
         want = _witness_by_states(g, a, b, c)
         assert (walk is None) == (want is None), (render(g), a, b, c)
         if walk is not None:
@@ -1018,9 +1039,9 @@ def _assert_bound_keeps_trails_and_walks(g, queries):
         if not verdict:
             walk = kernel.spell(ln, pa, ch, sp, *query, bounded)
             assert walk == kernel.spell(ln, pa, ch, sp, *query, full)
-            want = _walk(g, g.components, *query, full)
+            want = _walk(g, *query, full)
         a, b, c = _labelled(g, query)
-        # a search of _walk's own, then the decision, then the stored trail
+        # a search of the witness's own, then the decision, then the stored trail
         assert cm.c_connecting_witness(g, a, b, c) == want, (render(g), query)
         assert cm.c_separated(g, a, b, c) == verdict
         assert cm.c_connecting_witness(g, a, b, c) == want
@@ -1088,8 +1109,7 @@ def _assert_slot_walks_match_fresh(g, queries, interleave):
     connected query is decided between the two calls and takes the slot."""
     queries = list(dict.fromkeys(queries))
     fresh = _rebuilt(g)
-    table = _mask_tables(fresh)
-    want = {q: _walk(fresh, table, *q) for q in queries}
+    want = {q: _searched_walk(fresh, q) for q in queries}
     connected = [q for q in queries if want[q] is not None]
     for k, q in enumerate(queries):
         a, b, c = _labelled(g, q)
@@ -1234,7 +1254,7 @@ def test_non_maximality_witness_walk_is_the_searched_one():
         index = fresh.index
         d = sum(1 << index[v] for v in cm.anteriors(fresh, {x, y}) - {x, y})
         query = (1 << index[x], 1 << index[y], d)
-        assert witness.walk == _walk(fresh, _mask_tables(fresh), *query), render(g)
+        assert witness.walk == _searched_walk(fresh, query), render(g)
         _assert_walks_match_states(g, [query])
     assert found >= 10
 
