@@ -100,12 +100,11 @@ def cmd_dot(args) -> int:
 
 
 def cmd_check(args) -> int:
+    run = {"seed": args.seed, "count": args.count, "max_nodes": args.max_nodes}
     if args.suite == "all":
-        reports = propcheck.run_all(seed=args.seed, count=args.count)
+        reports = propcheck.run_all(**run)
     else:
-        reports = [
-            propcheck.run_suite(args.suite, seed=args.seed, count=args.count)
-        ]
+        reports = [propcheck.run_suite(args.suite, **run)]
     failures = 0
     for report in reports:
         print(report.line())
@@ -167,6 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=500)
+    p.add_argument(
+        "--max-nodes", type=int, default=7, help="largest instance, 3..8 nodes"
+    )
     p.set_defaults(fn=cmd_check)
 
     return parser

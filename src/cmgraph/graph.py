@@ -8,8 +8,9 @@ A mixed graph carries three edge types between labelled nodes:
 
 Loops are rejected; multiple edges of *different* types between the same
 pair are allowed, duplicates of the same type collapse.  Graphs are
-immutable values: every transformation returns a new graph, and equality
-is structural (same labels, same typed edge set).
+immutable values, and equality is structural (same labels, same typed
+edge set).  A transformation returns a new graph, except that a rewrite
+with nothing to do returns its input; only ``is`` can tell the two apart.
 
 A graph stores masks only: per position in ``nodes``, the bit masks of
 the node's line neighbours, parents, children and spouses.  ``nodes`` is

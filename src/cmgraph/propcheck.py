@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import Callable, Optional
 
 from . import graphio, kernel
-from .errors import InvalidConfigError
+from .errors import CmgraphError, InvalidConfigError
 from .graph import (
     ANG,
     ARC,
@@ -290,27 +290,35 @@ def check_combined_composition(
 ) -> Optional[bool]:
     """Graph equality under the maximality side condition; None = skipped.
 
-    Model equality has no side condition and is always enforced.
+    Model equality has no side condition and is always enforced: equal
+    routes decide it, since one graph has one model, and the models of
+    routes that differ are enumerated.
     """
     nested, union = _combined_routes(g, spec, spec1)
-    if not models_equal(pairwise_model(nested), pairwise_model(union)):
+    same = nested == union
+    if not (same or models_equal(pairwise_model(nested), pairwise_model(union))):
         return False
-    if not (is_maximal(nested) and is_maximal(union)):
+    if not (is_maximal(nested) and (same or is_maximal(union))):
         return None
-    return nested == union
+    return same
 
 
 def check_commutativity(
     g: MixedGraph, m: frozenset[str], c: frozenset[str]
 ) -> tuple[bool, Optional[bool]]:
-    """(models equal, graphs equal when marginalize-first is maximal)."""
+    """(models equal, graphs equal when marginalize-first is maximal).
+
+    Equal orders have one model, so only orders that differ have their
+    models enumerated.
+    """
     spec = TransformSpec.of(m, c)
     g1 = marginalize_and_condition(g, spec, order="mc")
     g2 = marginalize_and_condition(g, spec, order="cm")
-    models_ok = models_equal(pairwise_model(g1), pairwise_model(g2))
+    same = g1 == g2
+    models_ok = same or models_equal(pairwise_model(g1), pairwise_model(g2))
     graphs_ok: Optional[bool] = None
     if is_maximal(g1):
-        graphs_ok = g1 == g2
+        graphs_ok = same
     return models_ok, graphs_ok
 
 
@@ -577,10 +585,43 @@ def _suites() -> dict[str, Suite]:
 SUITE_IDS = tuple(_suites().keys()) + ("cg-unrepresentability",)
 
 
+def _raised(suite: Suite, g: MixedGraph, sets: tuple) -> Optional[str]:
+    """The class name of the ``CmgraphError`` that the suite raises on the instance, or None.
+
+    The suite runs on a report and a ``random.Random`` of its own, so
+    that no later instance's draws change.
+    """
+    try:
+        suite.run(PropertyReport(suite.property_id), g, sets, random.Random(0))
+    except CmgraphError as exc:
+        return type(exc).__name__
+    return None
+
+
+def _error_payload(suite: Suite, g: MixedGraph, sets: tuple) -> dict:
+    """The instance shrunk while the suite still raises, and the error it raises."""
+    keys = [f"set{k}" for k in range(len(sets))]
+
+    def raised(gg, named):
+        return _raised(suite, gg, tuple(named[key] for key in keys))
+
+    sg, named = shrink_instance(g, dict(zip(keys, sets)), lambda gg, ss: raised(gg, ss) is not None)
+    out = _payload(sg, **named)
+    out["error"] = raised(sg, named)
+    return out
+
+
 def run_suite(
     suite_id: str, *, seed: int = 0, count: int = 500, max_nodes: int = 7
 ) -> PropertyReport:
-    """Run one named suite over ``count`` seeded instances of 3 to ``max_nodes`` nodes."""
+    """Run one named suite over ``count`` seeded instances of 3 to ``max_nodes`` nodes.
+
+    A ``CmgraphError`` that a check raises on an instance is a failure of
+    that instance, and the run goes on.  The generator's instances are
+    valid inputs unless a rewrite it uses is broken (AnG mode runs
+    :func:`anterialize`), so the error points at a rewrite, not at the
+    instance.  The payload names the error's class.
+    """
     if count < 0:
         raise InvalidConfigError(f"count must be non-negative, got {count}")
     if not 3 <= max_nodes <= len(_LABELS):
@@ -597,8 +638,11 @@ def run_suite(
     cap = max_nodes if suite.node_cap is None else min(max_nodes, suite.node_cap)
     for _ in range(count):
         g = _instance(rng, suite.graph_class, cap)
-        sets = _random_subsets(rng, g.nodes, suite.set_count)
-        suite.run(report, g, tuple(sets), rng)
+        sets = tuple(_random_subsets(rng, g.nodes, suite.set_count))
+        try:
+            suite.run(report, g, sets, rng)
+        except CmgraphError:
+            report.record(False, lambda: _error_payload(suite, g, sets))
     return report
 
 

@@ -470,6 +470,24 @@ def _condition_arc_flank_stage(w: _Work, s: int) -> None:
       collider rule at p with arc flank x then gives ``j *-> x``;
     - by the collider rule at a pivot p with arc flank j and o a far arc
       flank: by 2 and 3, x and j have arcs into p's cluster, so 4.
+
+    Idle on the CG projection class.  On an input in
+    :func:`in_cg_projection_class` the pass adds no edge, for any C.  A
+    turn at u with one entry e calls ``w.flanks(u, e)``, which is the
+    search from u avoiding e that the class test makes for the arc
+    ``e <-> u``.  On the class every tail l of that search is a parent of
+    u (the test demands ``l -> u``), and every arc end l is a spouse of u
+    (at u itself it is one; elsewhere the reversed trislide forces
+    ``u <-> l``, as :func:`_in_projection_class` shows).  Those are exactly
+    the edges ``l -> u`` and ``u <-> l`` that the two rows add.  A turn
+    with two or more entries blocks nothing, and by steps 1-4 of
+    :func:`_flank_pass` it finds what the per-entry searches find
+    together, each of which is such a class search.  So the first turn
+    links nothing, the work stays the input, and by induction so does
+    every later turn.  A chain graph has no arcs, and its one-step
+    marginals lie in the class (acceptance criterion 9 checks every
+    four-node one), so on these routes conditioning's output comes from
+    the collider stage alone.
     """
     _flank_pass(w, w.sp, s, _union(w.sp, s) & ~s)
 
@@ -573,11 +591,16 @@ def _condition_strip_heads(
     return subgraph_of_masks(nodes, ln, pa, ch, sp, ((1 << len(nodes)) - 1) & ~c)
 
 
-def _marginal_flank_work(g: MixedGraph, m: Iterable[str]) -> tuple[_Work, int]:
-    """``g`` after the collider-flank stage, and the mask of M."""
-    m = label_set(m, TransformSpecError)
+def _checked_set(g: MixedGraph, labels: Iterable[str]) -> frozenset[str]:
+    """The set M or C of a rewrite of ``g``, after the input checks in their order."""
+    labels = label_set(labels, TransformSpecError)
     _require_cmg(g)
-    g.require_nodes(m)
+    g.require_nodes(labels)
+    return labels
+
+
+def _marginal_flank_work(g: MixedGraph, m: Iterable[str]) -> tuple[_Work, int]:
+    """``g`` after the collider-flank stage, and the mask of M; the input is checked."""
     w = _Work(g)
     mmask = mask_of(w.index, m)
     _marginalize_flank_stage(w, mmask)
@@ -597,7 +620,14 @@ def marginalize(g: MixedGraph, m: Iterable[str]) -> MixedGraph:
     which sweeps every labelled four-node chain graph; a statement check
     flagged none of 1,347 two-step outputs at 64 nodes.  The strict-xfail
     tests ``test_parallel_line_and_arc_at_marginalized_node`` pin it.
+
+    With M empty the input checks run and ``g`` itself is returned: no
+    stage has a turn (the flank stage turns at children of M, the tripath
+    stage pivots on M), and the emitter deletes nothing.
     """
+    m = _checked_set(g, m)
+    if not m:
+        return g
     w, mmask = _marginal_flank_work(g, m)
     _marginalize_tripath_stage(w, mmask)
     return w.to_graph(0, mmask)
@@ -612,10 +642,14 @@ def condition(g: MixedGraph, c: Iterable[str]) -> MixedGraph:
     outside S and the collider stage rescans; the output is that of both
     stages rescanned with the arc-flank rules at every node (proof in
     :func:`_condition_arc_flank_stage`).
+
+    With C empty the input checks run and ``g`` itself is returned: S is
+    empty, so neither stage has a turn or a pivot, and the emitter strips
+    no head and deletes nothing.
     """
-    c = label_set(c, TransformSpecError)
-    _require_cmg(g)
-    g.require_nodes(c)
+    c = _checked_set(g, c)
+    if not c:
+        return g
     w = _Work(g)
     cmask = mask_of(w.index, c)
     s = _s_mask(g, c)
@@ -637,6 +671,8 @@ def marginalize_and_condition(
 
     The canonical order marginalizes first.  On maximal results the two
     orders produce the same graph; they always produce the same model.
+    An empty side costs its input checks only: that step returns its
+    input, and the other step reads the input's cached tables.
     """
     g.require_nodes(spec.m | spec.c)
     if order == "mc":
@@ -782,18 +818,24 @@ def anterialize(h: MixedGraph) -> MixedGraph:
     Neither stage changes anteriors: a generated arrow runs from a node
     already anterior to its head, and arc resolution follows
     anteriority.  So both stages read the input's ``upward_masks``, each
-    node with its anteriors: no arc joins a node to itself.
+    node with its anteriors: no arc joins a node to itself.  Both stages
+    start from arcs, so an arc-free CMG is anterial and is returned itself.
     """
     _require_cmg(h)
+    if not any(h.sp):
+        return h
     w = _Work(h)
-    if any(w.sp):  # both stages start from arcs: an arc-free CMG is anterial
-        _ang_generate(w, h.upward_masks)
-        _ang_resolve_arcs(w, h.upward_masks)
+    _ang_generate(w, h.upward_masks)
+    _ang_resolve_arcs(w, h.upward_masks)
     return w.to_graph()
 
 
 def ang_transform(g: MixedGraph, spec: TransformSpec) -> MixedGraph:
-    """Condition, marginalize, then take the anterial closure."""
+    """Condition, marginalize, then take the anterial closure.
+
+    A step with nothing to do returns its input (an empty C or M, or an
+    arc-free graph to close), and the next step reads its cached tables.
+    """
     g.require_nodes(spec.m | spec.c)
     return anterialize(marginalize(condition(g, spec.c), spec.m))
 
@@ -889,6 +931,7 @@ def marginal_edge_oracle(g: MixedGraph, m: Iterable[str], i: str, j: str) -> boo
     m = label_set(m, TransformSpecError)
     g.require_nodes({i, j} | m)
     _require_oracle_endpoints(i, j, m, "marginalized")
+    _require_cmg(g)
     return _marginal_edge(*_marginal_flank_work(g, m), i, j)
 
 

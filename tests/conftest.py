@@ -5,6 +5,7 @@ import pytest
 
 import cmgraph as cm
 from cmgraph.graphio import parse, render
+from cmgraph.propcheck import enumerate_cgs
 
 
 def G(text: str):
@@ -103,3 +104,17 @@ def _with_parallel_arcs(g, share=0.3):
     lines = sorted((x, y) for kind, x, y in g.edges if kind == cm.LINE)
     arcs = [(x, y, cm.ARC) for x, y in rng.sample(lines, round(share * len(lines)))]
     return cm.build_graph(g.nodes, triples(g) + arcs)
+
+
+def _four_node_sample(k):
+    """``k`` graphs of the four-node sweep: a chain graph over a-d, each pair
+    with an arc beside it or not."""
+    rng = random.Random("four-node-flank-unions")
+    cgs = list(enumerate_cgs(tuple("abcd")))
+    pairs = list(combinations("abcd", 2))
+    out = []
+    for _ in range(k):
+        g = rng.choice(cgs)
+        arcs = [(x, y, cm.ARC) for x, y in pairs if rng.random() < 0.5]
+        out.append(cm.build_graph(g.nodes, triples(g) + arcs))
+    return out

@@ -220,6 +220,21 @@ FOUR_NODE_SPECS = [
 
 @criterion(9, "four-node chain-graph guarantee (exhaustive)", budget_s=120.0)
 def test_criterion_9_four_node_chain_graphs():
+    """Every route here keeps the model on every labelled four-node chain graph.
+
+    No chain-graph route can see the conditioning arc-flank stage: made a
+    no-op, it fails nothing here.  A chain graph has no arcs, so
+    conditioning it, and ``ang_transform``, which conditions first, give
+    the stage no turn.  A one-step marginal lies in the CG projection
+    class (asserted below), where the stage adds no edge for any C (proof
+    in ``_condition_arc_flank_stage``, sampled at 5-8 nodes by
+    ``test_arc_flank_stage_is_idle_on_the_cg_projection_class``).  The
+    stage's no-op is killed on CMG inputs instead: by
+    ``TestFlankUnions::test_large_graphs``, ``TestConditionAgainstRescan``,
+    the conditional rule rows and acceptance criteria 2, 4 and 6 (34
+    failures in all), and by the sampled test, which counts the inputs
+    outside the class where the stage adds an edge.
+    """
     cgs = list(enumerate_cgs(tuple("abcd")))
     assert len(cgs) == 1688
 

@@ -202,6 +202,13 @@ class TestCmgVerdictCache:
         self.run_queries(g)
         assert len(cycle_checks) == 1 and cycle_checks[0] is g
 
+    def test_identity_rewrite_keeps_the_verdict(self, cycle_checks):
+        # a rewrite with nothing to do returns its input, verdict and all
+        g = G(self.TEXT)
+        cm.pairwise_model(cm.marginalize(g, []))
+        cm.pairwise_model(cm.condition(g, []))
+        assert len(cycle_checks) == 1 and cycle_checks[0] is g
+
     def test_equal_graph_is_checked_again(self, cycle_checks):
         g, h = G(self.TEXT), G(self.TEXT)
         assert g == h

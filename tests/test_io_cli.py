@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmgraph as cm
+from cmgraph import propcheck
 from cmgraph.cli import main
 from cmgraph.errors import ParseError
 from cmgraph.graphio import parse, parse_file, render, to_dot
-from cmgraph.propcheck import GeneratorConfig, random_graph
+from cmgraph.propcheck import GeneratorConfig, random_graph, run_suite
 
 from conftest import G
 
@@ -271,6 +272,28 @@ class TestCli:
         assert code == 0
         assert "property=marginalization" in out
         assert "failures=0" in out
+
+    def test_check_max_nodes(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(suite_id, **kw):
+            seen.append(kw["max_nodes"])
+            return run_suite(suite_id, **kw)
+
+        monkeypatch.setattr(propcheck, "run_suite", recording)
+        for args in (["--suite", "marginalization"], ["--max-nodes", "8"]):
+            code, out, _ = run_cli(capsys, "check", "--count", "3", *args)
+            assert code == 0 and "failures=0" in out
+        # the default is 7; run_all runs every suite but the demo
+        assert seen == [7] + [8] * (len(propcheck.SUITE_IDS) - 1)
+
+    @pytest.mark.parametrize("suite", ["marginalization", "cg-unrepresentability", "all"])
+    @pytest.mark.parametrize("max_nodes", ["2", "9"])
+    def test_check_max_nodes_out_of_range(self, capsys, suite, max_nodes):
+        code, out, err = run_cli(capsys, "check", "--suite", suite, "--max-nodes", max_nodes)
+        assert code == 2
+        assert out == ""
+        assert f"max_nodes must be in 3..8, got {max_nodes}" in err
 
     @pytest.mark.parametrize("suite", ["marginalization", "all"])
     def test_check_negative_count(self, capsys, suite):

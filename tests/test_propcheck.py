@@ -13,7 +13,9 @@ from cmgraph.graphio import render
 from cmgraph.propcheck import (
     GeneratorConfig,
     PropertyReport,
+    TransformSpec,
     cg_unrepresentability_demo,
+    check_combined_composition,
     check_commutativity,
     check_marginalization,
     default_unrepresentable_dag,
@@ -24,13 +26,17 @@ from cmgraph.propcheck import (
     run_suite,
     shrink_instance,
     SUITE_IDS,
+    _combined_routes,
     _instance,
     _random_subsets,
     _shifted_model,
     _suites,
 )
 
-from conftest import G, enumerate_mixed_graphs, masks_by_definition
+from cmgraph.cli import main
+from cmgraph.kernel import _bits
+
+from conftest import G, _four_node_sample, enumerate_mixed_graphs, masks_by_definition
 
 
 # sha256 of the models in test_models_keep_their_pinned_digest
@@ -330,6 +336,112 @@ class TestChecks:
         )
         assert models_ok
         assert graphs_ok in (True, None)
+
+
+def _combined_composition_by_models(g, spec, spec1):
+    """``check_combined_composition`` with both routes' models always enumerated."""
+    nested, union = _combined_routes(g, spec, spec1)
+    if not cm.models_equal(cm.pairwise_model(nested), cm.pairwise_model(union)):
+        return False
+    if not (cm.is_maximal(nested) and cm.is_maximal(union)):
+        return None
+    return nested == union
+
+
+def _commutativity_by_models(g, m, c):
+    """``check_commutativity`` with both orders' models always enumerated."""
+    spec = TransformSpec.of(m, c)
+    g1 = cm.marginalize_and_condition(g, spec, order="mc")
+    g2 = cm.marginalize_and_condition(g, spec, order="cm")
+    models_ok = cm.models_equal(cm.pairwise_model(g1), cm.pairwise_model(g2))
+    return models_ok, (g1 == g2 if cm.is_maximal(g1) else None)
+
+
+class TestEqualRoutes:
+    """Routes that give equal graphs share one model and one maximality verdict."""
+
+    def test_agree_with_enumeration_on_the_four_node_sample(self):
+        rng = random.Random("equal-routes")
+        verdicts = set()
+        for g in _four_node_sample(300):
+            m, c, m1, c1 = _random_subsets(rng, g.nodes, 4)
+            spec, spec1 = TransformSpec.of(m, c), TransformSpec.of(m1, c1)
+            verdict = check_combined_composition(g, spec, spec1)
+            assert verdict == _combined_composition_by_models(g, spec, spec1), render(g)
+            verdicts.add(verdict)
+            m, c = m | m1, c | c1
+            both = check_commutativity(g, m, c)
+            assert both == _commutativity_by_models(g, m, c), render(g)
+            verdicts.add(both)
+        assert {True, None, (True, True), (True, None)} <= verdicts
+
+    def test_agree_with_enumeration_where_routes_differ(self):
+        # the pinned discrepancies of test_transform.py, and the first
+        # combined-composition failure at seed 6
+        for g, spec, spec1 in (
+            (G("f -> b; b -- c; b -- g"), TransformSpec.of(m=["f"]), TransformSpec.of(m=["b"])),
+            (
+                G(
+                    "a -- d; a -> e; b -> a; b -> f; c -> a; c -> b; c -> d; d -> e; "
+                    "d -> f; a <-> b; a <-> e; a <-> f; b <-> e; c <-> d; d <-> e; "
+                    "d <-> f"
+                ),
+                TransformSpec.of(m=["d"]),
+                TransformSpec.of(m=["c"]),
+            ),
+        ):
+            nested, union = _combined_routes(g, spec, spec1)
+            assert nested != union
+            assert check_combined_composition(g, spec, spec1) is False
+            assert _combined_composition_by_models(g, spec, spec1) is False
+        g = G(
+            "a -- d; a -> g; d -> c; e -> b; f -> b; f -> c; "
+            "a <-> c; a <-> e; c <-> e; f <-> g"
+        )
+        m, c = frozenset("ac"), frozenset("ef")
+        assert check_commutativity(g, m, c) == _commutativity_by_models(g, m, c) == (True, False)
+
+    def test_equal_routes_enumerate_no_model(self, monkeypatch):
+        def no_model(g):
+            raise AssertionError("a model was enumerated for equal routes")
+
+        monkeypatch.setattr(propcheck, "pairwise_model", no_model)
+        g = G("a -> b; b -- c; c <-> d")
+        assert check_commutativity(g, frozenset("b"), frozenset("c")) == (True, True)
+        spec = TransformSpec.of(m=["a"])
+        assert check_combined_composition(g, spec, TransformSpec.of(c=["d"])) is True
+
+
+def _resolve_mutual_arcs_to_arrows(w, ant):
+    """``_ang_resolve_arcs`` broken: an arc between two mutually anterior
+    nodes becomes an arrow, not a line, so ``anterialize`` emits a graph
+    with a semi-directed cycle."""
+    pa, ch, sp = w.pa, w.ch, w.sp
+    for v in range(len(sp)):
+        back = sp[v] & ant[v]
+        sp[v] ^= back
+        pa[v] |= back
+        for x in _bits(back):
+            sp[x] ^= 1 << v
+            ch[x] |= 1 << v
+
+
+class TestErrorsAreFailures:
+    """A ``CmgraphError`` raised on an instance is a failure, and the run goes on."""
+
+    def test_resolve_mutant_gives_a_shrunk_ang_failure(self, monkeypatch):
+        monkeypatch.setattr(cm.transform, "_ang_resolve_arcs", _resolve_mutual_arcs_to_arrows)
+        report = run_suite("ang", seed=0, count=500)
+        assert report.instances == 500 and report.failures > 0
+        ce = report.first_counterexample
+        assert ce["error"] == "NotACMGError"
+        assert len(G(ce["graph"]).nodes) <= 3
+
+    def test_cli_reports_and_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cm.transform, "_ang_resolve_arcs", _resolve_mutual_arcs_to_arrows)
+        assert main(["check", "--suite", "ang", "--seed", "0", "--count", "60"]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith("property=ang instances=60 ") and '"error": "NotACMGError"' in out
 
 
 class TestIndependenceModel:

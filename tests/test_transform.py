@@ -10,22 +10,24 @@ from hypothesis import strategies as st
 
 import cmgraph as cm
 from cmgraph import kernel
-from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError
+from cmgraph.errors import NotACMGError, NotAnAnGError, TransformSpecError, UnknownNodeError
 from cmgraph.graph import mask_of
 from cmgraph.graphio import render
 from cmgraph.kernel import line_reach
-from cmgraph.propcheck import GeneratorConfig, enumerate_cgs, random_graph
+from cmgraph.propcheck import GeneratorConfig, random_graph
 from cmgraph.transform import (
     _condition_arc_flank_stage,
     _condition_strip_heads,
     _in_projection_class,
     _marginal_flank_work,
+    _s_mask,
     _section_flanks,
     _Work,
 )
 
 from conftest import (
     G,
+    _four_node_sample,
     _large_cmg,
     _with_parallel_arcs,
     adjacency_sets,
@@ -89,7 +91,7 @@ def test_conditional_rule_rows(src, expected):
 
 class TestMarginalize:
     def test_identity(self, g_ex):
-        assert cm.marginalize(g_ex, []) == g_ex
+        assert cm.marginalize(g_ex, []) is g_ex
 
     def test_requires_cmg(self):
         with pytest.raises(NotACMGError):
@@ -128,7 +130,7 @@ class TestMarginalize:
 
 class TestCondition:
     def test_identity(self, g_ex):
-        assert cm.condition(g_ex, []) == g_ex
+        assert cm.condition(g_ex, []) is g_ex
 
     def test_cg_stays_cg(self, g_ex):
         out = cm.condition(g_ex, ["l"])
@@ -150,7 +152,8 @@ class TestCondition:
 class TestCombined:
     def test_empty_spec_identity(self, g_ex):
         spec = cm.TransformSpec.of()
-        assert cm.marginalize_and_condition(g_ex, spec) == g_ex
+        for order in ("mc", "cm"):
+            assert cm.marginalize_and_condition(g_ex, spec, order=order) is g_ex
 
     def test_marginalize_only(self, g_ex):
         spec = cm.TransformSpec.of(m=["k"])
@@ -191,6 +194,45 @@ def test_bare_string_node_set_rejected(call):
     with pytest.raises(TransformSpecError, match="the string 'ab'"):
         call(g)
     assert cm.marginalize(g, ["ab"]).node_set == {"a", "b", "c", "d"}
+
+
+class TestNothingToDo:
+    """A rewrite with nothing to do runs its input checks and returns its input."""
+
+    NON_CMG = "a -> b; b -- c; c -> a"
+
+    def test_no_work_is_built(self, g_ex, monkeypatch):
+        def no_work(g):
+            raise AssertionError("a rewrite with nothing to do built a _Work")
+
+        monkeypatch.setattr(cm.transform, "_Work", no_work)
+        spec = cm.TransformSpec.of()
+        assert cm.marginalize(g_ex, []) is g_ex
+        assert cm.condition(g_ex, iter(())) is g_ex
+        assert cm.anterialize(g_ex) is g_ex  # a chain graph has no arc
+        assert cm.ang_transform(g_ex, spec) is g_ex
+
+    @pytest.mark.parametrize("rewrite", [cm.marginalize, cm.condition])
+    def test_input_checks_in_order(self, rewrite):
+        non_cmg, cmg = G(self.NON_CMG), G("a -> b; b -- c")
+        for labels in ("", "b"):  # a bare string, before the graph is read
+            with pytest.raises(TransformSpecError):
+                rewrite(non_cmg, labels)
+        for labels in ([], ["b"], ["z"]):  # the CMG check, before the labels
+            with pytest.raises(NotACMGError):
+                rewrite(non_cmg, labels)
+        for labels in (["z"], ["b", "z"]):
+            with pytest.raises(UnknownNodeError):
+                rewrite(cmg, labels)
+
+    def test_composites_check_their_input(self):
+        non_cmg = G(self.NON_CMG)
+        for spec in (cm.TransformSpec.of(), cm.TransformSpec.of(m=["a"]), cm.TransformSpec.of(c=["a"])):
+            for call in (cm.marginalize_and_condition, cm.ang_transform):
+                with pytest.raises(NotACMGError):
+                    call(non_cmg, spec)
+        with pytest.raises(NotACMGError):
+            cm.anterialize(non_cmg)
 
 
 class TestAnterialize:
@@ -414,6 +456,33 @@ class TestComposition:
         assert cm.models_equal(
             cm.pairwise_model(first_m), cm.pairwise_model(first_c)
         )
+
+
+def test_arc_flank_stage_is_idle_on_the_cg_projection_class():
+    # the proof is in _condition_arc_flank_stage's docstring.  Half the
+    # inputs are one-step marginals of chain graphs, the routes that
+    # acceptance criterion 9 sweeps; the other half random CMGs
+    rng = random.Random("arc-flank-idle")
+    turns = many = active = 0
+    for k in range(3000):
+        kind = "CG" if k % 2 else "CMG"
+        g = random_graph(GeneratorConfig(rng.randint(5, 8), rng.uniform(0.15, 0.6), rng.getrandbits(48), kind))
+        if kind == "CG":
+            g = cm.marginalize(g, rng.sample(g.nodes, rng.randint(1, 2)))
+        s = _s_mask(g, rng.sample(g.nodes, rng.randint(1, min(3, len(g.nodes) - 2))))
+        w = _Work(g)
+        _condition_arc_flank_stage(w, s)
+        idle = (w.pa, w.sp) == (list(g.pa), list(g.sp))
+        if cm.in_cg_projection_class(g):
+            assert idle, (render(g), s)
+            entries = [sp & s for v, sp in enumerate(g.sp) if sp & s and not s >> v & 1]
+            turns += bool(entries)
+            many += any(e & e - 1 for e in entries)
+        else:
+            active += not idle
+    # inputs in the class where the stage takes a turn, one with two or
+    # more entries, and inputs outside the class where it adds an edge
+    assert turns > 500 and many > 200 and active > 150, (turns, many, active)
 
 
 # -- section search ----------------------------------------------------------
@@ -1637,20 +1706,6 @@ def _check_generate_reads(monkeypatch):
     wrap("link_arrows")
     wrap("link_arcs")
     return checked
-
-
-def _four_node_sample(k):
-    """``k`` graphs of the four-node sweep: a chain graph over a-d, each pair
-    with an arc beside it or not."""
-    rng = random.Random("four-node-flank-unions")
-    cgs = list(enumerate_cgs(tuple("abcd")))
-    pairs = list(combinations("abcd", 2))
-    out = []
-    for _ in range(k):
-        g = rng.choice(cgs)
-        arcs = [(x, y, cm.ARC) for x, y in pairs if rng.random() < 0.5]
-        out.append(cm.build_graph(g.nodes, triples(g) + arcs))
-    return out
 
 
 class TestFlankUnions:
