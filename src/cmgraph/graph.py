@@ -16,11 +16,14 @@ A graph stores masks only: per position in ``nodes``, the bit masks of
 the node's line neighbours, parents, children and spouses.  ``nodes`` is
 always in sorted order, so bit order is label order and one set of
 labels and edges has one graph.
-:func:`build_graph` is the one encoder of labelled edges; rewrites build
-their outputs with :func:`subgraph_of_masks`.  Each table is read by
-its own name: :attr:`MixedGraph.index` maps labels to positions and
-:attr:`MixedGraph.components` is the table of line components that
-``kernel`` builds, each once per graph and only when first read.
+:func:`build_graph` is the one encoder of labelled edges, for
+``graphio.parse`` and the API.  Rewrites build their outputs with
+:func:`subgraph_of_masks`, and ``propcheck.random_graph`` draws its
+edges straight into masks, so neither builds a labelled edge.  Each
+table is read by its own name: :attr:`MixedGraph.index` maps labels to
+positions and :attr:`MixedGraph.components` is the table of line
+components that ``kernel`` builds, each once per graph and only when
+first read.
 ``edges`` and :attr:`MixedGraph.incidences` are labelled views decoded
 on first use, for output and for the walk-simulating oracle.
 

@@ -122,6 +122,7 @@ from .graph import (
     ARC,
     LINE,
     MixedGraph,
+    _arcs_respect_anteriority,
     classify,
     label_set,
     mask_of,
@@ -818,11 +819,17 @@ def anterialize(h: MixedGraph) -> MixedGraph:
     Neither stage changes anteriors: a generated arrow runs from a node
     already anterior to its head, and arc resolution follows
     anteriority.  So both stages read the input's ``upward_masks``, each
-    node with its anteriors: no arc joins a node to itself.  Both stages
-    start from arcs, so an arc-free CMG is anterial and is returned itself.
+    node with its anteriors: no arc joins a node to itself.
+
+    When no arc joins a node to one of its anteriors, ``h`` itself is
+    returned: no arc end has a target, so the generate stage links
+    nothing, arc resolution finds no arc to resolve, and the emitter
+    would copy the masks unchanged.  Such a CMG is simple, since each
+    second edge on a pair joins a node to an anterior or closes a cycle,
+    so it is anterial: the closure is the identity on anterial graphs.
     """
     _require_cmg(h)
-    if not any(h.sp):
+    if _arcs_respect_anteriority(h):
         return h
     w = _Work(h)
     _ang_generate(w, h.upward_masks)
@@ -834,7 +841,7 @@ def ang_transform(g: MixedGraph, spec: TransformSpec) -> MixedGraph:
     """Condition, marginalize, then take the anterial closure.
 
     A step with nothing to do returns its input (an empty C or M, or an
-    arc-free graph to close), and the next step reads its cached tables.
+    anterial graph to close), and the next step reads its cached tables.
     """
     g.require_nodes(spec.m | spec.c)
     return anterialize(marginalize(condition(g, spec.c), spec.m))

@@ -30,6 +30,40 @@ def enumerate_mixed_graphs(labels):
         yield cm.build_graph(labels, edges)
 
 
+def _random_graph_by_triples(cfg):
+    """``propcheck.random_graph`` as labelled edge triples encoded by ``build_graph``.
+
+    The same draws in the same order: a shuffle of the labels, the
+    partition into blocks, lines inside blocks, arrows from later blocks
+    into earlier ones, then arcs over all pairs.
+    """
+    rng = random.Random(cfg.seed)
+    names = list("abcdefgh"[: cfg.node_count])
+    order = names[:]
+    rng.shuffle(order)
+    blocks = [[order[0]]]
+    for v in order[1:]:
+        if rng.random() < 0.5:
+            blocks.append([v])
+        else:
+            blocks[-1].append(v)
+    edges = []
+    for block in blocks:
+        for x, y in combinations(block, 2):
+            if rng.random() < cfg.edge_density:
+                edges.append((x, y, cm.LINE))
+    for lo_idx, hi_idx in combinations(range(len(blocks)), 2):
+        for tail in blocks[hi_idx]:
+            for head in blocks[lo_idx]:
+                if rng.random() < cfg.edge_density:
+                    edges.append((tail, head, cm.ARROW))
+    if cfg.graph_class == "CG":
+        return cm.build_graph(names, edges)
+    edges += [(x, y, cm.ARC) for x, y in combinations(names, 2) if rng.random() < cfg.edge_density]
+    g = cm.build_graph(names, edges)
+    return cm.anterialize(g) if cfg.graph_class == "AnG" else g
+
+
 def triples(g):
     """The edges of ``g`` as the ``(x, y, kind)`` triples that ``build_graph`` takes."""
     return [(x, y, kind) for kind, x, y in g.edge_list()]

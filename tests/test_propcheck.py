@@ -15,8 +15,11 @@ from cmgraph.propcheck import (
     PropertyReport,
     TransformSpec,
     cg_unrepresentability_demo,
+    check_ang,
+    check_combined,
     check_combined_composition,
     check_commutativity,
+    check_conditioning,
     check_marginalization,
     default_unrepresentable_dag,
     enumerate_cgs,
@@ -36,11 +39,19 @@ from cmgraph.propcheck import (
 from cmgraph.cli import main
 from cmgraph.kernel import _bits
 
-from conftest import G, _four_node_sample, enumerate_mixed_graphs, masks_by_definition
+from conftest import (
+    G,
+    _four_node_sample,
+    _random_graph_by_triples,
+    enumerate_mixed_graphs,
+    masks_by_definition,
+)
 
 
 # sha256 of the models in test_models_keep_their_pinned_digest
 MODELS_DIGEST = "92712153c584b9409bc8b244df749889349058db569de686c0ac8345c471f754"
+# sha256 of the graphs in TestGenerator.test_draws_keep_their_pinned_digest
+GENERATOR_DIGEST = "bd3c58d242c1a561ca26a9017af47fee56ad05196bf6d746050a15184e629295"
 
 
 def _shifted_model_by_queries(g, base, keep):
@@ -132,12 +143,51 @@ class TestGenerator:
         assert render(random_graph(cfg)) == render(random_graph(cfg))
 
     def test_invalid_config(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"node_count must be in 2\.\.8"):
             random_graph(GeneratorConfig(1, 0.5, 0, "CG"))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match=r"edge_density must be in \[0, 1\]"):
             random_graph(GeneratorConfig(4, 1.5, 0, "CG"))
+        with pytest.raises(InvalidConfigError, match=r"edge_density must be in \[0, 1\]"):
+            random_graph(GeneratorConfig(4, float("nan"), 0, "CG"))
         with pytest.raises(InvalidConfigError):
             random_graph(GeneratorConfig(4, 0.5, 0, "DAG"))
+
+    @pytest.mark.parametrize("node_count", [3.0, True, "3", None])
+    def test_node_count_must_be_an_int(self, node_count):
+        with pytest.raises(InvalidConfigError, match="node_count must be an int"):
+            random_graph(GeneratorConfig(node_count, 0.5, 0, "CMG"))
+
+    @pytest.mark.parametrize("edge_density", ["x", None, True, 0.5j])
+    def test_edge_density_must_be_a_real_number(self, edge_density):
+        with pytest.raises(InvalidConfigError, match="edge_density must be a real number"):
+            random_graph(GeneratorConfig(4, edge_density, 0, "CMG"))
+
+    def test_int_density_is_accepted(self):
+        assert random_graph(GeneratorConfig(4, 0, 3, "CMG")).edges == frozenset()
+        assert random_graph(GeneratorConfig(4, 1, 3, "CMG")) == random_graph(
+            GeneratorConfig(4, 1.0, 3, "CMG")
+        )
+
+    def test_matches_the_triple_reference(self):
+        # every class, 2-8 nodes, densities over [0, 1] with both ends
+        rng = random.Random("generator-reference")
+        for k in range(21000):
+            density = rng.choice((0.0, 1.0)) if k % 10 == 0 else rng.random()
+            cfg = GeneratorConfig(2 + k % 7, density, rng.getrandbits(32), propcheck.GRAPH_CLASSES[k % 3])
+            assert random_graph(cfg) == _random_graph_by_triples(cfg), cfg
+
+    def test_draws_keep_their_pinned_digest(self):
+        # every (node_count, density, class) of the grid below once; a
+        # change to the order of the draws changes the digest
+        configs = [
+            GeneratorConfig(2 + k % 7, k % 11 / 10, 7000 + k, propcheck.GRAPH_CLASSES[k % 3])
+            for k in range(231)
+        ]
+        text = "\n".join(
+            f"# {cfg.node_count} {cfg.edge_density} {cfg.seed} {cfg.graph_class}\n{render(random_graph(cfg))}"
+            for cfg in configs
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGEST
 
 
 class TestEnumeration:
@@ -410,6 +460,82 @@ class TestEqualRoutes:
         assert check_commutativity(g, frozenset("b"), frozenset("c")) == (True, True)
         spec = TransformSpec.of(m=["a"])
         assert check_combined_composition(g, spec, TransformSpec.of(c=["d"])) is True
+
+
+def _model_kept_by_models(g, out, base, keep):
+    """The model checks' verdict with both models always enumerated."""
+    return cm.models_equal(cm.pairwise_model(out), _shifted_model(g, base, keep))
+
+
+def _model_checks(g, m, c):
+    """(the four checks on ``g``, M and C, their always-enumerating verdicts)."""
+    spec = TransformSpec.of(m, c)
+    keep = g.node_set - m - c
+    got = (
+        check_marginalization(g, m),
+        check_conditioning(g, c),
+        check_combined(g, spec),
+        check_ang(g, spec),
+    )
+    want = (
+        _model_kept_by_models(g, cm.marginalize(g, m), frozenset(), g.node_set - m),
+        _model_kept_by_models(g, cm.condition(g, c), c, g.node_set - c),
+        _model_kept_by_models(g, cm.marginalize_and_condition(g, spec), c, keep),
+        _model_kept_by_models(g, cm.ang_transform(g, spec), c, keep),
+    )
+    return got, want
+
+
+def _marginalize_returns_its_input(g, m):
+    """``marginalize`` broken: the input comes back also for a non-empty M."""
+    return g
+
+
+class TestModelChecks:
+    """A rewrite that removed no node and kept its input is decided without enumerating."""
+
+    def test_agree_with_enumeration_on_the_four_node_sample(self):
+        rng = random.Random("model-checks")
+        kept = 0
+        for g in _four_node_sample(300):
+            for h in (g, cm.anterialize(g)):  # the second is an AnG, for check_ang
+                m, c = _random_subsets(rng, h.nodes, 2)
+                got, want = _model_checks(h, m, c)
+                assert got == want, (render(h), m, c)
+                kept += not (m or c)
+        assert kept > 50  # M and C both empty: each check may take the shortcut
+
+    def test_kept_inputs_enumerate_no_model(self, monkeypatch):
+        inputs = []
+        enumerate_model = propcheck.pairwise_model
+
+        def guarded(h):
+            if h == inputs[-1]:
+                raise AssertionError("a model was enumerated for a rewrite that kept its input")
+            return enumerate_model(h)
+
+        monkeypatch.setattr(propcheck, "pairwise_model", guarded)
+        none, spec = frozenset(), TransformSpec.of()
+        for g in _four_node_sample(100):
+            a = cm.anterialize(g)
+            inputs.append(g)
+            assert check_marginalization(g, none) and check_conditioning(g, none)
+            assert check_combined(g, spec)
+            inputs.append(a)
+            assert check_ang(a, spec)
+            # a rewrite that removes a node enumerates as before
+            v = frozenset(g.nodes[:1])
+            assert check_marginalization(a, v) == _model_kept_by_models(a, cm.marginalize(a, v), none, a.node_set - v)
+
+    def test_a_rewrite_that_returns_its_input_still_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(propcheck, "marginalize", _marginalize_returns_its_input)
+        report = run_suite("marginalization", seed=0, count=100)
+        assert report.instances == 100 and report.failures > 0
+        assert report.first_counterexample["error"] == "GroundSetMismatchError"
+        assert main(["check", "--suite", "marginalization", "--seed", "0", "--count", "60"]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith("property=marginalization instances=60 ")
+        assert '"error": "GroundSetMismatchError"' in out
 
 
 def _resolve_mutual_arcs_to_arrows(w, ant):

@@ -1142,6 +1142,37 @@ class TestAnterialClosure:
         assert cm.condition(g, []) == g
 
 
+class TestAnterialInputReturned:
+    """``anterialize`` returns its input when no arc joins a node to one of its anteriors."""
+
+    @staticmethod
+    def _angs():
+        # closures of the four-node sample and of the large graphs
+        return [cm.anterialize(g) for g in _four_node_sample(300) + _large_cmgs()]
+
+    def test_closure_is_idempotent_by_identity(self):
+        arcs = 0
+        for a in self._angs():
+            assert cm.ANG in cm.classify(a), render(a)
+            assert cm.anterialize(a) is a, render(a)
+            arcs += any(a.sp)
+        assert arcs > 50  # closures that keep an arc: a test for arcs alone would not return them
+
+    def test_rescan_keeps_the_anterial_inputs(self):
+        # the engine's rules, not the early return, agree that nothing changes
+        for a in self._angs():
+            assert _anterialize_by_rescan(a) == a, render(a)
+
+    def test_a_non_cmg_raises_before_the_arc_test(self, monkeypatch):
+        def no_test(g):
+            raise AssertionError("the arc test ran before the CMG check")
+
+        monkeypatch.setattr(cm.transform, "_arcs_respect_anteriority", no_test)
+        for text in ("a -> b; b -- c; c -> a", "a -> b; b -- c; c -> a; a <-> d"):
+            with pytest.raises(NotACMGError):
+                cm.anterialize(G(text))
+
+
 def _anterior_names(g, v):
     k = g.index[v]
     mask = g.upward_masks[k] & ~(1 << k)
