@@ -5,8 +5,22 @@ instances: model preservation under marginalization, conditioning, their
 combination and the anterial pipeline; composition and commutativity of
 the transforms; closure of the graph classes; membership of transform
 images in their characterizing classes; and agreement of the edge
-oracles with the rule engines.  Each suite emits one line-delimited
-:class:`PropertyReport` with a shrunk counterexample payload on failure.
+oracles with the rule engines.  Each property is one :class:`Suite`
+row, and each suite emits one line-delimited :class:`PropertyReport`
+with the first counterexample's payload on failure.
+
+A payload renders the graph and names the sets by the suite's keys.
+Suites with ``shrink`` set report the instance shrunk by node deletion
+while the check still fails; ``combined``, ``ang``,
+``combined-composition`` and ``commutativity`` report it as drawn.  The
+four suites that compare two routes (the three compositions and
+``commutativity``) add ``models_equal``, the models of the two routes
+compared on the reported instance.  ``skipped`` counts instances whose
+check returned None: those where a maximality side condition of a
+graph-equality law does not hold.  A ``CmgraphError`` raised by a check
+is a failure whose payload is shrunk while the check still raises,
+names its sets as the failure payload does, and adds ``error``, the
+exception's class name.
 
 Report line schema (one line per property)::
 
@@ -270,51 +284,61 @@ def check_conditioning(g: MixedGraph, c: frozenset[str]) -> bool:
     return _model_kept(g, condition(g, c), c, g.node_set - c)
 
 
-def check_combined(g: MixedGraph, spec: TransformSpec) -> bool:
-    out = marginalize_and_condition(g, spec)
-    return _model_kept(g, out, spec.c, g.node_set - spec.m - spec.c)
+def check_combined(g: MixedGraph, m: frozenset[str], c: frozenset[str]) -> bool:
+    out = marginalize_and_condition(g, TransformSpec.of(m, c))
+    return _model_kept(g, out, c, g.node_set - m - c)
 
 
-def check_ang(g: MixedGraph, spec: TransformSpec) -> bool:
-    out = ang_transform(g, spec)
-    return _model_kept(g, out, spec.c, g.node_set - spec.m - spec.c)
+def check_ang(g: MixedGraph, m: frozenset[str], c: frozenset[str]) -> bool:
+    """The anterial pipeline gives an AnG with the shifted model.
+
+    The class is read first: an output that keeps an arc between a node
+    and one of its anteriors is no AnG, whatever its model.
+    """
+    out = ang_transform(g, TransformSpec.of(m, c))
+    return ANG in classify(out) and _model_kept(g, out, c, g.node_set - m - c)
 
 
-def check_marginal_composition(
+def _marginal_routes(
     g: MixedGraph, m: frozenset[str], m1: frozenset[str]
-) -> bool:
-    return marginalize(marginalize(g, m), m1) == marginalize(g, m | m1)
-
-
-def check_conditional_composition(
-    g: MixedGraph, c: frozenset[str], c1: frozenset[str]
-) -> bool:
-    return condition(condition(g, c), c1) == condition(g, c | c1)
-
-
-def _combined_routes(
-    g: MixedGraph, spec: TransformSpec, spec1: TransformSpec
 ) -> tuple[MixedGraph, MixedGraph]:
-    """(spec then spec1, the union of both specs in one step)."""
+    """(M then M1, their union in one step)."""
+    return marginalize(marginalize(g, m), m1), marginalize(g, m | m1)
+
+
+def _conditional_routes(
+    g: MixedGraph, c: frozenset[str], c1: frozenset[str]
+) -> tuple[MixedGraph, MixedGraph]:
+    """(C then C1, their union in one step)."""
+    return condition(condition(g, c), c1), condition(g, c | c1)
+
+
+def check_marginal_composition(g: MixedGraph, m: frozenset[str], m1: frozenset[str]) -> bool:
+    split, union = _marginal_routes(g, m, m1)
+    return split == union
+
+
+def check_conditional_composition(g: MixedGraph, c: frozenset[str], c1: frozenset[str]) -> bool:
+    split, union = _conditional_routes(g, c, c1)
+    return split == union
+
+
+def _combined_routes(g: MixedGraph, m, c, m1, c1) -> tuple[MixedGraph, MixedGraph]:
+    """(M, C then M1, C1, the unions of both in one step)."""
     nested = marginalize_and_condition(
-        marginalize_and_condition(g, spec), spec1
+        marginalize_and_condition(g, TransformSpec.of(m, c)), TransformSpec.of(m1, c1)
     )
-    union = marginalize_and_condition(
-        g, TransformSpec.of(spec.m | spec1.m, spec.c | spec1.c)
-    )
-    return nested, union
+    return nested, marginalize_and_condition(g, TransformSpec.of(m | m1, c | c1))
 
 
-def check_combined_composition(
-    g: MixedGraph, spec: TransformSpec, spec1: TransformSpec
-) -> Optional[bool]:
+def check_combined_composition(g: MixedGraph, m, c, m1, c1) -> Optional[bool]:
     """Graph equality under the maximality side condition; None = skipped.
 
     Model equality has no side condition and is always enforced: equal
     routes decide it, since one graph has one model, and the models of
     routes that differ are enumerated.
     """
-    nested, union = _combined_routes(g, spec, spec1)
+    nested, union = _combined_routes(g, m, c, m1, c1)
     same = nested == union
     if not (same or models_equal(pairwise_model(nested), pairwise_model(union))):
         return False
@@ -323,23 +347,33 @@ def check_combined_composition(
     return same
 
 
+def _commutativity_routes(
+    g: MixedGraph, m: frozenset[str], c: frozenset[str]
+) -> tuple[MixedGraph, MixedGraph]:
+    """(marginalize first, condition first)."""
+    spec = TransformSpec.of(m, c)
+    return (
+        marginalize_and_condition(g, spec, order="mc"),
+        marginalize_and_condition(g, spec, order="cm"),
+    )
+
+
 def check_commutativity(
     g: MixedGraph, m: frozenset[str], c: frozenset[str]
-) -> tuple[bool, Optional[bool]]:
-    """(models equal, graphs equal when marginalize-first is maximal).
+) -> Optional[bool]:
+    """Graph equality when marginalize-first is maximal; None = skipped.
 
-    Equal orders have one model, so only orders that differ have their
-    models enumerated.
+    Model equality has no side condition: orders whose models differ
+    fail.  Equal orders have one model, so only orders that differ have
+    their models enumerated.
     """
-    spec = TransformSpec.of(m, c)
-    g1 = marginalize_and_condition(g, spec, order="mc")
-    g2 = marginalize_and_condition(g, spec, order="cm")
+    g1, g2 = _commutativity_routes(g, m, c)
     same = g1 == g2
-    models_ok = same or models_equal(pairwise_model(g1), pairwise_model(g2))
-    graphs_ok: Optional[bool] = None
-    if is_maximal(g1):
-        graphs_ok = same
-    return models_ok, graphs_ok
+    if not (same or models_equal(pairwise_model(g1), pairwise_model(g2))):
+        return False
+    if not is_maximal(g1):
+        return None
+    return same
 
 
 def check_closure(g: MixedGraph, m: frozenset[str], c: frozenset[str]) -> bool:
@@ -463,172 +497,100 @@ def _instance(
 
 @dataclass
 class Suite:
-    property_id: str
-    graph_class: str
-    set_count: int
-    run: Callable  # (report, graph, sets, rng) -> None
-    node_cap: Optional[int] = None  # suites with costly per-instance checks
+    """One property: a check on a drawn instance, and how its failure is reported.
 
-
-def _simple_suite(check, *, id, graph_class="CMG", set_count=1, node_cap=None):
-    def run(report: PropertyReport, g: MixedGraph, sets, rng) -> None:
-        ok = check(g, *sets)
-        def payload():
-            shrunk_g, shrunk = shrink_instance(
-                g,
-                {f"set{k}": s for k, s in enumerate(sets)},
-                lambda gg, ss: not check(gg, *(ss[f"set{k}"] for k in range(len(sets)))),
-            )
-            return _payload(shrunk_g, **shrunk)
-        report.record(ok, payload)
-
-    return Suite(id, graph_class, set_count, run, node_cap)
-
-
-def _composition_suite(property_id: str, transform, check):
-    """Graph-equality composition check with a model-equality diagnostic.
-
-    The diagnostic distinguishes a genuine engine bug (models differ,
-    never expected) from the documented corner where the union route
-    keeps a parallel arc whose arrowhead source the split route deleted
-    silently: there the graphs differ while the models agree.
+    ``check(g, *sets)`` takes the instance's sets in the order of
+    ``keys``, the names its payload gives them.  It returns True, False,
+    or None for skipped: the instance passes and is counted in
+    ``skipped``.  A failure's payload is shrunk while the check still
+    fails if ``shrink`` is set, and reports the instance as drawn
+    otherwise.  ``routes(g, *sets)``, set on the suites that compare two
+    routes, gives the two graphs whose ``models_equal`` the payload
+    carries, computed on the instance it reports.  That diagnostic tells
+    an engine bug (the models differ, never expected) from the
+    documented corner where one route keeps a parallel arc that the
+    other cannot rebuild: the graphs differ while the models agree.
+    A ``CmgraphError`` that the check raises is a failure whose payload
+    is always shrunk while the check still raises, names the error's
+    class, and has no ``models_equal``: its routes run the same rewrites.
     """
 
-    def run(report: PropertyReport, g: MixedGraph, sets, rng) -> None:
-        s1, s2 = sets
-        ok = check(g, s1, s2)
+    property_id: str
+    graph_class: str
+    keys: tuple[str, ...]
+    check: Callable[..., Optional[bool]]
+    shrink: bool = True
+    routes: Optional[Callable[..., tuple[MixedGraph, MixedGraph]]] = None
+    node_cap: Optional[int] = None  # suites with costly per-instance checks
 
-        def payload():
-            def fails(gg, ss):
-                return not check(gg, ss["s1"], ss["s2"])
-
-            sg, ss = shrink_instance(g, {"s1": s1, "s2": s2}, fails)
-            split = transform(transform(sg, ss["s1"]), ss["s2"])
-            union = transform(sg, ss["s1"] | ss["s2"])
-            out = _payload(sg, **ss)
-            out["models_equal"] = models_equal(
-                pairwise_model(split), pairwise_model(union)
-            )
-            return out
-
-        report.record(ok, payload)
-
-    return Suite(property_id, "CMG", 2, run)
-
-
-def _commutativity_suite():
-    def run(report: PropertyReport, g: MixedGraph, sets, rng) -> None:
-        m, c = sets
-        models_ok, graphs_ok = check_commutativity(g, m, c)
-        if graphs_ok is None:
+    def run(self, report: PropertyReport, g: MixedGraph, sets: tuple) -> None:
+        """Check one instance and record its verdict in ``report``."""
+        outcome = self._outcome(g, sets)
+        if outcome is None:
             report.skipped += 1
-        ok = models_ok and graphs_ok is not False
+        raised = isinstance(outcome, str)
+        report.record(outcome in (True, None), lambda: self._counterexample(g, sets, raised))
 
-        def payload():
-            out = _payload(g, m=m, c=c)
-            out["models_equal"] = models_ok
-            return out
+    def _outcome(self, g: MixedGraph, sets) -> Optional[bool] | str:
+        """The check's verdict, or the class name of the ``CmgraphError`` it raises."""
+        try:
+            return self.check(g, *sets)
+        except CmgraphError as exc:
+            return type(exc).__name__
 
-        report.record(ok, payload)
+    def _counterexample(self, g: MixedGraph, sets: tuple, raised: bool) -> dict:
+        named = dict(zip(self.keys, sets))
+        if raised or self.shrink:
 
-    return Suite("commutativity", "CMG", 2, run)
+            def fails(gg, ss) -> bool:  # raises still, or fails without raising
+                outcome = self._outcome(gg, tuple(ss.values()))
+                return isinstance(outcome, str) if raised else outcome is False
 
-
-def _combined_composition_suite():
-    def run(report: PropertyReport, g: MixedGraph, sets, rng) -> None:
-        m, c, m1, c1 = sets
-        spec, spec1 = TransformSpec.of(m, c), TransformSpec.of(m1, c1)
-        verdict = check_combined_composition(g, spec, spec1)
-        if verdict is None:
-            report.skipped += 1
-
-        def payload():
-            nested, union = _combined_routes(g, spec, spec1)
-            out = _payload(g, m=m, c=c, m1=m1, c1=c1)
-            out["models_equal"] = models_equal(
-                pairwise_model(nested), pairwise_model(union)
-            )
-            return out
-
-        report.record(verdict is not False, payload)
-
-    return Suite("combined-composition", "CMG", 4, run)
+            g, named = shrink_instance(g, named, fails)
+        out = _payload(g, **named)
+        if raised:
+            out["error"] = self._outcome(g, tuple(named.values()))
+        elif self.routes is not None:
+            h1, h2 = self.routes(g, *named.values())
+            out["models_equal"] = models_equal(pairwise_model(h1), pairwise_model(h2))
+        return out
 
 
 def _suites() -> dict[str, Suite]:
+    one, two, mc, split = ("set0",), ("set0", "set1"), ("m", "c"), ("s1", "s2")
     suites = [
-        _simple_suite(check_marginalization, id="marginalization", set_count=1),
-        _simple_suite(check_conditioning, id="conditioning", set_count=1),
+        Suite("marginalization", "CMG", one, check_marginalization),
+        Suite("conditioning", "CMG", one, check_conditioning),
+        Suite("combined", "CMG", mc, check_combined, shrink=False),
+        Suite("ang", "AnG", mc, check_ang, shrink=False),
         Suite(
-            "combined",
-            "CMG",
-            2,
-            lambda rep, g, sets, rng: rep.record(
-                check_combined(g, TransformSpec.of(*sets)),
-                lambda: _payload(g, m=sets[0], c=sets[1]),
-            ),
+            "marginal-composition", "CMG", split, check_marginal_composition,
+            routes=_marginal_routes,
         ),
         Suite(
-            "ang",
-            "AnG",
-            2,
-            lambda rep, g, sets, rng: rep.record(
-                check_ang(g, TransformSpec.of(*sets)),
-                lambda: _payload(g, m=sets[0], c=sets[1]),
-            ),
+            "conditional-composition", "CMG", split, check_conditional_composition,
+            routes=_conditional_routes,
         ),
-        _composition_suite(
-            "marginal-composition", marginalize, check_marginal_composition
+        Suite(
+            "combined-composition", "CMG", ("m", "c", "m1", "c1"),
+            check_combined_composition, shrink=False, routes=_combined_routes,
         ),
-        _composition_suite(
-            "conditional-composition", condition, check_conditional_composition
+        Suite(
+            "commutativity", "CMG", mc, check_commutativity,
+            shrink=False, routes=_commutativity_routes,
         ),
-        _combined_composition_suite(),
-        _commutativity_suite(),
-        _simple_suite(check_closure, id="closure", set_count=2),
-        _simple_suite(check_identity, id="identity", set_count=0),
-        _simple_suite(
-            check_class_membership, id="classes", graph_class="CG", set_count=2
-        ),
-        _simple_suite(check_marginal_edges, id="marginal-edge-oracle", set_count=1),
-        _simple_suite(
-            check_conditional_edges, id="conditional-edge-oracle", set_count=1
-        ),
-        _simple_suite(check_inducing_walks, id="inducing-walk-oracle", set_count=0),
-        _simple_suite(
-            check_witness_soundness, id="witness-soundness", set_count=0, node_cap=6
-        ),
+        Suite("closure", "CMG", two, check_closure),
+        Suite("identity", "CMG", (), check_identity),
+        Suite("classes", "CG", two, check_class_membership),
+        Suite("marginal-edge-oracle", "CMG", one, check_marginal_edges),
+        Suite("conditional-edge-oracle", "CMG", one, check_conditional_edges),
+        Suite("inducing-walk-oracle", "CMG", (), check_inducing_walks),
+        Suite("witness-soundness", "CMG", (), check_witness_soundness, node_cap=6),
     ]
     return {s.property_id: s for s in suites}
 
 
 SUITE_IDS = tuple(_suites().keys()) + ("cg-unrepresentability",)
-
-
-def _raised(suite: Suite, g: MixedGraph, sets: tuple) -> Optional[str]:
-    """The class name of the ``CmgraphError`` that the suite raises on the instance, or None.
-
-    The suite runs on a report and a ``random.Random`` of its own, so
-    that no later instance's draws change.
-    """
-    try:
-        suite.run(PropertyReport(suite.property_id), g, sets, random.Random(0))
-    except CmgraphError as exc:
-        return type(exc).__name__
-    return None
-
-
-def _error_payload(suite: Suite, g: MixedGraph, sets: tuple) -> dict:
-    """The instance shrunk while the suite still raises, and the error it raises."""
-    keys = [f"set{k}" for k in range(len(sets))]
-
-    def raised(gg, named):
-        return _raised(suite, gg, tuple(named[key] for key in keys))
-
-    sg, named = shrink_instance(g, dict(zip(keys, sets)), lambda gg, ss: raised(gg, ss) is not None)
-    out = _payload(sg, **named)
-    out["error"] = raised(sg, named)
-    return out
 
 
 def run_suite(
@@ -658,11 +620,7 @@ def run_suite(
     cap = max_nodes if suite.node_cap is None else min(max_nodes, suite.node_cap)
     for _ in range(count):
         g = _instance(rng, suite.graph_class, cap)
-        sets = tuple(_random_subsets(rng, g.nodes, suite.set_count))
-        try:
-            suite.run(report, g, sets, rng)
-        except CmgraphError:
-            report.record(False, lambda: _error_payload(suite, g, sets))
+        suite.run(report, g, tuple(_random_subsets(rng, g.nodes, len(suite.keys))))
     return report
 
 

@@ -108,7 +108,7 @@ def _suite_instances(suite_id, seed, count):
     rng = random.Random(seed)
     for _ in range(count):
         g = _instance(rng, suite.graph_class, 7)
-        sets = _random_subsets(rng, g.nodes, suite.set_count)
+        sets = _random_subsets(rng, g.nodes, len(suite.keys))
         if suite_id == "marginalization":
             yield g, sets[0], frozenset()
         elif suite_id == "conditioning":
@@ -292,7 +292,7 @@ class TestChecks:
         none = frozenset()
         report = PropertyReport("combined-composition")
         _suites()["combined-composition"].run(
-            report, g, (frozenset("d"), none, frozenset("c"), none), None
+            report, g, (frozenset("d"), none, frozenset("c"), none)
         )
         assert report.failures == 1
         assert report.first_counterexample["models_equal"] is True
@@ -380,17 +380,14 @@ class TestChecks:
         assert shifted.statements and all(x < y for x, y, _ in shifted.statements)
         assert shifted == _shifted_model_by_queries(g, base, keep)
 
-    def test_commutativity_returns_both_verdicts(self):
-        models_ok, graphs_ok = check_commutativity(
-            G("a -> b; b -- c"), frozenset("b"), frozenset("c")
-        )
-        assert models_ok
-        assert graphs_ok in (True, None)
+    def test_commutativity_passes_or_skips(self):
+        verdict = check_commutativity(G("a -> b; b -- c"), frozenset("b"), frozenset("c"))
+        assert verdict in (True, None)
 
 
-def _combined_composition_by_models(g, spec, spec1):
+def _combined_composition_by_models(g, m, c, m1, c1):
     """``check_combined_composition`` with both routes' models always enumerated."""
-    nested, union = _combined_routes(g, spec, spec1)
+    nested, union = _combined_routes(g, m, c, m1, c1)
     if not cm.models_equal(cm.pairwise_model(nested), cm.pairwise_model(union)):
         return False
     if not (cm.is_maximal(nested) and cm.is_maximal(union)):
@@ -403,8 +400,9 @@ def _commutativity_by_models(g, m, c):
     spec = TransformSpec.of(m, c)
     g1 = cm.marginalize_and_condition(g, spec, order="mc")
     g2 = cm.marginalize_and_condition(g, spec, order="cm")
-    models_ok = cm.models_equal(cm.pairwise_model(g1), cm.pairwise_model(g2))
-    return models_ok, (g1 == g2 if cm.is_maximal(g1) else None)
+    if not cm.models_equal(cm.pairwise_model(g1), cm.pairwise_model(g2)):
+        return False
+    return g1 == g2 if cm.is_maximal(g1) else None
 
 
 class TestEqualRoutes:
@@ -412,44 +410,46 @@ class TestEqualRoutes:
 
     def test_agree_with_enumeration_on_the_four_node_sample(self):
         rng = random.Random("equal-routes")
-        verdicts = set()
+        composed, commuted = set(), set()
         for g in _four_node_sample(300):
-            m, c, m1, c1 = _random_subsets(rng, g.nodes, 4)
-            spec, spec1 = TransformSpec.of(m, c), TransformSpec.of(m1, c1)
-            verdict = check_combined_composition(g, spec, spec1)
-            assert verdict == _combined_composition_by_models(g, spec, spec1), render(g)
-            verdicts.add(verdict)
+            sets = _random_subsets(rng, g.nodes, 4)
+            verdict = check_combined_composition(g, *sets)
+            assert verdict == _combined_composition_by_models(g, *sets), render(g)
+            composed.add(verdict)
+            m, c, m1, c1 = sets
             m, c = m | m1, c | c1
-            both = check_commutativity(g, m, c)
-            assert both == _commutativity_by_models(g, m, c), render(g)
-            verdicts.add(both)
-        assert {True, None, (True, True), (True, None)} <= verdicts
+            verdict = check_commutativity(g, m, c)
+            assert verdict == _commutativity_by_models(g, m, c), render(g)
+            commuted.add(verdict)
+        assert {True, None} <= composed and {True, None} <= commuted
 
     def test_agree_with_enumeration_where_routes_differ(self):
         # the pinned discrepancies of test_transform.py, and the first
         # combined-composition failure at seed 6
-        for g, spec, spec1 in (
-            (G("f -> b; b -- c; b -- g"), TransformSpec.of(m=["f"]), TransformSpec.of(m=["b"])),
+        none = frozenset()
+        for g, m, m1 in (
+            (G("f -> b; b -- c; b -- g"), frozenset("f"), frozenset("b")),
             (
                 G(
                     "a -- d; a -> e; b -> a; b -> f; c -> a; c -> b; c -> d; d -> e; "
                     "d -> f; a <-> b; a <-> e; a <-> f; b <-> e; c <-> d; d <-> e; "
                     "d <-> f"
                 ),
-                TransformSpec.of(m=["d"]),
-                TransformSpec.of(m=["c"]),
+                frozenset("d"),
+                frozenset("c"),
             ),
         ):
-            nested, union = _combined_routes(g, spec, spec1)
+            sets = (m, none, m1, none)
+            nested, union = _combined_routes(g, *sets)
             assert nested != union
-            assert check_combined_composition(g, spec, spec1) is False
-            assert _combined_composition_by_models(g, spec, spec1) is False
+            assert check_combined_composition(g, *sets) is False
+            assert _combined_composition_by_models(g, *sets) is False
         g = G(
             "a -- d; a -> g; d -> c; e -> b; f -> b; f -> c; "
             "a <-> c; a <-> e; c <-> e; f <-> g"
         )
         m, c = frozenset("ac"), frozenset("ef")
-        assert check_commutativity(g, m, c) == _commutativity_by_models(g, m, c) == (True, False)
+        assert check_commutativity(g, m, c) is _commutativity_by_models(g, m, c) is False
 
     def test_equal_routes_enumerate_no_model(self, monkeypatch):
         def no_model(g):
@@ -457,9 +457,9 @@ class TestEqualRoutes:
 
         monkeypatch.setattr(propcheck, "pairwise_model", no_model)
         g = G("a -> b; b -- c; c <-> d")
-        assert check_commutativity(g, frozenset("b"), frozenset("c")) == (True, True)
-        spec = TransformSpec.of(m=["a"])
-        assert check_combined_composition(g, spec, TransformSpec.of(c=["d"])) is True
+        none = frozenset()
+        assert check_commutativity(g, frozenset("b"), frozenset("c")) is True
+        assert check_combined_composition(g, frozenset("a"), none, none, frozenset("d")) is True
 
 
 def _model_kept_by_models(g, out, base, keep):
@@ -474,14 +474,15 @@ def _model_checks(g, m, c):
     got = (
         check_marginalization(g, m),
         check_conditioning(g, c),
-        check_combined(g, spec),
-        check_ang(g, spec),
+        check_combined(g, m, c),
+        check_ang(g, m, c),
     )
+    ang = cm.ang_transform(g, spec)
     want = (
         _model_kept_by_models(g, cm.marginalize(g, m), frozenset(), g.node_set - m),
         _model_kept_by_models(g, cm.condition(g, c), c, g.node_set - c),
         _model_kept_by_models(g, cm.marginalize_and_condition(g, spec), c, keep),
-        _model_kept_by_models(g, cm.ang_transform(g, spec), c, keep),
+        cm.ANG in cm.classify(ang) and _model_kept_by_models(g, ang, c, keep),
     )
     return got, want
 
@@ -515,14 +516,14 @@ class TestModelChecks:
             return enumerate_model(h)
 
         monkeypatch.setattr(propcheck, "pairwise_model", guarded)
-        none, spec = frozenset(), TransformSpec.of()
+        none = frozenset()
         for g in _four_node_sample(100):
             a = cm.anterialize(g)
             inputs.append(g)
             assert check_marginalization(g, none) and check_conditioning(g, none)
-            assert check_combined(g, spec)
+            assert check_combined(g, none, none)
             inputs.append(a)
-            assert check_ang(a, spec)
+            assert check_ang(a, none, none)
             # a rewrite that removes a node enumerates as before
             v = frozenset(g.nodes[:1])
             assert check_marginalization(a, v) == _model_kept_by_models(a, cm.marginalize(a, v), none, a.node_set - v)
@@ -536,6 +537,22 @@ class TestModelChecks:
         out = capsys.readouterr().out
         assert out.startswith("property=marginalization instances=60 ")
         assert '"error": "GroundSetMismatchError"' in out
+
+
+    def test_an_output_that_is_no_ang_fails(self, monkeypatch):
+        # with arc resolution a no-op, ang_transform keeps arcs between
+        # mutually anterior nodes: a CMG, but no AnG
+        monkeypatch.setattr(cm.transform, "_ang_resolve_arcs", _resolve_no_arcs)
+        report = run_suite("ang", seed=0, count=60)
+        assert report.instances == 60 and report.failures > 0
+        ce = report.first_counterexample
+        assert "error" not in ce
+        out = cm.ang_transform(G(ce["graph"]), TransformSpec.of(ce["m"], ce["c"]))
+        assert cm.CMG in cm.classify(out) and cm.ANG not in cm.classify(out)
+
+
+def _resolve_no_arcs(w, ant):
+    """``_ang_resolve_arcs`` broken: no arc is resolved."""
 
 
 def _resolve_mutual_arcs_to_arrows(w, ant):
@@ -568,6 +585,92 @@ class TestErrorsAreFailures:
         assert main(["check", "--suite", "ang", "--seed", "0", "--count", "60"]) == 4
         out = capsys.readouterr().out
         assert out.startswith("property=ang instances=60 ") and '"error": "NotACMGError"' in out
+
+
+# the payload keys of each row's failure, before ``models_equal`` and ``error``
+ROW_KEYS = {
+    "marginalization": {"set0"},
+    "conditioning": {"set0"},
+    "combined": {"m", "c"},
+    "ang": {"m", "c"},
+    "marginal-composition": {"s1", "s2"},
+    "conditional-composition": {"s1", "s2"},
+    "combined-composition": {"m", "c", "m1", "c1"},
+    "commutativity": {"m", "c"},
+    "closure": {"set0", "set1"},
+    "identity": set(),
+    "classes": {"set0", "set1"},
+    "marginal-edge-oracle": {"set0"},
+    "conditional-edge-oracle": {"set0"},
+    "inducing-walk-oracle": set(),
+    "witness-soundness": set(),
+}
+ROUTE_SUITES = {"marginal-composition", "conditional-composition", "combined-composition", "commutativity"}
+DRAWN_SUITES = {"combined", "ang", "combined-composition", "commutativity"}
+
+
+def _fail_always(g, *sets):
+    return False
+
+
+def _raise_always(g, *sets):
+    raise NotACMGError("raised by the test")
+
+
+class TestSuiteRows:
+    """Every property is one ``Suite`` row, run through ``Suite.run``."""
+
+    @pytest.mark.parametrize("check", [_fail_always, _raise_always])
+    def test_payload_keys(self, monkeypatch, check):
+        rows = _suites()
+        assert set(rows) == set(ROW_KEYS) == set(SUITE_IDS) - {"cg-unrepresentability"}
+        for row in rows.values():
+            row.check = check
+        monkeypatch.setattr(propcheck, "_suites", lambda: rows)
+        raised = check is _raise_always
+        for suite_id, keys in ROW_KEYS.items():
+            report = run_suite(suite_id, seed=0, count=1)
+            assert (report.instances, report.failures, report.skipped) == (1, 1, 0)
+            ce = report.first_counterexample
+            want = {"graph"} | keys
+            if raised:
+                assert ce.pop("error") == "NotACMGError"
+            elif suite_id in ROUTE_SUITES:
+                assert isinstance(ce.pop("models_equal"), bool)
+            assert set(ce) == want, suite_id
+            # every failure shrinks to two nodes but those reported as drawn
+            shrunk = raised or suite_id not in DRAWN_SUITES
+            assert (len(G(ce["graph"]).nodes) == 2) == shrunk, suite_id
+
+    def test_a_check_that_returns_none_is_skipped(self, monkeypatch):
+        rows = _suites()
+        rows["closure"].check = lambda g, m, c: None
+        monkeypatch.setattr(propcheck, "_suites", lambda: rows)
+        report = run_suite("closure", seed=0, count=9)
+        assert (report.instances, report.failures, report.skipped) == (9, 0, 9)
+
+    def test_run_suite_calls_each_run_attribute_once_per_instance(self, monkeypatch):
+        # the benchmark's harness workload stamps each instance by
+        # replacing every row's run attribute, as here
+        calls = {}
+        original = propcheck._suites
+
+        def stamped_suites():
+            suites = original()
+            for suite in suites.values():
+
+                def run(*args, _run=suite.run, _id=suite.property_id):
+                    _run(*args)
+                    calls[_id] = calls.get(_id, 0) + 1
+
+                suite.run = run
+            return suites
+
+        monkeypatch.setattr(propcheck, "_suites", stamped_suites)
+        for suite_id in ROW_KEYS:
+            report = run_suite(suite_id, seed=0, count=7)
+            assert calls[suite_id] == report.instances == 7
+        assert set(calls) == set(ROW_KEYS)
 
 
 class TestIndependenceModel:

@@ -412,8 +412,7 @@ class TestComposition:
                     if s1 & s2:
                         continue
                     assert check_marginal_composition(g, s1, s2)
-                    models_ok, graphs_ok = check_commutativity(g, s1, s2)
-                    assert models_ok and graphs_ok is not False
+                    assert check_commutativity(g, s1, s2) is not False
 
     def test_marginal_composition_example(self, g_ex):
         one = cm.marginalize(cm.marginalize(g_ex, ["k"]), ["r"])
