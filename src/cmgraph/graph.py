@@ -23,7 +23,13 @@ edges straight into masks, so neither builds a labelled edge.  Each
 table is read by its own name: :attr:`MixedGraph.index` maps labels to
 positions and :attr:`MixedGraph.components` is the table of line
 components that ``kernel`` builds, each once per graph and only when
-first read.
+first read.  Every such table is a :class:`_lazy` attribute: a stand-in
+for ``functools.cached_property`` that keeps the value in the instance
+``__dict__`` the same way but takes no lock, which the stdlib one does
+on each first read before Python 3.12.  The constructor likewise writes
+its five fields into ``__dict__`` in one update, not with the frozen
+dataclass's five ``object.__setattr__`` calls; assigning a field still
+raises ``dataclasses.FrozenInstanceError``.
 ``edges`` and :attr:`MixedGraph.incidences` are labelled views decoded
 on first use, for output and for the walk-simulating oracle.
 
@@ -39,7 +45,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import kernel
@@ -67,7 +72,30 @@ CLASS_ORDER = (UG, DAG, CG, CMG, ANG)
 Edge = tuple[str, str, str]  # (kind, x, y); ordered (tail, head) for arrows
 
 
-@dataclass(frozen=True)
+class _lazy:
+    """A graph table computed on first read and kept in the instance ``__dict__``.
+
+    A non-data descriptor, so once the value is stored the instance
+    attribute shadows it and later reads never reach :meth:`__get__`.
+    ``functools.cached_property`` does the same but, before Python 3.12,
+    takes a lock on every first read.  Graphs are immutable, so two
+    threads that race on a first read compute the same value, and either
+    store is right.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+@dataclass(frozen=True, init=False)
 class MixedGraph:
     """Immutable loopless mixed graph: ``ln[k]``, ``pa[k]``, ``ch[k]`` and
     ``sp[k]`` are the masks of the line neighbours, parents, children and
@@ -87,16 +115,25 @@ class MixedGraph:
     ch: tuple[int, ...]
     sp: tuple[int, ...]
 
-    def __post_init__(self):
-        if not all(map(operator.lt, self.nodes, self.nodes[1:])):
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        ln: tuple[int, ...],
+        pa: tuple[int, ...],
+        ch: tuple[int, ...],
+        sp: tuple[int, ...],
+    ):
+        if not all(map(operator.lt, nodes, nodes[1:])):
             raise ValueError("node labels must be distinct and in sorted order")
-        if not len(self.ln) == len(self.pa) == len(self.ch) == len(self.sp) == len(self.nodes):
+        if not len(ln) == len(pa) == len(ch) == len(sp) == len(nodes):
             raise ValueError("each mask table needs one entry per node")
+        # one dict write in place of the frozen dataclass's five object.__setattr__ calls
+        self.__dict__.update(nodes=nodes, ln=ln, pa=pa, ch=ch, sp=sp)
 
     def __hash__(self) -> int:
         return self._hash
 
-    @cached_property
+    @_lazy
     def _hash(self) -> int:
         # ch mirrors pa, so it adds nothing to the hash
         return hash((self.nodes, self.ln, self.pa, self.sp))
@@ -105,11 +142,11 @@ class MixedGraph:
         # pickle the fields only: a cached string hash is per process
         return MixedGraph, (self.nodes, self.ln, self.pa, self.ch, self.sp)
 
-    @cached_property
+    @_lazy
     def node_set(self) -> frozenset[str]:
         return frozenset(self.nodes)
 
-    @cached_property
+    @_lazy
     def edges(self) -> frozenset[Edge]:
         """Labelled edges ``(kind, x, y)`` decoded on first use; ``x < y`` but for arrows."""
         return frozenset(self.edge_list())
@@ -129,7 +166,7 @@ class MixedGraph:
             return False
         return bool((self.ln[k] | self.pa[k] | self.ch[k] | self.sp[k]) >> index[y] & 1)
 
-    @cached_property
+    @_lazy
     def is_simple(self) -> bool:
         """True iff no pair of nodes carries two edges."""
         tables = zip(self.ln, self.pa, self.ch, self.sp)
@@ -146,7 +183,7 @@ class MixedGraph:
                 out += [(kind, x, nodes[j]) for j in kernel._bits(m)]
         return out
 
-    @cached_property
+    @_lazy
     def incidences(self) -> Mapping[str, tuple[tuple[str, bool, bool, Edge], ...]]:
         """Per node, one walk step per incident edge, in canonical edge order.
 
@@ -161,47 +198,49 @@ class MixedGraph:
             out[y].append((x, kind != LINE, kind == ARC, edge))
         return {v: tuple(steps) for v, steps in out.items()}
 
-    @cached_property
+    @_lazy
     def is_cmg(self) -> bool:
         """True iff no semi-directed cycle contains an arrow."""
         return not has_semidirected_cycle_with_arrow(self)
 
-    @cached_property
+    @_lazy
     def index(self) -> Mapping[str, int]:
         """Per label, its position in ``nodes``: the bit that stands for it."""
         return {v: k for k, v in enumerate(self.nodes)}
 
-    @cached_property
+    @_lazy
     def components(self) -> tuple[tuple[int, int, int, int], ...]:
         """Per node position, ``kernel.components`` of the graph's masks."""
         return tuple(kernel.components(self.ln, self.pa, self.ch, self.sp))
 
-    @cached_property
+    @_lazy
     def _upward(self) -> tuple[int, ...] | None:
         """Per node position, its line component and everything anterior to
         it; None when no CMG.
 
         One depth-first pass over :attr:`components` along their parent
         unions.  An arrow inside a component, or a directed
-        cycle of components, leads back to a component still on the stack.
+        cycle of components, leads back to a component still on the path.
+        The path holds only the components that wait for a parent, so a
+        component whose parents are all done is finished at once.
         """
         table = self.components
         up: dict[int, int] = {}  # per finished component, its mask
         done = 0
+        path = []  # the components below ``entry`` that wait for it
         for entry in table:
             if entry[0] & done:
                 continue
-            stack = [entry]
-            active = entry[0]  # the nodes of the components on the stack
-            while stack:
-                comp, p, _, _ = stack[-1]
+            active = entry[0]  # the nodes of ``entry`` and of the path
+            while True:
+                comp, p, _, _ = entry
                 todo = p & ~done
-                if todo & active:
-                    return None
                 if todo:
-                    parent = table[(todo & -todo).bit_length() - 1]
-                    active |= parent[0]
-                    stack.append(parent)
+                    if todo & active:
+                        return None
+                    path.append(entry)
+                    entry = table[(todo & -todo).bit_length() - 1]
+                    active |= entry[0]
                     continue
                 u = comp
                 while p:
@@ -210,9 +249,11 @@ class MixedGraph:
                     p &= ~d
                 up[comp] = u
                 done |= comp
+                if not path:
+                    break
                 active &= ~comp
-                stack.pop()
-        return tuple(up[entry[0]] for entry in table)
+                entry = path.pop()
+        return tuple([up[entry[0]] for entry in table])
 
     @property
     def upward_masks(self) -> tuple[int, ...]:

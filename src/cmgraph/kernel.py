@@ -63,11 +63,37 @@ def backend_name() -> str:
     return "python"
 
 
-def _bits(mask: int):
+def _walk(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _small_table() -> tuple[tuple[int, ...], ...]:
+    """Per mask below 2^8, its nodes in increasing order.
+
+    The masks ``2^k`` to ``2^(k+1) - 1`` are those below ``2^k`` with
+    node ``k`` added last, so the table is built by doubling it eight
+    times rather than by walking each mask at import.
+    """
+    table: list[tuple[int, ...]] = [()]
+    for k in range(8):
+        table += [bits + (k,) for bits in table]
+    return tuple(table)
+
+
+_SMALL = _small_table()
+
+
+def _bits(mask: int):
+    """The nodes of ``mask`` in increasing order.
+
+    A stored tuple for a mask below 2^8, which covers every mask of a
+    graph of up to 8 nodes (the property harness and ``pairwise_model``);
+    above that a generator that walks the set bits.
+    """
+    return _SMALL[mask] if mask < 256 else _walk(mask)
 
 
 def _union(rows, mask: int) -> int:
@@ -90,10 +116,7 @@ def line_reach(ln: list[int], start: int, blocked: int) -> int:
     reach = start
     frontier = start
     while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= ln[v]
-        frontier = nxt & ~blocked & ~reach
+        frontier = _union(ln, frontier) & ~blocked & ~reach
         reach |= frontier
     return reach
 
@@ -429,10 +452,9 @@ def _patterns(k: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     return full, full * rep, pats, tuple(p * rep for p in pats)
 
 
-@lru_cache(maxsize=1 << 12)
 def _members(mask: int) -> tuple[int, ...]:
-    """The nodes of ``mask`` in increasing order."""
-    return tuple(_bits(mask))
+    """The nodes of ``mask`` in increasing order, as a tuple: :func:`_bits`'s table."""
+    return _SMALL[mask] if mask < 256 else tuple(_walk(mask))
 
 
 def all_pair_separations(

@@ -261,14 +261,19 @@ def _model_kept(
 ) -> bool:
     """The model of the rewrite ``out`` of ``g`` equals ``g``'s over ``keep`` given ``base``.
 
-    A rewrite that removed no node (``keep`` is all of ``g``, so ``base``
-    is empty) and gave a graph equal to ``g`` is decided without
-    enumerating: both sides would be the one full model of equal graphs.
+    An output that is no CMG fails first, on its own cached verdict,
+    the one :func:`pairwise_model` would read next: it is a wrong output,
+    not an error of the check.  A rewrite that removed no node (``keep``
+    is all of ``g``, so ``base`` is empty) and gave a graph equal to ``g``
+    is decided without enumerating: both sides would be the one full
+    model of equal graphs.
     The test reads the sets and graph equality, not ``out is g``, so a
     rewrite that wrongly returns its input for a non-empty set still
     reaches :func:`models_equal`, whose :class:`GroundSetMismatchError`
     :func:`run_suite` records as a failure.
     """
+    if not out.is_cmg:
+        return False
     if keep == g.node_set and out == g:
         return True
     return models_equal(pairwise_model(out), _shifted_model(g, base, keep))

@@ -83,20 +83,25 @@ def _mask_tables(g: MixedGraph) -> tuple[tuple[int, int, int, int], ...]:
     return g.components
 
 
-def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
-    """``(g.components, amask, bmask, cmask)`` of a query, checked in one pass.
+def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int, int]:
+    """``(g.components, amask, bmask, cmask, within)`` of a query, checked in one pass.
 
+    ``within`` is U, the OR of ``upward_masks`` over the query's nodes,
+    the bound of ``kernel.separated``; it is gathered as each bit is set.
     Raises what :meth:`SeparationQuery.of`, :func:`_require_cmg` and
     :func:`_check_query` raise, in that order: a bare ``str``, overlapping
     sets, a graph that is no CMG, an unknown node.  Until the last check
-    an unknown label holds a bit past the graph's nodes.
+    an unknown label holds a bit past the graph's nodes, and adds nothing
+    to U.
     """
     for labels in (a, b, given):
         if isinstance(labels, str):
             label_set(labels, MalformedQueryError)  # raises
     table = _mask_tables(g)
     index = g.index
+    up = g.upward_masks if g.is_cmg else None  # no CMG raises below
     unknown = None
+    within = 0
     out = []
     for labels in (a, b, given):
         m = 0
@@ -106,6 +111,8 @@ def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
                 if unknown is None:
                     unknown = {}
                 bit = unknown.setdefault(v, len(index) + len(unknown))
+            elif up is not None:
+                within |= up[bit]
             m |= 1 << bit
         out.append(m)
     amask, bmask, cmask = out
@@ -114,7 +121,7 @@ def _query_masks(g: MixedGraph, a, b, given) -> tuple[tuple, int, int, int]:
     _require_cmg(g)
     if unknown:
         raise MalformedQueryError(f"query mentions unknown node {next(iter(unknown))!r}")
-    return table, amask, bmask, cmask
+    return table, amask, bmask, cmask, within
 
 
 # the key, in a graph's ``__dict__``, of the last connected query's trail
@@ -132,13 +139,12 @@ def c_separated(
     The search enters only the anteriors of the query's nodes, which
     decides the same (see ``kernel.separated``).  A connected query leaves
     ``(amask, bmask, cmask, trail)`` in a one-entry slot in
-    ``g.__dict__``, beside the cached properties, so that
+    ``g.__dict__``, beside the lazy tables, so that
     :func:`c_connecting_witness` on the same query spells its walk
     without searching again.  Pickles, ``==`` and ``hash`` never read it.
     """
-    table, amask, bmask, cmask = _query_masks(g, a, b, given)
+    table, amask, bmask, cmask, within = _query_masks(g, a, b, given)
     trail: list = []
-    within = kernel._union(g.upward_masks, amask | bmask | cmask)
     if kernel.separated(
         table, g.ln, g.pa, g.ch, g.sp, amask, bmask, cmask, trail, within
     ):
@@ -164,11 +170,10 @@ def c_connecting_witness(
     search itself.  The query is checked first either way, with the same
     errors.
     """
-    table, amask, bmask, cmask = _query_masks(g, a, b, given)
+    table, amask, bmask, cmask, within = _query_masks(g, a, b, given)
     last = g.__dict__.get(_LAST_TRAIL)
     if last is None or last[:3] != (amask, bmask, cmask):
         last = (amask, bmask, cmask, [])
-        within = kernel._union(g.upward_masks, amask | bmask | cmask)
         if kernel.separated(table, g.ln, g.pa, g.ch, g.sp, *last, within):
             return None
     return _walk(g, *last)

@@ -102,6 +102,43 @@ def masks_by_definition(g, nodes=None):
     return (index, *tables)
 
 
+def upward_by_stack(table):
+    """Reference for ``MixedGraph._upward`` over a ``kernel.components`` table:
+    per node its component and anteriors, or None when no CMG.
+
+    The depth-first pass as first written: every component is pushed on
+    the stack, also one whose parents are all done, and finished when it
+    is back on top with nothing left to visit.
+    """
+    up = {}
+    done = 0
+    for entry in table:
+        if entry[0] & done:
+            continue
+        stack = [entry]
+        active = entry[0]  # the nodes of the components on the stack
+        while stack:
+            comp, p, _, _ = stack[-1]
+            todo = p & ~done
+            if todo & active:
+                return None
+            if todo:
+                parent = table[(todo & -todo).bit_length() - 1]
+                active |= parent[0]
+                stack.append(parent)
+                continue
+            u = comp
+            while p:
+                d = table[(p & -p).bit_length() - 1][0]
+                u |= up[d]
+                p &= ~d
+            up[comp] = u
+            done |= comp
+            active &= ~comp
+            stack.pop()
+    return tuple(up[entry[0]] for entry in table)
+
+
 @pytest.fixture
 def g_ex():
     """Six-node chain graph used by the worked separation examples."""

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 import weakref
@@ -28,6 +29,7 @@ from conftest import (
     enumerate_mixed_graphs,
     masks_by_definition,
     triples,
+    upward_by_stack,
 )
 from test_transform import LARGE_DIGESTS, _large_cmgs
 
@@ -154,6 +156,39 @@ class TestCycles:
             h = cm.build_graph(g.nodes, triples(g) + [(v, u, cm.ARROW)])
             assert cm.has_semidirected_cycle_with_arrow(h) is per_arrow_cycle(h) is True
         assert kinds == {False, True}
+
+    def test_upward_pass_against_the_stack_pass(self):
+        # random masks over 1-10 nodes, with arrows both ways so that many
+        # are no CMG, then the large CMGs
+        rng = random.Random("upward-pass")
+        verdicts = {True: 0, False: 0}
+        for _ in range(20_000):
+            g = _random_mixed_graph(rng, rng.randint(1, 10))
+            want = upward_by_stack(g.components)
+            assert g._upward == want, (g.nodes, g.ln, g.pa, g.sp)
+            verdicts[want is None] += 1
+        assert min(verdicts.values()) > 4_000
+        for seed, n in LARGE_DIGESTS:
+            g = _large_cmg(seed, n)[0]
+            assert g._upward == upward_by_stack(g.components) is not None
+
+
+def _random_mixed_graph(rng, n):
+    """A mixed graph over ``n`` nodes with each edge of each type drawn on its own."""
+    ln, pa, ch, sp = ([0] * n for _ in range(4))
+    density = rng.random() * 0.6
+    for x, y in combinations(range(n), 2):
+        if rng.random() < density:
+            ln[x] |= 1 << y
+            ln[y] |= 1 << x
+        for tail, head in ((x, y), (y, x)):
+            if rng.random() < density / 3:
+                ch[tail] |= 1 << head
+                pa[head] |= 1 << tail
+        if rng.random() < density:
+            sp[x] |= 1 << y
+            sp[y] |= 1 << x
+    return cm.MixedGraph(tuple(f"v{k}" for k in range(n)), *map(tuple, (ln, pa, ch, sp)))
 
 
 def per_arrow_cycle(g):
@@ -368,6 +403,13 @@ class TestRepresentation:
                 cm.MixedGraph(nodes, empty, empty, empty, empty)
         assert cm.MixedGraph((), (), (), (), ()).nodes == ()
 
+    def test_fields_cannot_be_assigned(self):
+        g = G("a -> b; b -- c; c <-> a")
+        for name in (*FIELDS, "is_cmg", "index"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, None)
+        assert g == G("a -> b; b -- c; c <-> a") and g.is_cmg
+
     def test_pickle_keeps_only_the_fields(self):
         # a cached string hash holds only in the process that made it
         g = G("a -> b; b -- c; c <-> a")
@@ -411,6 +453,48 @@ class TestRepresentation:
             g.is_cmg
             cm.classify(g)
             assert "index" not in vars(g) and "components" in vars(g)
+
+
+FIELDS = {"nodes", "ln", "pa", "ch", "sp"}
+
+# per lazy table, the other tables its first read builds
+LAZY_TABLES = {
+    "_hash": set(),
+    "node_set": set(),
+    "edges": set(),
+    "is_simple": set(),
+    "incidences": set(),
+    "is_cmg": {"_upward", "components"},
+    "index": set(),
+    "components": set(),
+    "_upward": {"components"},
+}
+
+
+class TestLazyTables:
+    def test_every_table_is_lazy(self):
+        lazy = {k for k, v in vars(cm.MixedGraph).items() if isinstance(v, graph._lazy)}
+        assert lazy == set(LAZY_TABLES)
+
+    @pytest.mark.parametrize("name", list(LAZY_TABLES))
+    def test_computed_once_per_object(self, monkeypatch, name):
+        table = vars(cm.MixedGraph)[name]
+        built = []
+        original = table.func
+
+        def counting(g):
+            built.append(g)
+            return original(g)
+
+        monkeypatch.setattr(table, "func", counting)
+        for text in ("a -> b; b -- c; c <-> d; a <-> c", "a -> b; b -- c; c -> a"):
+            g = G(text)
+            assert set(vars(g)) == FIELDS
+            first = getattr(g, name)
+            assert getattr(g, name) is first
+            assert len(built) == 1 and built.pop() is g
+            assert set(vars(g)) == FIELDS | {name} | LAZY_TABLES[name]
+            assert first == original(G(text))
 
 
 class TestSubgraphs:

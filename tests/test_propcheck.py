@@ -45,6 +45,7 @@ from conftest import (
     _random_graph_by_triples,
     enumerate_mixed_graphs,
     masks_by_definition,
+    triples,
 )
 
 
@@ -549,6 +550,25 @@ class TestModelChecks:
         assert "error" not in ce
         out = cm.ang_transform(G(ce["graph"]), TransformSpec.of(ce["m"], ce["c"]))
         assert cm.CMG in cm.classify(out) and cm.ANG not in cm.classify(out)
+
+    def test_an_output_that_is_no_cmg_fails(self, monkeypatch):
+        # the output's own CMG verdict decides, before any model is enumerated,
+        # so the failure is a wrong output, not a NotACMGError
+        monkeypatch.setattr(propcheck, "condition", _condition_with_a_two_cycle)
+        report = run_suite("conditioning", seed=0, count=60)
+        assert report.instances == 60 and report.failures > 0
+        ce = report.first_counterexample
+        assert set(ce) == {"graph", "set0"}
+        assert not _condition_with_a_two_cycle(G(ce["graph"]), ce["set0"]).is_cmg
+
+
+def _condition_with_a_two_cycle(g, c):
+    """``condition`` broken: ``x -> y`` beside ``y -> x`` over the first two kept nodes."""
+    out = cm.condition(g, c)
+    if len(out.nodes) < 2:
+        return out
+    x, y = out.nodes[:2]
+    return cm.build_graph(out.nodes, [(x, y, cm.ARROW), (y, x, cm.ARROW), *triples(out)])
 
 
 def _resolve_no_arcs(w, ant):

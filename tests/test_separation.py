@@ -1299,6 +1299,26 @@ def test_pairwise_model_digest(seed, n, density):
     assert hashlib.sha256(text.encode()).hexdigest() == MODEL_DIGESTS[seed, n, density]
 
 
+def _bit_walk(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_and_members_against_the_bit_walk():
+    # below 2^8 both read one stored tuple; above it they walk the bits
+    rng = random.Random("bit-walk")
+    masks = [*range(1 << 10), *(rng.getrandbits(256) for _ in range(2_000))]
+    for mask in masks:
+        want = _bit_walk(mask)
+        assert list(_bits(mask)) == want
+        assert kernel._members(mask) == tuple(want)
+    assert _bits(0xFF) is _bits(0xFF) is kernel._members(0xFF)
+
+
 # -- the kernel surface the benchmark reads -------------------------------------
 
 
